@@ -17,8 +17,7 @@ from .combine import StreamSoftCopy, decide, ssic_combine
 from .vcframe import (BCH_MIN_DIST, BCH_K, BCH_N, CODEWORDS, MTU_PAYLOAD, VcFrame,
                       VcHeader, bch_decode_hard, bch_decode_soft, bch_encode,
                       crc16_ccitt, decode_header_hard, decode_header_soft,
-                      encapsulate, encode_header, extract, frame_from_bytes,
-                      frame_to_bytes)
+                      encapsulate, encode_header, frame_from_bytes, frame_to_bytes)
 from .channel import (ChannelParams, StreamObservation, bpsk_awgn_llrs, fresh_seed,
                       snr_db_to_sigma2, soft_copy, transmit)
 from .netstack import (Aggregator, AggregatorConfig, Dispatcher, FrameKey,

@@ -22,9 +22,7 @@ reproduces the transmitted payload.  It never false-accepts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +48,6 @@ class ChannelParams:
     burst_prob: float = 0.0
     burst_len_mean: float = 64.0
     burst_llr_atten: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.detection_loss_prob <= 1.0:
@@ -61,19 +58,6 @@ class ChannelParams:
             raise ValueError(f"burst_llr_atten out of (0,1]: {self.burst_llr_atten}")
         if self.burst_len_mean < 1.0:
             raise ValueError(f"burst_len_mean must be >= 1: {self.burst_len_mean}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelParams":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
-        if bad:
-            raise ValueError(f"unknown channel keys: {sorted(bad)}")
-        return cls(**d)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ChannelParams":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass

@@ -11,9 +11,11 @@ Four receivers, cheapest to best:
             with the induced scrambling-bit probability, so seed uncertainty
             softens the output instead of committing to one register guess.
 
-The posterior treats each pilot LLR as an independent observation of a known
-linear function of the seed; everything is kept in log domain and normalized
-with log-sum-exp.
+Since log P(bit=0) - log P(bit=1) is the pilot LLR itself, the log-posterior
+of a seed is half the correlation of the pilot LLRs with that seed's +-1
+pilot pattern, up to a shared constant: one matrix product and a softmax.
+The three LLR receivers then differ only in what they know about each mask
+bit, and all three apply it through the one mix rule in _mix_mask.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from .scrambler import LFSR_LEN, PERIOD, all_seeds, lfsr_run, mask_matrix, seed_from_int
-from .softbits import LLR_MAX, SoftWord, flip_by_mask, hard_decide
+from .softbits import LLR_MAX, SoftWord, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
 
@@ -67,20 +68,19 @@ class SeedPosterior:
 def seed_posterior(pilot_llrs: np.ndarray, A: np.ndarray) -> SeedPosterior:
     """Posterior over seeds given pilot LLRs and the pilot mask matrix A.
 
-    For candidate seed r the pilot block would have been A @ r mod 2; each
-    position contributes log P(observed | that bit) with
-    P(bit=0 | llr) = expit(llr).  Sums are normalized so logsumexp == 0.
+    For candidate seed r the pilot block would have been A @ r mod 2, with
+    +-1 pattern s_r; each pilot contributes log expit(+-y), which is y*s/2
+    up to a term shared by every seed.  So the log-posterior is the softmax
+    of 0.5 * y @ S over the (L, 127) codebook S.
     """
     y = np.asarray(pilot_llrs, dtype=np.float64)
     A = np.asarray(A, dtype=np.uint8)
     if y.ndim != 1 or A.shape != (y.size, LFSR_LEN):
         raise ValueError(f"mask matrix shape {A.shape} does not match {y.size} pilots")
-    # (L, 127) candidate pilot bits for every seed at once
-    cand = (A @ all_seeds().T) % 2
-    logp0 = -np.logaddexp(0.0, -y)  # log expit(y)
-    logp1 = -np.logaddexp(0.0, y)
-    lw = np.where(cand == 0, logp0[:, None], logp1[:, None]).sum(axis=0)
-    return SeedPosterior(lw - logsumexp(lw))
+    S = 1.0 - 2.0 * ((A @ all_seeds().T) % 2)
+    lw = 0.5 * (y @ S)
+    lw -= lw.max()
+    return SeedPosterior(lw - np.log(np.exp(lw).sum()))
 
 
 @functools.lru_cache(maxsize=1)
@@ -102,10 +102,9 @@ def mask_zero_prob(posterior: SeedPosterior, L: int, M: int) -> np.ndarray:
     period; the probability is the posterior mass of the seeds whose output
     is 0 there.
     """
-    w = posterior.weights
-    pz0_by_phase = w @ (1 - _z_table())  # (127,)
-    phases = (L + np.arange(M)) % PERIOD
-    return np.clip(pz0_by_phase[phases], 0.0, 1.0)
+    pz0_by_phase = np.clip(posterior.weights @ (1 - _z_table()), 0.0, 1.0)
+    # phases L, L+1, ... mod PERIOD: the table rotated by L, repeated to M
+    return np.resize(np.roll(pz0_by_phase, -L), M)
 
 
 def hd(word_hard: np.ndarray) -> np.ndarray:
@@ -122,6 +121,25 @@ def hd(word_hard: np.ndarray) -> np.ndarray:
     return lfsr_run(state, payload.size) ^ payload
 
 
+def _mix_mask(payload: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Descramble payload LLRs by mask bits that are 0 with probability q.
+
+    P(x=0) = q P(y=0) + (1-q) P(y=1), the boxplus of the payload LLR with
+    the mask LLR.  Where q is 0 or 1 this is the exact sign flip
+    payload * (2q - 1); elsewhere it is log(q e^y + 1-q) - log(q + (1-q) e^y),
+    which only loses magnitude, up to an ulp of rounding that the clip keeps
+    inside LLR_MAX.  SoftWord clamps |y| <= LLR_MAX, so e^y cannot overflow.
+    """
+    y, q = payload, np.asarray(q, dtype=np.float64)
+    out = y * (2.0 * q - 1.0)
+    soft = (q > 0.0) & (q < 1.0)
+    if soft.any():
+        e = np.exp(y)
+        mixed = np.log(q * e + (1.0 - q)) - np.log(q + (1.0 - q) * e)
+        out = np.where(soft, np.clip(mixed, -LLR_MAX, LLR_MAX), out)
+    return out
+
+
 def naive_sd(word: SoftWord) -> np.ndarray:
     """Soft descrambling from hard pilot decisions alone.
 
@@ -130,8 +148,7 @@ def naive_sd(word: SoftWord) -> np.ndarray:
     pilot decision silently inverts about half the payload.
     """
     state = hard_decide(word.pilots[-LFSR_LEN:])
-    z = lfsr_run(state, word.M)
-    return flip_by_mask(word.payload, z)
+    return _mix_mask(word.payload, 1.0 - lfsr_run(state, word.M))
 
 
 def hrsx(word: SoftWord, A: np.ndarray | None = None,
@@ -143,28 +160,17 @@ def hrsx(word: SoftWord, A: np.ndarray | None = None,
     if posterior is None:
         posterior = seed_posterior(word.pilots, mask_matrix(word.L) if A is None else A)
     seed_int = posterior.map_index() + 1
-    z = _z_table()[seed_int - 1][(word.L + np.arange(word.M)) % PERIOD]
-    return flip_by_mask(word.payload, z), seed_from_int(seed_int)
+    q = mask_zero_prob(SeedPosterior.delta(seed_int), word.L, word.M)
+    return _mix_mask(word.payload, q), seed_from_int(seed_int)
 
 
 def srsx(word: SoftWord, A: np.ndarray | None = None,
          posterior: SeedPosterior | None = None) -> np.ndarray:
     """Soft re-scrambling: mix each payload LLR with the mask-bit posterior.
 
-    With q = P(z_m=0), P(x_m=0) = q P(y_m=0) + (1-q) P(y_m=1).  A certain
-    mask (q in {0,1}) reduces to an exact sign flip of the input LLR; an
-    uninformative mask drives the output toward 0.  Output is clamped.
+    A certain posterior gives hrsx's sign flips exactly; an uninformative
+    one drives the output toward 0.
     """
     if posterior is None:
         posterior = seed_posterior(word.pilots, mask_matrix(word.L) if A is None else A)
-    q = mask_zero_prob(posterior, word.L, word.M)
-    y = word.payload
-    py0 = expit(y)
-    py1 = expit(-y)
-    px0 = py0 * q + py1 * (1.0 - q)
-    px1 = py1 * q + py0 * (1.0 - q)
-    with np.errstate(divide="ignore"):
-        mixed = np.log(px0) - np.log(px1)
-    # exact at the degenerate ends so a certain mask is a pure sign flip
-    out = np.where(q == 1.0, y, np.where(q == 0.0, -y, mixed))
-    return np.clip(out, -LLR_MAX, LLR_MAX)
+    return _mix_mask(word.payload, mask_zero_prob(posterior, word.L, word.M))

@@ -91,7 +91,6 @@ class AggregatorConfig:
     variant: str = "srsx"  # seed-blind descrambler for soft copies
     pilot_len: int = 16
     window_size: int = 1024
-    combining: bool = True  # False reduces to first-clean-copy-wins
 
     def __post_init__(self):
         if self.variant not in ("naive", "hrsx", "srsx"):
@@ -112,16 +111,15 @@ class AggregatorStats:
     soft_stored: int = 0
     combine_failures: int = 0
     pending_evictions: int = 0
-    soft_disabled_drops: int = 0
 
 
 class Aggregator:
     """Receiver-side state machine over per-frame observations."""
 
     def __init__(self, config: AggregatorConfig,
-                 payload_check: Callable[[FrameKey, bytes], bool] | None = None):
-        if config.combining and payload_check is None:
-            raise ValueError("combining requires a payload verification predicate")
+                 payload_check: Callable[[FrameKey, bytes], bool]):
+        if payload_check is None:
+            raise ValueError("the aggregator needs a payload verification predicate")
         self.config = config
         self.payload_check = payload_check
         self.mask = mask_matrix(config.pilot_len)
@@ -167,10 +165,6 @@ class Aggregator:
                 self.stats.duplicate_drops += 1
                 return None
             return self._deliver(key, frame.payload, combined=False)
-
-        if not self.config.combining:
-            self.stats.soft_disabled_drops += 1
-            return None
 
         word = obs.soft
         llrs = self._descramble(word)
@@ -262,8 +256,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
                       stream_params: Sequence[ChannelParams], L: int,
                       rng: np.random.Generator, variant: str = "srsx",
                       window_size: int = 1024, arrival_jitter: float = 0.5,
-                      vci: int = 1, combining: bool = True,
-                      ) -> tuple[list[PacketRecord], AggregatorStats]:
+                      vci: int = 1) -> tuple[list[PacketRecord], AggregatorStats]:
     """Simulate one configured operating point end to end.
 
     Every packet is dispatched on all streams; per-frame observations are
@@ -296,8 +289,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
         records.append(rec)
         by_key[key] = rec
 
-    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L,
-                                      window_size=window_size, combining=combining),
+    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
                      payload_check=lambda key, payload: truth.get(key) == payload)
     arrivals.sort(key=lambda t: (t[0], t[1]))
     for _, _, obs in arrivals:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 LLR_MAX = 20.0
 
@@ -24,7 +23,7 @@ def clamp_llrs(llrs: np.ndarray) -> np.ndarray:
 def llr_to_prob(llrs):
     """(P(bit=0), P(bit=1)) from LLRs; works elementwise on arrays."""
     l = np.asarray(llrs, dtype=np.float64)
-    return expit(l), expit(-l)
+    return np.exp(-np.logaddexp(0.0, -l)), np.exp(-np.logaddexp(0.0, l))
 
 
 def hard_decide(llrs) -> np.ndarray:

@@ -28,11 +28,10 @@ import numpy as np
 
 from .channel import ChannelParams, fresh_seed, soft_copy
 from .combine import StreamSoftCopy, decide, ssic_combine
-from .descramble import hrsx, naive_sd, seed_posterior, srsx
+from .descramble import hd, hrsx, naive_sd, seed_posterior, srsx
 from .netstack import run_metrics, run_network_point
 from .scrambler import make_pilots, mask_matrix, seed_to_int
 from .softbits import hard_decide
-from .descramble import hd
 from .vcframe import MTU_PAYLOAD
 
 MODES = ("seed_ber", "payload_ber", "packet_per", "netsim")
@@ -172,11 +171,8 @@ def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator
         true_z = make_pilots(seed, spec.L)
         post = None
         for v in spec.variants:
-            if v == "hd":
+            if v in ("hd", "naive"):
                 # register estimate straight from the last 7 pilot decisions
-                est = hard_decide(word.pilots[-7:])
-                errors[v] += int((est != true_z[-7:]).any())
-            elif v == "naive":
                 est = hard_decide(word.pilots[-7:])
                 errors[v] += int((est != true_z[-7:]).any())
             else:

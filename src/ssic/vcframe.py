@@ -132,17 +132,23 @@ def bch_encode(info_bits: np.ndarray) -> np.ndarray:
     return CODEWORDS[v].copy()
 
 
-def bch_decode_soft(llrs: np.ndarray) -> np.ndarray:
-    """Exact ML decoding of one block from 63 LLRs.
+def _decode_blocks(y: np.ndarray) -> np.ndarray:
+    """Exact ML info bits of each row of (n, 63) LLRs, as an (n, 7) array.
 
-    Maximizes sum over positions of (+llr if codeword bit 0 else -llr);
-    ties break toward the lowest info value.
+    One correlation against every codeword maximizes the sum over positions
+    of (+llr if codeword bit 0 else -llr); ties break toward the lowest info
+    value.
     """
+    v = np.argmax(y @ _SIGNS.T, axis=1)
+    return ((v[:, None] >> np.arange(BCH_K - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def bch_decode_soft(llrs: np.ndarray) -> np.ndarray:
+    """Exact ML decoding of one block from 63 LLRs."""
     y = np.asarray(llrs, dtype=np.float64)
     if y.shape != (BCH_N,):
         raise ValueError(f"need {BCH_N} LLRs")
-    v = int(np.argmax(_SIGNS @ y))
-    return np.array([(v >> (BCH_K - 1 - j)) & 1 for j in range(BCH_K)], dtype=np.uint8)
+    return _decode_blocks(y[None, :])[0]
 
 
 def bch_decode_hard(bits: np.ndarray) -> np.ndarray:
@@ -220,8 +226,7 @@ def decode_header_soft(llrs: np.ndarray) -> VcHeader | None:
     y = np.asarray(llrs, dtype=np.float64)
     if y.shape != (HEADER_CODED_BITS,):
         raise ValueError(f"need {HEADER_CODED_BITS} LLRs")
-    infos = [bch_decode_soft(y[BCH_N * j:BCH_N * (j + 1)]) for j in range(BCH_K)]
-    return _header_from_field_bits(np.concatenate(infos))
+    return _header_from_field_bits(_decode_blocks(y.reshape(BCH_K, BCH_N)).ravel())
 
 
 def decode_header_hard(bits: np.ndarray) -> VcHeader | None:
@@ -256,10 +261,6 @@ def encapsulate(packet: bytes, vci: int, vcs: int, stream_addr: int) -> VcFrame:
     if len(packet) > MTU_PAYLOAD:
         raise ValueError(f"payload exceeds MTU: {len(packet)} > {MTU_PAYLOAD}")
     return VcFrame(stream_addr, encode_header(vci, vcs), bytes(packet))
-
-
-def extract(frame: VcFrame) -> bytes:
-    return frame.payload
 
 
 def frame_to_bits(frame: VcFrame) -> np.ndarray:

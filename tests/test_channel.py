@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -55,17 +53,6 @@ def test_channel_params_validation():
         ChannelParams(snr_db=0.0, burst_llr_atten=1.1)
     with pytest.raises(ValueError):
         ChannelParams(snr_db=0.0, burst_len_mean=0.5)
-
-
-def test_channel_params_from_dict_and_file(tmp_path):
-    p = ChannelParams.from_dict({"snr_db": 3.0, "burst_prob": 0.1})
-    assert p.snr_db == 3.0 and p.burst_prob == 0.1
-    with pytest.raises(ValueError, match="unknown channel keys"):
-        ChannelParams.from_dict({"snr_db": 3.0, "snr": 1.0})
-    f = tmp_path / "chan.json"
-    f.write_text(json.dumps({"snr_db": 7.5, "detection_loss_prob": 0.01}))
-    q = ChannelParams.from_file(f)
-    assert q.snr_db == 7.5 and q.detection_loss_prob == 0.01
 
 
 def test_observation_invariants():

@@ -219,6 +219,41 @@ def test_srsx_output_clamped_and_shrinks_toward_zero():
         assert np.all(np.abs(out) <= np.abs(word.payload) + 1e-12)
 
 
+def brute_srsx(payload: np.ndarray, w: np.ndarray, L: int) -> np.ndarray:
+    """Probability-domain reference: mix the payload over all 127 seeds."""
+    M = payload.size
+    p0 = np.zeros(M)
+    p1 = np.zeros(M)
+    for v in range(1, 128):
+        z = lfsr_run(seed_from_int(v), L + M)[L:]
+        p0 += w[v - 1] * np.where(z == 0, expit(payload), expit(-payload))
+        p1 += w[v - 1] * np.where(z == 0, expit(-payload), expit(payload))
+    return np.log(p0) - np.log(p1)
+
+
+def test_srsx_matches_brute_force_seed_mixture():
+    rng = np.random.default_rng(17)
+    L, M = 16, 300
+    with np.errstate(divide="ignore"):  # small alphas underflow some weights to 0
+        posts = [SeedPosterior(np.log(rng.dirichlet(np.full(127, a))))
+                 for a in (1.0, 0.2, 0.02) for _ in range(5)]
+    # a few equal-weight seeds: q is exactly 0 or 1 where they agree and
+    # soft where they do not
+    for seeds in ((3, 90), (1, 2, 64, 127)):
+        lw = np.full(N_SEEDS, -np.inf)
+        lw[np.array(seeds) - 1] = -np.log(len(seeds))
+        post = SeedPosterior(lw)
+        q = mask_zero_prob(post, L, M)
+        assert (q == 0.0).any() and (q == 1.0).any() and ((q > 0) & (q < 1)).any()
+        posts.append(post)
+    for post in posts:
+        word, _ = noisy_word(rng, rng.integers(1, 128), L, M, snr_db=rng.uniform(-2, 6))
+        # rtol is relative; atol covers outputs within rounding of zero
+        np.testing.assert_allclose(srsx(word, posterior=post),
+                                   brute_srsx(word.payload, post.weights, L),
+                                   rtol=1e-9, atol=1e-12)
+
+
 def test_srsx_recovers_clean_payload():
     rng = np.random.default_rng(16)
     word, payload = noisy_word(rng, 77, 16, 96, snr_db=25.0)

@@ -52,10 +52,8 @@ def soft_obs(key: FrameKey, packet: bytes, sid: int,
     return StreamObservation(stream_id=sid, detected=True, crc_pass=False, soft=word)
 
 
-def make_agg(truth: dict, variant: str = "srsx", window_size: int = 64,
-             combining: bool = True) -> Aggregator:
-    cfg = AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size,
-                           combining=combining)
+def make_agg(truth: dict, variant: str = "srsx", window_size: int = 64) -> Aggregator:
+    cfg = AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size)
     return Aggregator(cfg, payload_check=lambda k, p: truth.get(k) == p)
 
 
@@ -155,13 +153,6 @@ def test_hard_copy_clears_pending():
     assert agg.stats.duplicate_drops == 1
 
 
-def test_combining_disabled_drops_soft():
-    agg = Aggregator(AggregatorConfig(variant="srsx", pilot_len=L, combining=False))
-    assert agg.push(soft_obs(K1, P1, 0)) is None
-    assert agg.stats.soft_disabled_drops == 1 and not agg.pending
-    assert agg.push(hard_obs(K1, P1, 1)) == (K1, P1)
-
-
 def test_undetected_frames_are_rejected():
     agg = make_agg({})
     with pytest.raises(ValueError):
@@ -212,7 +203,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AggregatorConfig(window_size=0)
     with pytest.raises(ValueError):
-        Aggregator(AggregatorConfig(combining=True), payload_check=None)
+        Aggregator(AggregatorConfig(), payload_check=None)
 
 
 def test_aggregator_variants_all_decode_clean_copies():

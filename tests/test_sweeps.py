@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +199,13 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
     # nonexistent config file is an I/O error, not a crash
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, ssic; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_load_spec_file_requires_object(tmp_path):

@@ -32,7 +32,6 @@ from ssic.vcframe import (
     decode_header_soft,
     encapsulate,
     encode_header,
-    extract,
     frame_from_bits,
     frame_from_bytes,
     frame_to_bits,
@@ -172,6 +171,40 @@ def test_header_soft_decode_under_noise():
     assert h is not None and (h.vci, h.vcs) == (321, 54321)
 
 
+def header_by_blocks(llrs: np.ndarray) -> VcHeader | None:
+    """Reference header decode: seven separate block decodes, then the CRC."""
+    bits = np.concatenate([bch_decode_soft(llrs[BCH_N * j:BCH_N * (j + 1)])
+                           for j in range(BCH_K)])
+    vci, vcs, crc = (int("".join(map(str, bits[16 * i:16 * i + 16])), 2)
+                     for i in range(3))
+    h = VcHeader(vci, vcs, crc)
+    return h if h.crc_ok() else None
+
+
+def test_header_decode_equals_seven_block_decodes():
+    rng = np.random.default_rng(31)
+    valid = invalid = ties = 0
+    for trial in range(400):
+        coded = encode_header(int(rng.integers(0, 1 << 16)), int(rng.integers(0, 1 << 16)))
+        if trial % 2:
+            llrs = (1.0 - 2.0 * coded) * 2.0 + rng.normal(0, 4.5, HEADER_CODED_BITS)
+        else:
+            # hard +-1 input with 16-23 flips per block: past the guaranteed
+            # radius, where ties between codewords are common
+            flips = coded.copy()
+            for j in range(BCH_K):
+                pos = rng.choice(BCH_N, size=int(rng.integers(16, 24)), replace=False)
+                flips[BCH_N * j + pos] ^= 1
+            llrs = 1.0 - 2.0 * flips.astype(np.float64)
+            corr = llrs.reshape(BCH_K, BCH_N) @ (1.0 - 2.0 * CODEWORDS.T)
+            ties += int((corr == corr.max(axis=1, keepdims=True)).sum(axis=1).max() > 1)
+        want = header_by_blocks(llrs)
+        assert decode_header_soft(llrs) == want
+        valid += want is not None
+        invalid += want is None
+    assert valid > 20 and invalid > 20 and ties > 20
+
+
 def test_header_decode_rejects_garbage():
     for s in (0, 1, 2, 3):
         rng = np.random.default_rng(s)
@@ -238,7 +271,6 @@ def test_bit_layout_sections():
 @settings(max_examples=60, deadline=None)
 def test_frame_round_trips(payload, vci, vcs, addr):
     f = encapsulate(payload, vci, vcs, addr)
-    assert extract(f) == payload
     g = frame_from_bits(frame_to_bits(f))
     assert g.stream_addr == addr and g.payload == payload
     h = g.header()
