@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import LFSR_LEN, scramble, seed_from_int
-from .softbits import SoftWord, hard_decide
+from .scrambler import LFSR_LEN, register_outputs, scramble, seed_from_int, seed_to_int
+from .softbits import LLR_MAX, SoftWord, hard_decide
 from .descramble import hd
 
 
@@ -82,12 +82,24 @@ class StreamObservation:
                 raise ValueError("detected frame without CRC needs soft values")
 
 
+def awgn_llrs(tx_bits: np.ndarray, noise: np.ndarray, sigma2) -> np.ndarray:
+    """Matched-filter LLRs 2y/sigma^2 of BPSK bits received with additive noise.
+
+    Computed in place: the float noise array becomes the LLRs and is
+    returned.  Elementwise, so it serves a block of words as well as one:
+    sigma2 broadcasts against the bits.
+    """
+    noise += 1.0 - 2.0 * tx_bits
+    noise *= 2.0
+    noise /= sigma2
+    return noise
+
+
 def bpsk_awgn_llrs(bits: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Raw (unclamped) LLRs for a bit sequence over the AWGN link."""
     b = np.asarray(bits, dtype=np.uint8)
     sigma2 = snr_db_to_sigma2(snr_db)
-    y = (1.0 - 2.0 * b) + rng.normal(0.0, np.sqrt(sigma2), b.size)
-    return 2.0 * y / sigma2
+    return awgn_llrs(b, rng.normal(0.0, np.sqrt(sigma2), b.size), sigma2)
 
 
 def fresh_seed(rng: np.random.Generator) -> np.ndarray:
@@ -95,15 +107,38 @@ def fresh_seed(rng: np.random.Generator) -> np.ndarray:
     return seed_from_int(int(rng.integers(1, 128)))
 
 
+def scrambled_llrs(seed_ints, payload_bits: np.ndarray, L: int, noise: np.ndarray,
+                   sigma2) -> np.ndarray:
+    """Clamped LLRs of a block of scrambled words, each L pilots + M payload bits.
+
+    Word w is L zero bits followed by payload_bits[w], scrambled by seed
+    integer seed_ints[w] (1..127), sent as BPSK with noise[w] (L+M samples)
+    added at noise variance sigma2[w].  payload_bits and sigma2 broadcast
+    against seed_ints, whose shape the result takes, plus a last axis of
+    L+M LLRs.  The LLRs are written over the noise array.
+    """
+    tx = register_outputs(seed_ints, noise.shape[-1])
+    tx[..., L:] ^= payload_bits
+    llrs = awgn_llrs(tx, noise, np.asarray(sigma2)[..., None])
+    return np.clip(llrs, -LLR_MAX, LLR_MAX, out=llrs)
+
+
 def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
               rng: np.random.Generator) -> SoftWord:
     """Scramble, transmit over plain AWGN, and split into pilot/payload LLRs.
 
-    The lightweight path used by the Monte-Carlo sweeps: no detection loss,
-    no bursts, no CRC short-circuit.
+    The one-word case of scrambled_llrs, drawing its own noise: no
+    detection loss, no bursts, no CRC short-circuit.
     """
-    x = np.concatenate([np.zeros(L, dtype=np.uint8), np.asarray(payload_bits, dtype=np.uint8)])
-    llrs = bpsk_awgn_llrs(scramble(seed, x), snr_db, rng)
+    s = np.asarray(seed, dtype=np.uint8)
+    if s.shape != (LFSR_LEN,) or not s.any():
+        raise ValueError(f"seed must be a nonzero ({LFSR_LEN},) bit vector")
+    payload = np.asarray(payload_bits, dtype=np.uint8)
+    if payload.ndim != 1:
+        raise ValueError("payload_bits must be one-dimensional")
+    sigma2 = snr_db_to_sigma2(snr_db)
+    noise = rng.normal(0.0, np.sqrt(sigma2), L + payload.size)
+    llrs = scrambled_llrs(seed_to_int(s), payload, L, noise, sigma2)
     return SoftWord(pilots=llrs[:L], payload=llrs[L:])
 
 

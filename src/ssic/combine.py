@@ -37,14 +37,24 @@ def ssic_combine(copies: list[StreamSoftCopy]) -> np.ndarray:
         raise ValueError("need at least one copy")
     n = copies[0].llrs.size
     ids = set()
-    total = np.zeros(n, dtype=np.float64)
     for c in copies:
         if c.llrs.size != n:
             raise ValueError(f"length mismatch: {c.llrs.size} vs {n}")
         if c.stream_id in ids:
             raise ValueError(f"duplicate stream_id {c.stream_id}")
         ids.add(c.stream_id)
-        total += c.llrs
+    return combine_streams(np.stack([c.llrs for c in copies]))
+
+
+def combine_streams(llrs: np.ndarray) -> np.ndarray:
+    """Sum of (..., K, M) LLRs over the K streams, clamped to +-LLR_MAX.
+
+    The streams are added into a zero total in order 0..K-1, so a block of
+    packets sums exactly as ssic_combine sums each one.
+    """
+    total = np.zeros(llrs.shape[:-2] + llrs.shape[-1:])
+    for k in range(llrs.shape[-2]):
+        total += llrs[..., k, :]
     return np.clip(total, -LLR_MAX, LLR_MAX)
 
 

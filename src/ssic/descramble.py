@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import LFSR_LEN, PERIOD, all_seeds, lfsr_run, mask_matrix, seed_from_int
+from .scrambler import (LFSR_LEN, PERIOD, all_seeds, mask_matrix, periodic_extend,
+                        register_outputs, seed_from_int)
 from .softbits import LLR_MAX, SoftWord, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
@@ -65,28 +66,56 @@ class SeedPosterior:
         return cls(np.full(N_SEEDS, -np.log(N_SEEDS)))
 
 
-def seed_posterior(pilot_llrs: np.ndarray, A: np.ndarray) -> SeedPosterior:
-    """Posterior over seeds given pilot LLRs and the pilot mask matrix A.
+def seed_log_weights(pilots: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Normalized seed log-posteriors of n words at once: (n, L) -> (n, 127).
 
     For candidate seed r the pilot block would have been A @ r mod 2, with
     +-1 pattern s_r; each pilot contributes log expit(+-y), which is y*s/2
-    up to a term shared by every seed.  So the log-posterior is the softmax
-    of 0.5 * y @ S over the (L, 127) codebook S.
+    up to a term shared by every seed.  So each row is the log-softmax of
+    0.5 * y @ S over the (L, 127) codebook S.
     """
-    y = np.asarray(pilot_llrs, dtype=np.float64)
+    y = np.asarray(pilots, dtype=np.float64)
     A = np.asarray(A, dtype=np.uint8)
-    if y.ndim != 1 or A.shape != (y.size, LFSR_LEN):
-        raise ValueError(f"mask matrix shape {A.shape} does not match {y.size} pilots")
+    if y.ndim != 2 or A.shape != (y.shape[1], LFSR_LEN):
+        raise ValueError(f"need (n, L) pilot LLRs and an (L, {LFSR_LEN}) mask matrix, "
+                         f"got {y.shape} and {A.shape}")
+    lw = 0.5 * (y @ _pilot_codebook(A.tobytes(), y.shape[1]))
+    lw -= lw.max(axis=1, keepdims=True)
+    lw -= np.log(np.exp(lw).sum(axis=1, keepdims=True))
+    return lw
+
+
+@functools.lru_cache(maxsize=32)
+def _pilot_codebook(a_bytes: bytes, L: int) -> np.ndarray:
+    """(L, 127) +-1 pilot patterns of all seeds, for the mask matrix A given
+    by its bytes: S = 1 - 2 (A @ seeds^T mod 2)."""
+    A = np.frombuffer(a_bytes, dtype=np.uint8).reshape(L, LFSR_LEN)
     S = 1.0 - 2.0 * ((A @ all_seeds().T) % 2)
-    lw = 0.5 * (y @ S)
-    lw -= lw.max()
-    return SeedPosterior(lw - np.log(np.exp(lw).sum()))
+    S.flags.writeable = False
+    return S
+
+
+def seed_posterior(pilot_llrs: np.ndarray, A: np.ndarray) -> SeedPosterior:
+    """Posterior over seeds given pilot LLRs and the pilot mask matrix A."""
+    y = np.asarray(pilot_llrs, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValueError("pilot LLRs must be one-dimensional")
+    return SeedPosterior(seed_log_weights(y[None], A)[0])
 
 
 @functools.lru_cache(maxsize=1)
 def _z_table() -> np.ndarray:
     """(127, 127) table: row i = one full output period of seed i+1."""
-    t = np.vstack([lfsr_run(seed_from_int(v), PERIOD) for v in range(1, 128)])
+    t = register_outputs(np.arange(1, N_SEEDS + 1), PERIOD)
+    t.flags.writeable = False
+    return t
+
+
+@functools.lru_cache(maxsize=1)
+def _one_minus_z() -> np.ndarray:
+    """1 - _z_table() as floats: entry (i, j) is 1 where seed i+1 outputs 0
+    at phase j."""
+    t = 1.0 - _z_table()
     t.flags.writeable = False
     return t
 
@@ -95,16 +124,38 @@ def z_sequence_table() -> np.ndarray:
     return _z_table()
 
 
-def mask_zero_prob(posterior: SeedPosterior, L: int, M: int) -> np.ndarray:
-    """P(scrambling bit = 0) at each of the M payload positions.
+def mask_zero_probs(weights: np.ndarray, L: int, M: int) -> np.ndarray:
+    """P(scrambling bit = 0) at the M payload positions of n words: (n, 127)
+    seed weights -> (n, M).
 
     Payload position m uses register output L+m, reduced mod the sequence
     period; the probability is the posterior mass of the seeds whose output
-    is 0 there.
+    is 0 there: one product with the 0/1 table gives it at all 127 phases.
     """
-    pz0_by_phase = np.clip(posterior.weights @ (1 - _z_table()), 0.0, 1.0)
-    # phases L, L+1, ... mod PERIOD: the table rotated by L, repeated to M
-    return np.resize(np.roll(pz0_by_phase, -L), M)
+    pz0_by_phase = np.clip(weights @ _one_minus_z(), 0.0, 1.0)
+    return periodic_extend(pz0_by_phase, L, M)
+
+
+def mask_zero_prob(posterior: SeedPosterior, L: int, M: int) -> np.ndarray:
+    """mask_zero_probs for one word's posterior."""
+    return mask_zero_probs(posterior.weights[None], L, M)[0]
+
+
+_BIT_WEIGHTS = 1 << np.arange(LFSR_LEN)
+
+
+def _register_states(bits: np.ndarray) -> np.ndarray:
+    """Register states (r0 = LSB) from (..., 7) bit rows."""
+    return bits.astype(np.intp) @ _BIT_WEIGHTS
+
+
+def hd_rows(word_hard: np.ndarray) -> np.ndarray:
+    """hd for n words at once: (n, 7 + M) bits -> (n, M) bits."""
+    b = np.asarray(word_hard, dtype=np.uint8)
+    if b.ndim != 2 or b.shape[1] < LFSR_LEN:
+        raise ValueError("need a 7-bit register preload plus payload")
+    payload = b[:, LFSR_LEN:]
+    return register_outputs(_register_states(b[:, :LFSR_LEN]), payload.shape[1]) ^ payload
 
 
 def hd(word_hard: np.ndarray) -> np.ndarray:
@@ -115,10 +166,9 @@ def hd(word_hard: np.ndarray) -> np.ndarray:
     it is an estimate, not a transmit seed.
     """
     b = np.asarray(word_hard, dtype=np.uint8)
-    if b.ndim != 1 or b.size < LFSR_LEN:
+    if b.ndim != 1:
         raise ValueError("need a 7-bit register preload plus payload")
-    state, payload = b[:LFSR_LEN], b[LFSR_LEN:]
-    return lfsr_run(state, payload.size) ^ payload
+    return hd_rows(b[None])[0]
 
 
 def _mix_mask(payload: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -129,15 +179,49 @@ def _mix_mask(payload: np.ndarray, q: np.ndarray) -> np.ndarray:
     payload * (2q - 1); elsewhere it is log(q e^y + 1-q) - log(q + (1-q) e^y),
     which only loses magnitude, up to an ulp of rounding that the clip keeps
     inside LLR_MAX.  SoftWord clamps |y| <= LLR_MAX, so e^y cannot overflow.
+    Elementwise, so it serves one word or a block of them alike.
     """
     y, q = payload, np.asarray(q, dtype=np.float64)
-    out = y * (2.0 * q - 1.0)
     soft = (q > 0.0) & (q < 1.0)
-    if soft.any():
-        e = np.exp(y)
-        mixed = np.log(q * e + (1.0 - q)) - np.log(q + (1.0 - q) * e)
-        out = np.where(soft, np.clip(mixed, -LLR_MAX, LLR_MAX), out)
-    return out
+    if not soft.any():
+        return y * (2.0 * q - 1.0)
+    e = np.exp(y)
+    num = q * e
+    num += 1.0 - q
+    den = e
+    den *= 1.0 - q
+    den += q
+    mixed = np.log(num, out=num)
+    mixed -= np.log(den, out=den)
+    np.clip(mixed, -LLR_MAX, LLR_MAX, out=mixed)
+    return mixed if soft.all() else np.where(soft, mixed, y * (2.0 * q - 1.0))
+
+
+def _flip_by_registers(payload: np.ndarray, states: np.ndarray, start: int) -> np.ndarray:
+    """Sign-flip (n, M) payload LLRs by the outputs start.. of n registers."""
+    return _mix_mask(payload, 1.0 - register_outputs(states, payload.shape[1], start))
+
+
+def naive_rows(pilots: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """naive_sd for n words: (n, L) pilot and (n, M) payload LLRs -> (n, M)."""
+    return _flip_by_registers(payload, _register_states(hard_decide(pilots[:, -LFSR_LEN:])), 0)
+
+
+def hrsx_rows(log_weights: np.ndarray, payload: np.ndarray,
+              L: int) -> tuple[np.ndarray, np.ndarray]:
+    """hrsx for n words given their (n, 127) seed log-posteriors.
+
+    Returns the (n, M) descrambled LLRs and the n MAP seed indices (seed
+    integer - 1; ties break toward the smallest seed).  The MAP seed's
+    delta posterior puts q at exactly 1 - its output bits from phase L.
+    """
+    idx = np.argmax(log_weights, axis=1)
+    return _flip_by_registers(payload, idx + 1, L), idx
+
+
+def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int) -> np.ndarray:
+    """srsx for n words given their (n, 127) seed log-posteriors."""
+    return _mix_mask(payload, mask_zero_probs(np.exp(log_weights), L, payload.shape[1]))
 
 
 def naive_sd(word: SoftWord) -> np.ndarray:
@@ -147,8 +231,14 @@ def naive_sd(word: SoftWord) -> np.ndarray:
     sign-flipped by the implied mask.  Magnitudes are untouched, so one wrong
     pilot decision silently inverts about half the payload.
     """
-    state = hard_decide(word.pilots[-LFSR_LEN:])
-    return _mix_mask(word.payload, 1.0 - lfsr_run(state, word.M))
+    return naive_rows(word.pilots[None], word.payload[None])[0]
+
+
+def _log_weights(word: SoftWord, A: np.ndarray | None,
+                 posterior: SeedPosterior | None) -> np.ndarray:
+    if posterior is not None:
+        return posterior.log_weights
+    return seed_log_weights(word.pilots[None], mask_matrix(word.L) if A is None else A)[0]
 
 
 def hrsx(word: SoftWord, A: np.ndarray | None = None,
@@ -157,11 +247,8 @@ def hrsx(word: SoftWord, A: np.ndarray | None = None,
 
     Returns (descrambled payload LLRs, estimated seed bits).
     """
-    if posterior is None:
-        posterior = seed_posterior(word.pilots, mask_matrix(word.L) if A is None else A)
-    seed_int = posterior.map_index() + 1
-    q = mask_zero_prob(SeedPosterior.delta(seed_int), word.L, word.M)
-    return _mix_mask(word.payload, q), seed_from_int(seed_int)
+    llrs, idx = hrsx_rows(_log_weights(word, A, posterior)[None], word.payload[None], word.L)
+    return llrs[0], seed_from_int(int(idx[0]) + 1)
 
 
 def srsx(word: SoftWord, A: np.ndarray | None = None,
@@ -171,6 +258,4 @@ def srsx(word: SoftWord, A: np.ndarray | None = None,
     A certain posterior gives hrsx's sign flips exactly; an uninformative
     one drives the output toward 0.
     """
-    if posterior is None:
-        posterior = seed_posterior(word.pilots, mask_matrix(word.L) if A is None else A)
-    return _mix_mask(word.payload, mask_zero_prob(posterior, word.L, word.M))
+    return srsx_rows(_log_weights(word, A, posterior)[None], word.payload[None], word.L)[0]

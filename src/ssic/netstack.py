@@ -268,15 +268,14 @@ def run_network_point(n_packets: int, payload_bytes: int,
     if n_streams < 1:
         raise ValueError("need at least one stream")
     dispatcher = Dispatcher(vci, [0x020000000000 + k for k in range(n_streams)])
-    truth: dict[FrameKey, bytes] = {}
-    by_key: dict[FrameKey, PacketRecord] = {}
+    packets: list[bytes] = []
     records: list[PacketRecord] = []
-    arrivals: list[tuple[float, int, StreamObservation]] = []
+    arrivals: list[tuple[float, int, int, StreamObservation]] = []
 
     for i in range(n_packets):
         packet = rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
         key, frames = dispatcher.send(packet)
-        truth[key] = packet
+        packets.append(packet)
         detected, hard = [], []
         for k, frame in frames:
             obs = transmit(fresh_seed(rng), frame_to_bits(frame), L, stream_params[k],
@@ -284,19 +283,29 @@ def run_network_point(n_packets: int, payload_bytes: int,
             detected.append(obs.detected)
             hard.append(obs.detected and obs.crc_pass)
             if obs.detected:
-                arrivals.append((i + arrival_jitter * rng.random(), len(arrivals), obs))
-        rec = PacketRecord(key, tuple(detected), tuple(hard))
-        records.append(rec)
-        by_key[key] = rec
+                arrivals.append((i + arrival_jitter * rng.random(), len(arrivals), i, obs))
+        records.append(PacketRecord(key, tuple(detected), tuple(hard)))
+
+    # (vci, vcs) keys repeat every VCS_MOD packets, so a key names a packet
+    # only relative to an arrival: it is the packet within half the serial
+    # space of the packet whose copy arrived.  The push loop below sets
+    # arriving to that packet's index before each push.
+    arriving = 0
+
+    def packet_of(key: FrameKey) -> int | None:
+        sent = records[arriving].key
+        j = arriving + (key.vcs - sent.vcs + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
+        return j if key.vci == sent.vci and 0 <= j < n_packets else None
+
+    def payload_check(key: FrameKey, payload: bytes) -> bool:
+        j = packet_of(key)
+        return j is not None and packets[j] == payload
 
     agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
-                     payload_check=lambda key, payload: truth.get(key) == payload)
+                     payload_check=payload_check)
     arrivals.sort(key=lambda t: (t[0], t[1]))
-    for _, _, obs in arrivals:
+    for _, _, arriving, obs in arrivals:
         result = agg.push(obs)
-        if result is not None:
-            key, payload = result
-            rec = by_key.get(key)
-            if rec is not None and truth[key] == payload:
-                rec.ssic_delivered = True
+        if result is not None and payload_check(*result):
+            records[packet_of(result[0])].ssic_delivered = True
     return records, agg.stats

@@ -58,18 +58,44 @@ def _all_seeds() -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=256)
-def _output_period(state_int: int) -> np.ndarray:
-    """First 127 output bits from a register state (zero state gives zeros)."""
-    s = [(state_int >> j) & 1 for j in range(LFSR_LEN)]
-    out = []
-    for _ in range(PERIOD):
-        z = s[0] ^ s[3]
-        out.append(z)
-        s = s[1:] + [z]
-    arr = np.array(out, dtype=np.uint8)
-    arr.flags.writeable = False
-    return arr
+@functools.lru_cache(maxsize=1)
+def _period_table() -> np.ndarray:
+    """(128, 127): row v is the first 127 output bits from register state v.
+
+    r0 = LSB; the zero state is a fixed point and its row is all zeros.
+    """
+    rows = []
+    for v in range(1 << LFSR_LEN):
+        s = [(v >> j) & 1 for j in range(LFSR_LEN)]
+        out = []
+        for _ in range(PERIOD):
+            z = s[0] ^ s[3]
+            out.append(z)
+            s = s[1:] + [z]
+        rows.append(out)
+    t = np.array(rows, dtype=np.uint8)
+    t.flags.writeable = False
+    return t
+
+
+def periodic_extend(rows: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Entries start .. start+n-1 of rows (..., 127) repeated with period 127."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    start %= PERIOD
+    reps = -(-(start + n) // PERIOD)  # ceil
+    out = np.empty(rows.shape[:-1] + (reps, PERIOD), dtype=rows.dtype)
+    out[...] = rows[..., None, :]
+    return out.reshape(rows.shape[:-1] + (reps * PERIOD,))[..., start:start + n]
+
+
+def register_outputs(states, n: int, start: int = 0) -> np.ndarray:
+    """Output bits start .. start+n-1 of each register state, all at once.
+
+    states holds register states as integers 0..127 (r0 = LSB), in any
+    shape; the result has shape states.shape + (n,).
+    """
+    return periodic_extend(_period_table()[np.asarray(states)], start, n)
 
 
 def lfsr_run(state: np.ndarray, n: int) -> np.ndarray:
@@ -78,11 +104,7 @@ def lfsr_run(state: np.ndarray, n: int) -> np.ndarray:
     Accepts the all-zero state (fixed point: output stays zero), which a
     receiver can reach when it preloads hard pilot decisions.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    period = _output_period(seed_to_int(state))
-    reps = -(-n // PERIOD)  # ceil
-    return np.tile(period, max(reps, 1))[:n].copy()
+    return register_outputs(seed_to_int(state), n)
 
 
 def scramble(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:

@@ -6,6 +6,14 @@ CSV output.  Within a grid point every descrambling variant sees the same
 noise realizations: variants differ only in how they process a word, which
 makes small performance gaps measurable without huge trial counts.
 
+The payload and seed sweeps run a grid point one block of trials x streams
+at a time (BLOCK_FLOATS bounds a block).  The draws stay in the order of a
+one-word loop: per trial the payload bits, then per stream the seed and the
+noise, written into the block's arrays.  The rest runs once per block: the
+channel LLRs, one seed-posterior product for all words, the mask mix, and
+the stream sum, added in stream order as ssic_combine adds.  So the block
+size changes the speed, never the CSV.
+
 Two row schemas:
 
   sweep   mode,snr_db,L,n_streams,variant,trials,n,errors,rate,ci95
@@ -26,13 +34,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, fresh_seed, soft_copy
-from .combine import StreamSoftCopy, decide, ssic_combine
-from .descramble import hd, hrsx, naive_sd, seed_posterior, srsx
-from .netstack import run_metrics, run_network_point
-from .scrambler import make_pilots, mask_matrix, seed_to_int
+from .channel import ChannelParams, scrambled_llrs, snr_db_to_sigma2
+from .combine import combine_streams, decide
+from .descramble import N_SEEDS, hd_rows, hrsx_rows, naive_rows, seed_log_weights, srsx_rows
+from .netstack import VCS_MOD, run_metrics, run_network_point
+from .scrambler import LFSR_LEN, mask_matrix, register_outputs
 from .softbits import hard_decide
 from .vcframe import MTU_PAYLOAD
+
+# The per-word entry points stay importable from this module, under the names
+# ssicbench/spans.py traces, although the block path below does not call them.
+from .channel import soft_copy  # noqa: F401
+from .combine import ssic_combine  # noqa: F401
+from .descramble import hrsx, naive_sd, seed_posterior, srsx  # noqa: F401
 
 MODES = ("seed_ber", "payload_ber", "packet_per", "netsim")
 VARIANTS = ("hd", "naive", "hrsx", "srsx")
@@ -40,6 +54,12 @@ VARIANTS = ("hd", "naive", "hrsx", "srsx")
 SWEEP_COLUMNS = ["mode", "snr_db", "L", "n_streams", "variant", "trials", "n",
                  "errors", "rate", "ci95"]
 NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
+
+# Floats per block of trials x streams in the payload and seed sweeps, each
+# word counting its L+M LLRs and its 127 seed weights: large enough to spread
+# numpy's per-call cost over several words, small enough that the block's
+# arrays stay in cache and peak memory stays flat.
+BLOCK_FLOATS = 1 << 15
 
 
 def _default_variants(mode: str) -> tuple[str, ...]:
@@ -124,8 +144,11 @@ class SweepSpec:
                 f"burst_llr_atten: must be in (0,1], got {self.burst_llr_atten}")
         if self.burst_len_mean < 1.0:
             raise ValueError(f"burst_len_mean: must be >= 1, got {self.burst_len_mean}")
-        if self.window_size < 1:
-            raise ValueError(f"window_size: must be >= 1, got {self.window_size}")
+        if not 1 <= self.window_size < VCS_MOD // 2:
+            # a window holding half the serial space could hold two packets
+            # with the same (vci, vcs) key
+            raise ValueError(
+                f"window_size: must be in [1, {VCS_MOD // 2}), got {self.window_size}")
         if self.arrival_jitter < 0.0:
             raise ValueError(f"arrival_jitter: must be >= 0, got {self.arrival_jitter}")
 
@@ -160,60 +183,83 @@ def _sweep_row(spec: SweepSpec, snr_db: float, variant: str, n: int, errors: int
             errors, rate, binomial_ci95(errors, n)]
 
 
+def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
+                  stream_snr_db: list[float]):
+    """Trials in blocks of B, each with K streams: yields (payload, seeds, llrs).
+
+    payload is (b, M) bits, seeds (b, K) seed integers, llrs (b, K, L+M)
+    clamped LLRs, b <= B.  The draws are made trial by trial in the order
+    of a one-word-at-a-time loop: the payload (when M > 0), then per stream
+    its seed and its L+M noise samples.  Only the deterministic work after
+    the draws runs over the block, so B never changes a result.  The three
+    arrays are reused: a block is valid until the next one is drawn.
+    """
+    K = len(stream_snr_db)
+    sigma2 = np.array([snr_db_to_sigma2(s) for s in stream_snr_db])
+    sigma = np.sqrt(sigma2)
+    B = max(1, min(trials, BLOCK_FLOATS // (K * (L + M + N_SEEDS))))
+    payload = np.zeros((B, M), dtype=np.uint8)
+    seeds = np.zeros((B, K), dtype=np.intp)
+    noise = np.zeros((B, K, L + M))
+    for first in range(0, trials, B):
+        b = min(B, trials - first)
+        for t in range(b):
+            if M:
+                payload[t] = rng.integers(0, 2, M, dtype=np.uint8)
+            for k in range(K):
+                seeds[t, k] = rng.integers(1, 128)
+                rng.standard_normal(out=noise[t, k])
+        # rng.normal(0, sigma, n) is exactly sigma times the same standard draws
+        noise[:b] *= sigma[:, None]
+        yield (payload[:b], seeds[:b],
+               scrambled_llrs(seeds[:b], payload[:b, None, :], L, noise[:b], sigma2))
+
+
 def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator) -> dict[str, int]:
     A = mask_matrix(spec.L)
     errors = {v: 0 for v in spec.variants}
-    empty = np.zeros(0, dtype=np.uint8)
-    for _ in range(spec.trials):
-        seed = fresh_seed(rng)
-        true_int = seed_to_int(seed)
-        word = soft_copy(seed, empty, spec.L, snr_db, rng)
-        true_z = make_pilots(seed, spec.L)
-        post = None
+    for _, seeds, llrs in _trial_blocks(rng, spec.trials, spec.L, 0, [snr_db]):
+        seeds, pilots = seeds[:, 0], llrs[:, 0]
+        # hd and naive: register estimate straight from the last 7 pilot decisions
+        true_z = register_outputs(seeds, LFSR_LEN, spec.L - LFSR_LEN)
+        hard_est = hard_decide(pilots[:, -LFSR_LEN:])
+        map_est = np.argmax(seed_log_weights(pilots, A), axis=1) + 1
+        wrong = {"hard": int((hard_est != true_z).any(axis=1).sum()),
+                 "map": int((map_est != seeds).sum())}
         for v in spec.variants:
-            if v in ("hd", "naive"):
-                # register estimate straight from the last 7 pilot decisions
-                est = hard_decide(word.pilots[-7:])
-                errors[v] += int((est != true_z[-7:]).any())
-            else:
-                if post is None:
-                    post = seed_posterior(word.pilots, A)
-                errors[v] += int(post.map_index() + 1 != true_int)
+            errors[v] += wrong["hard" if v in ("hd", "naive") else "map"]
     return errors
 
 
 def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
                        ) -> tuple[dict[str, int], dict[str, int]]:
     """Bit and packet error counts per variant, on shared noise."""
-    A = mask_matrix(spec.L)
+    A, L, K = mask_matrix(spec.L), spec.L, spec.n_streams
     M = spec.payload_bytes * 8
     bit_err = {v: 0 for v in spec.variants}
     pkt_err = {v: 0 for v in spec.variants}
     need_post = any(v in ("hrsx", "srsx") for v in spec.variants)
-    for _ in range(spec.trials):
-        payload = rng.integers(0, 2, M, dtype=np.uint8)
-        words = [soft_copy(fresh_seed(rng), payload, spec.L,
-                           snr_db + spec.stream_snr_offsets[k], rng)
-                 for k in range(spec.n_streams)]
-        posts = [seed_posterior(w.pilots, A) for w in words] if need_post else None
+    stream_snr_db = [snr_db + off for off in spec.stream_snr_offsets]
+    for payload, _, llrs in _trial_blocks(rng, spec.trials, L, M, stream_snr_db):
+        b = payload.shape[0]
+        rows = llrs.reshape(b * K, L + M)
+        pilots, words = rows[:, :L], rows[:, L:]
+        lw = seed_log_weights(pilots, A) if need_post else None
         for v in spec.variants:
-            if v == "hd":
-                word = words[0]
-                hard = np.concatenate([hard_decide(word.pilots[-7:]),
-                                       hard_decide(word.payload)])
-                bits = hd(hard)
+            if v == "hd":  # n_streams == 1, checked by validate()
+                bits = hd_rows(hard_decide(np.concatenate([pilots[:, -LFSR_LEN:], words],
+                                                          axis=1)))
             else:
                 if v == "naive":
-                    llrs = [naive_sd(w) for w in words]
+                    out = naive_rows(pilots, words)
                 elif v == "hrsx":
-                    llrs = [hrsx(w, A, posterior=p)[0] for w, p in zip(words, posts)]
+                    out = hrsx_rows(lw, words, L)[0]
                 else:
-                    llrs = [srsx(w, A, posterior=p) for w, p in zip(words, posts)]
-                copies = [StreamSoftCopy(k, l) for k, l in enumerate(llrs)]
-                bits = decide(ssic_combine(copies))
-            wrong = int((bits != payload).sum())
-            bit_err[v] += wrong
-            pkt_err[v] += int(wrong > 0)
+                    out = srsx_rows(lw, words, L)
+                bits = decide(combine_streams(out.reshape(b, K, M)))
+            wrong = (bits != payload).sum(axis=1)
+            bit_err[v] += int(wrong.sum())
+            pkt_err[v] += int((wrong > 0).sum())
     return bit_err, pkt_err
 
 

@@ -7,6 +7,7 @@ from ssic.channel import (
     StreamObservation,
     bpsk_awgn_llrs,
     fresh_seed,
+    scrambled_llrs,
     snr_db_to_sigma2,
     soft_copy,
     transmit,
@@ -82,6 +83,26 @@ def test_soft_copy_shapes_and_clean_recovery():
     assert np.array_equal(hard_decide(w.pilots), make_pilots(seed, 16))
     got = hd(np.concatenate([hard_decide(w.pilots[-7:]), hard_decide(w.payload)]))
     assert np.array_equal(got, payload)
+
+
+def test_block_llrs_equal_soft_copy_rows():
+    # three trials x two streams at different SNRs, drawn as soft_copy draws
+    L, M, snrs = 16, 50, np.array([1.0, 4.0])
+    sigma2 = np.array([snr_db_to_sigma2(s) for s in snrs])
+    rng = np.random.default_rng(8)
+    seeds = rng.integers(1, 128, (3, 2))
+    payload = rng.integers(0, 2, (3, M), dtype=np.uint8)
+    draws = np.random.default_rng(9)
+    noise = np.array([[draws.normal(0.0, np.sqrt(s2), L + M) for s2 in sigma2]
+                      for _ in range(3)])
+    block = scrambled_llrs(seeds, payload[:, None, :], L, noise, sigma2)
+    again = np.random.default_rng(9)
+    for t in range(3):
+        for k in range(2):
+            w = soft_copy(seed_from_int(int(seeds[t, k])), payload[t], L, snrs[k], again)
+            assert np.array_equal(block[t, k], np.concatenate([w.pilots, w.payload]))
+    with pytest.raises(ValueError):
+        soft_copy(np.zeros(7, dtype=np.uint8), payload[0], L, 1.0, again)
 
 
 def test_transmit_detection_loss():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ssic.combine import StreamSoftCopy, decide, ssic_combine
+from ssic.combine import StreamSoftCopy, combine_streams, decide, ssic_combine
 from ssic.softbits import LLR_MAX, hard_decide
 
 
@@ -63,3 +63,12 @@ def test_decide_is_sign_rule():
     l = np.array([0.0, -0.0, 5.0, -5.0])
     assert np.array_equal(decide(l), hard_decide(l))
     assert decide(l).tolist() == [0, 0, 0, 1]
+
+
+def test_block_combine_equals_ssic_combine_per_packet():
+    rng = np.random.default_rng(6)
+    block = np.clip(rng.normal(0.0, 8.0, (5, 3, 200)), -LLR_MAX, LLR_MAX)
+    out = combine_streams(block)
+    for b in range(5):
+        copies = [StreamSoftCopy(k, block[b, k]) for k in range(3)]
+        assert np.array_equal(out[b], ssic_combine(copies))

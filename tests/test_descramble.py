@@ -14,12 +14,19 @@ from scipy.special import expit
 from ssic.descramble import (
     N_SEEDS,
     SeedPosterior,
+    _mix_mask,
     hd,
+    hd_rows,
     hrsx,
+    hrsx_rows,
     mask_zero_prob,
+    mask_zero_probs,
+    naive_rows,
     naive_sd,
+    seed_log_weights,
     seed_posterior,
     srsx,
+    srsx_rows,
     z_sequence_table,
 )
 from ssic.scrambler import lfsr_run, make_pilots, mask_matrix, scramble, seed_from_int
@@ -258,3 +265,79 @@ def test_srsx_recovers_clean_payload():
     rng = np.random.default_rng(16)
     word, payload = noisy_word(rng, 77, 16, 96, snr_db=25.0)
     assert np.array_equal(hard_decide(srsx(word)), payload)
+
+
+# ------------------------------------------------------- row-batched kernels
+# A block's (n, L) @ (L, 127) product may round differently from one word's
+# vector product in the last bits, so float rows are compared to 1e-12
+# relative; everything downstream of a hard choice is compared exactly.
+
+def noisy_block(rng, n, L, M):
+    words = [noisy_word(rng, rng.integers(1, 128), L, M, snr_db=rng.uniform(-2, 6))[0]
+             for _ in range(n)]
+    return (np.array([w.pilots for w in words]), np.array([w.payload for w in words]),
+            words)
+
+
+def test_row_kernels_equal_single_word_functions_row_by_row():
+    rng = np.random.default_rng(31)
+    L, M, A = 16, 300, mask_matrix(16)
+    pilots, payload, words = noisy_block(rng, 40, L, M)
+    lw = seed_log_weights(pilots, A)
+    q = mask_zero_probs(np.exp(lw), L, M)
+    srsx_out = srsx_rows(lw, payload, L)
+    hrsx_out, idx = hrsx_rows(lw, payload, L)
+    naive_out = naive_rows(pilots, payload)
+    hard = hard_decide(np.concatenate([pilots[:, -7:], payload], axis=1))
+    hd_out = hd_rows(hard)
+    for i, word in enumerate(words):
+        post = seed_posterior(word.pilots, A)
+        np.testing.assert_allclose(lw[i], post.log_weights, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(q[i], mask_zero_prob(post, L, M), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(srsx_out[i], srsx(word, A), rtol=1e-10, atol=1e-12)
+        assert idx[i] == post.map_index()
+        llrs, seed_bits = hrsx(word, A)
+        assert np.array_equal(hrsx_out[i], llrs)
+        assert np.array_equal(seed_from_int(int(idx[i]) + 1), seed_bits)
+        assert np.array_equal(naive_out[i], naive_sd(word))
+        assert np.array_equal(hd_out[i], hd(hard[i]))
+    # the mix is elementwise: a block equals its rows exactly
+    mixed = _mix_mask(payload, q)
+    for i in range(len(words)):
+        assert np.array_equal(mixed[i], _mix_mask(payload[i], q[i]))
+
+
+def test_row_kernels_match_brute_force_oracles():
+    rng = np.random.default_rng(32)
+    L, M = 16, 300
+    pilots, payload, _ = noisy_block(rng, 30, L, M)
+    lw = seed_log_weights(pilots, mask_matrix(L))
+    for i in range(len(pilots)):
+        np.testing.assert_allclose(np.exp(lw[i]), brute_posterior(pilots[i], L),
+                                   rtol=1e-9, atol=1e-300)
+    # srsx rows on drawn posteriors, including equal-weight seed sets whose
+    # mask probabilities mix exact 0/1 entries with soft ones
+    with np.errstate(divide="ignore"):
+        lw = np.log(np.vstack([rng.dirichlet(np.full(127, a))
+                               for a in (1.0, 0.2, 0.02) for _ in range(8)]))
+    for seeds in ((3, 90), (1, 2, 64, 127)):
+        row = np.full((1, N_SEEDS), -np.inf)
+        row[0, np.array(seeds) - 1] = -np.log(len(seeds))
+        lw = np.vstack([lw, row])
+    pilots, payload, _ = noisy_block(rng, len(lw), L, M)
+    out = srsx_rows(lw, payload, L)
+    for i in range(len(lw)):
+        np.testing.assert_allclose(out[i], brute_srsx(payload[i], np.exp(lw[i]), L),
+                                   rtol=1e-9, atol=1e-12)
+    # hrsx rows pick the brute-force ML seed
+    _, idx = hrsx_rows(seed_log_weights(pilots, mask_matrix(L)), payload, L)
+    assert [int(i) + 1 for i in idx] == [brute_ml_seed(p, L) for p in pilots]
+
+
+def test_row_kernels_validate_shapes():
+    with pytest.raises(ValueError):
+        seed_log_weights(np.zeros(16), mask_matrix(16))  # one word, not a block
+    with pytest.raises(ValueError):
+        seed_log_weights(np.zeros((3, 16)), mask_matrix(7))
+    with pytest.raises(ValueError):
+        hd_rows(np.zeros((2, 6), dtype=np.uint8))

@@ -8,6 +8,7 @@ as explicit sign flips.
 import numpy as np
 import pytest
 
+from ssic import netstack
 from ssic.channel import ChannelParams, StreamObservation
 from ssic.netstack import (
     Aggregator,
@@ -257,3 +258,20 @@ def test_run_network_point_micro():
     out = run_metrics(recs1, 2)
     assert out["ssic"].fr <= out["dup"].fr <= min(out["stream1"].fr,
                                                   out["stream2"].fr)
+
+
+@pytest.mark.parametrize("snr_db", [30.0, 6.0])
+def test_run_network_point_attributes_packets_past_the_vcs_wrap(monkeypatch, snr_db):
+    # a 256-value serial space makes 600 packets reuse every (vci, vcs) key;
+    # each delivery must still count for the packet whose copy arrived
+    monkeypatch.setattr(netstack, "VCS_MOD", 256)
+    params = [ChannelParams(snr_db=snr_db), ChannelParams(snr_db=snr_db)]
+    records, stats = run_network_point(600, 20, params, L, np.random.default_rng(3),
+                                       window_size=64)
+    assert [r.key.vcs for r in records[254:258]] == [254, 255, 0, 1]
+    assert sum(r.ssic_delivered for r in records) == stats.delivered
+    if snr_db == 30.0:  # every copy arrives clean
+        assert stats.delivered == len(records) == 600
+        assert run_metrics(records, 2)["ssic"].fr == 0.0
+    else:
+        assert stats.delivered_combined > 0

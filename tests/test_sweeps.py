@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from ssic import sweeps
 from ssic.cli import main
 from ssic.sweeps import (
     NETSIM_COLUMNS,
@@ -23,6 +24,28 @@ GOLDEN_SEED_BER_CSV = (
     "seed_ber,0,16,1,hrsx,400,400,13,0.0325,0.0173777379138\n"
     "seed_ber,4,16,1,hd,400,400,32,0.08,0.0265867335339\n"
     "seed_ber,4,16,1,hrsx,400,400,1,0.0025,0.00489387116708\n"
+)
+
+# recorded with the one-word-at-a-time sweep loop, before blocks existed
+GOLDEN_PAYLOAD_BER_CSV = (
+    "mode,snr_db,L,n_streams,variant,trials,n,errors,rate,ci95\n"
+    "payload_ber,0,16,2,naive,30,9600,1946,0.202708333333,0.00804201481283\n"
+    "payload_ber,0,16,2,hrsx,30,9600,384,0.04,0.00392\n"
+    "payload_ber,0,16,2,srsx,30,9600,230,0.0239583333333,0.00305902435876\n"
+    "payload_ber,3,16,2,naive,30,9600,405,0.0421875,0.00402117154032\n"
+    "payload_ber,3,16,2,hrsx,30,9600,12,0.00125,0.000706811907735\n"
+    "payload_ber,3,16,2,srsx,30,9600,12,0.00125,0.000706811907735\n"
+)
+GOLDEN_PACKET_PER_CSV = (
+    "mode,snr_db,L,n_streams,variant,trials,n,errors,rate,ci95\n"
+    "packet_per,2,12,1,hd,40,40,39,0.975,0.0483836232624\n"
+    "packet_per,2,12,1,naive,40,40,39,0.975,0.0483836232624\n"
+    "packet_per,2,12,1,hrsx,40,40,38,0.95,0.0675418388852\n"
+    "packet_per,2,12,1,srsx,40,40,38,0.95,0.0675418388852\n"
+    "packet_per,5,12,1,hd,40,40,23,0.575,0.153198482368\n"
+    "packet_per,5,12,1,naive,40,40,23,0.575,0.153198482368\n"
+    "packet_per,5,12,1,hrsx,40,40,22,0.55,0.154174900681\n"
+    "packet_per,5,12,1,srsx,40,40,22,0.55,0.154174900681\n"
 )
 
 
@@ -62,6 +85,7 @@ def test_offsets_default_to_zero_per_stream():
     (dict(mode="seed_ber", snr_grid=[0.0], burst_len_mean=0.0), "burst_len_mean"),
     (dict(mode="seed_ber", snr_grid=[0.0], window_size=0), "window_size"),
     (dict(mode="seed_ber", snr_grid=[0.0], arrival_jitter=-1.0), "arrival_jitter"),
+    (dict(mode="netsim", snr_grid=[0.0], window_size=32768), "window_size"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
@@ -89,6 +113,47 @@ def test_golden_csv_bytes():
     spec = SweepSpec(mode="seed_ber", snr_grid=[0.0, 4.0], L=16, trials=400,
                      rng_seed=99)
     assert rows_to_csv(SWEEP_COLUMNS, run_sweep(spec)) == GOLDEN_SEED_BER_CSV
+
+
+def test_golden_payload_csv_bytes():
+    spec = SweepSpec(mode="payload_ber", snr_grid=[0.0, 3.0], L=16, n_streams=2,
+                     stream_snr_offsets=[0.0, 1.0], trials=30, payload_bytes=40,
+                     rng_seed=21)
+    assert rows_to_csv(SWEEP_COLUMNS, run_sweep(spec)) == GOLDEN_PAYLOAD_BER_CSV
+    spec = SweepSpec(mode="packet_per", snr_grid=[2.0, 5.0], L=12, trials=40,
+                     payload_bytes=16, variants=("hd", "naive", "hrsx", "srsx"),
+                     rng_seed=22)
+    assert rows_to_csv(SWEEP_COLUMNS, run_sweep(spec)) == GOLDEN_PACKET_PER_CSV
+
+
+@pytest.mark.parametrize("spec", [
+    dict(mode="payload_ber", n_streams=1, variants=("hd", "naive", "hrsx", "srsx")),
+    dict(mode="payload_ber", n_streams=3, stream_snr_offsets=[0.0, 0.5, -1.0]),
+    dict(mode="packet_per", n_streams=1, variants=("hd", "naive", "hrsx", "srsx")),
+    dict(mode="packet_per", n_streams=3, stream_snr_offsets=[0.0, 0.5, -1.0]),
+    dict(mode="seed_ber", variants=("hd", "naive", "hrsx", "srsx")),
+])
+def test_csv_does_not_depend_on_the_block_size(monkeypatch, spec):
+    spec = SweepSpec(snr_grid=[-1.0, 2.0, 5.0], L=16, trials=7, payload_bytes=5,
+                     rng_seed=8, **spec)
+    want = rows_to_csv(SWEEP_COLUMNS, run_sweep(spec))
+    M = 0 if spec.mode == "seed_ber" else spec.payload_bytes * 8
+    k = 1 if spec.mode == "seed_ber" else spec.n_streams
+    sizes = []
+    blocks = sweeps._trial_blocks
+
+    def recording(*args):
+        for block in blocks(*args):
+            sizes.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(sweeps, "_trial_blocks", recording)
+    # one trial per block, 3 (which does not divide 7), a whole grid point
+    for trials_per_block, want_sizes in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7])):
+        sizes.clear()
+        monkeypatch.setattr(sweeps, "BLOCK_FLOATS", trials_per_block * k * (spec.L + M + 127))
+        assert rows_to_csv(SWEEP_COLUMNS, run_sweep(spec)) == want
+        assert sizes == want_sizes * len(spec.snr_grid)
 
 
 def test_sample_count_semantics():
