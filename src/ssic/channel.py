@@ -9,11 +9,12 @@ Two impairments sit on top:
   detection loss   whole frame missed with a fixed probability (models a
                    preamble miss); nothing is observed.
   burst window     a contiguous window of geometric mean length where the
-                   in-window SNR is reduced so that the reported LLR means
-                   shrink by exactly burst_llr_atten.  The extra in-window
-                   noise is drawn for real, so hard decisions inside the
-                   window do get worse; a pure post-hoc rescale of the LLRs
-                   would never corrupt a bit.
+                   noise variance sigma^2 is divided by burst_llr_atten.
+                   The LLR stays the matched 2y/sigma_w^2 of the in-window
+                   variance sigma_w^2, so its mean shrinks by exactly that
+                   factor.  The extra in-window noise is drawn for real, so
+                   hard decisions inside the window do get worse; a pure
+                   post-hoc rescale of the LLRs would never corrupt a bit.
 
 The frame-level CRC is idealized: it passes exactly when hard-decision
 descrambling (register preloaded from the last 7 pilot decisions)
@@ -155,20 +156,15 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     if rng.random() < params.detection_loss_prob:
         return StreamObservation(stream_id=stream_id, detected=False)
 
-    x = np.concatenate([np.zeros(L, dtype=np.uint8), payload])
-    tx = scramble(seed, x)
+    tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
     n = tx.size
-    sigma2 = snr_db_to_sigma2(params.snr_db)
-    sigma = np.full(n, np.sqrt(sigma2))
-    atten = np.ones(n)
+    sigma2 = np.full(n, snr_db_to_sigma2(params.snr_db))
     if params.burst_prob > 0.0 and rng.random() < params.burst_prob:
         start = int(rng.integers(0, n))
         length = int(rng.geometric(1.0 / params.burst_len_mean))
-        a = params.burst_llr_atten
-        sigma[start:start + length] = np.sqrt(sigma2 / a)
-        atten[start:start + length] = a
-    y = (1.0 - 2.0 * tx) + rng.normal(0.0, 1.0, n) * sigma
-    llrs = atten * 2.0 * y / sigma2  # per-position matched LLR = 2y/sigma_w^2
+        sigma2[start:start + length] /= params.burst_llr_atten
+    # left unclamped: hard decisions only read signs, and SoftWord clamps what it stores
+    llrs = awgn_llrs(tx, rng.standard_normal(n) * np.sqrt(sigma2), sigma2)
 
     hard = hard_decide(llrs)
     descrambled = hd(np.concatenate([hard[L - LFSR_LEN:L], hard[L:]]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .sweeps import (NETSIM_COLUMNS, SWEEP_COLUMNS, SweepSpec, load_spec_file,
                      run_netsim, run_sweep, write_csv)
@@ -66,10 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SPEC_FIELDS = ("mode", "snr_grid", "L", "n_streams", "stream_snr_offsets", "trials",
-                "payload_bytes", "variants", "rng_seed", "detection_loss_prob",
-                "burst_prob", "burst_len_mean", "burst_llr_atten", "window_size",
-                "arrival_jitter")
+_SPEC_FIELDS = tuple(f.name for f in fields(SweepSpec))
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:

@@ -38,11 +38,10 @@ from .combine import StreamSoftCopy, decide, ssic_combine
 from .descramble import hrsx, naive_sd, srsx
 from .scrambler import mask_matrix
 from .softbits import SoftWord
-from .vcframe import (FRAME_PAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, VcFrame,
+from .vcframe import (FRAME_OVERHEAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, VcFrame,
                       decode_header_soft, encapsulate, frame_from_bits, frame_to_bits)
 
 VCS_MOD = 1 << 16
-_FRAME_OVERHEAD_BITS = STREAM_ADDR_BITS + HEADER_CODED_BITS + FRAME_PAD_BITS
 
 
 class FrameKey(NamedTuple):
@@ -97,8 +96,11 @@ class AggregatorConfig:
             raise ValueError(f"unknown soft descrambling variant: {self.variant}")
         if self.pilot_len < 7:
             raise ValueError("pilot_len must be >= 7")
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
+        if not 1 <= self.window_size < VCS_MOD // 2:
+            # a window holding half the serial space could hold two packets
+            # with the same (vci, vcs) key
+            raise ValueError(
+                f"window_size: must be in [1, {VCS_MOD // 2}), got {self.window_size}")
 
 
 @dataclass
@@ -128,9 +130,6 @@ class Aggregator:
         self.stats = AggregatorStats()
 
     def _descramble(self, word: SoftWord) -> np.ndarray:
-        if word.L != self.config.pilot_len:
-            raise ValueError(f"observation has {word.L} pilots, config expects "
-                             f"{self.config.pilot_len}")
         if self.config.variant == "srsx":
             return srsx(word, self.mask)
         if self.config.variant == "hrsx":
@@ -167,10 +166,13 @@ class Aggregator:
             return self._deliver(key, frame.payload, combined=False)
 
         word = obs.soft
-        llrs = self._descramble(word)
-        if word.M < _FRAME_OVERHEAD_BITS or (word.M - _FRAME_OVERHEAD_BITS) % 8:
+        if word.L != self.config.pilot_len:
+            raise ValueError(f"observation has {word.L} pilots, config expects "
+                             f"{self.config.pilot_len}")
+        if word.M < FRAME_OVERHEAD_BITS or (word.M - FRAME_OVERHEAD_BITS) % 8:
             self.stats.header_invalid_drops += 1
             return None
+        llrs = self._descramble(word)
         header = decode_header_soft(llrs[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS])
         if header is None:
             self.stats.header_invalid_drops += 1
@@ -180,7 +182,7 @@ class Aggregator:
             self.stats.duplicate_drops += 1
             return None
 
-        payload_llrs = llrs[_FRAME_OVERHEAD_BITS:]
+        payload_llrs = llrs[FRAME_OVERHEAD_BITS:]
         stored = self.pending.get(key)
         if stored:
             copies = [StreamSoftCopy(sid, l) for sid, l in stored.items()

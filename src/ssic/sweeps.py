@@ -37,7 +37,7 @@ import numpy as np
 from .channel import ChannelParams, scrambled_llrs, snr_db_to_sigma2
 from .combine import combine_streams, decide
 from .descramble import N_SEEDS, hd_rows, hrsx_rows, naive_rows, seed_log_weights, srsx_rows
-from .netstack import VCS_MOD, run_metrics, run_network_point
+from .netstack import AggregatorConfig, run_metrics, run_network_point
 from .scrambler import LFSR_LEN, mask_matrix, register_outputs
 from .softbits import hard_decide
 from .vcframe import MTU_PAYLOAD
@@ -134,23 +134,17 @@ class SweepSpec:
                 raise ValueError("variants: the aggregator needs a soft variant")
             if self.payload_bytes < 1:
                 raise ValueError("payload_bytes: netsim needs at least 1 byte")
-        if not 0.0 <= self.detection_loss_prob <= 1.0:
-            raise ValueError(
-                f"detection_loss_prob: must be in [0,1], got {self.detection_loss_prob}")
-        if not 0.0 <= self.burst_prob <= 1.0:
-            raise ValueError(f"burst_prob: must be in [0,1], got {self.burst_prob}")
-        if not 0.0 < self.burst_llr_atten <= 1.0:
-            raise ValueError(
-                f"burst_llr_atten: must be in (0,1], got {self.burst_llr_atten}")
-        if self.burst_len_mean < 1.0:
-            raise ValueError(f"burst_len_mean: must be >= 1, got {self.burst_len_mean}")
-        if not 1 <= self.window_size < VCS_MOD // 2:
-            # a window holding half the serial space could hold two packets
-            # with the same (vci, vcs) key
-            raise ValueError(
-                f"window_size: must be in [1, {VCS_MOD // 2}), got {self.window_size}")
+        # the channel and aggregator rules live with their objects
+        self.channel_params(self.snr_grid[0])
+        AggregatorConfig(window_size=self.window_size)
         if self.arrival_jitter < 0.0:
             raise ValueError(f"arrival_jitter: must be >= 0, got {self.arrival_jitter}")
+
+    def channel_params(self, snr_db: float) -> ChannelParams:
+        """One stream's link at snr_db, with the spec's impairments."""
+        return ChannelParams(snr_db=snr_db, detection_loss_prob=self.detection_loss_prob,
+                             burst_prob=self.burst_prob, burst_len_mean=self.burst_len_mean,
+                             burst_llr_atten=self.burst_llr_atten)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
@@ -294,12 +288,7 @@ def run_netsim(spec: SweepSpec) -> list[list]:
     rows = []
     for gi, snr_db in enumerate(spec.snr_grid):
         rng = _point_rng(spec, gi)
-        params = [ChannelParams(snr_db=snr_db + spec.stream_snr_offsets[k],
-                                detection_loss_prob=spec.detection_loss_prob,
-                                burst_prob=spec.burst_prob,
-                                burst_len_mean=spec.burst_len_mean,
-                                burst_llr_atten=spec.burst_llr_atten)
-                  for k in range(spec.n_streams)]
+        params = [spec.channel_params(snr_db + off) for off in spec.stream_snr_offsets]
         records, _ = run_network_point(
             spec.trials, spec.payload_bytes, params, spec.L, rng,
             variant=spec.variants[0], window_size=spec.window_size,

@@ -32,7 +32,8 @@ STREAM_ADDR_BITS = 48
 HEADER_FIELD_BITS = 49  # vci 16 + vcs 16 + crc 16 + pad 1
 HEADER_CODED_BITS = BCH_N * BCH_K  # 441
 FRAME_PAD_BITS = 7
-FRAME_OVERHEAD_BYTES = (STREAM_ADDR_BITS + HEADER_CODED_BITS + FRAME_PAD_BITS) // 8
+FRAME_OVERHEAD_BITS = STREAM_ADDR_BITS + HEADER_CODED_BITS + FRAME_PAD_BITS  # 496
+FRAME_OVERHEAD_BYTES = FRAME_OVERHEAD_BITS // 8
 MTU_PAYLOAD = 1500
 
 _PRIM_POLY = 0b1000011  # x^6 + x + 1, primitive over GF(2)
@@ -278,13 +279,12 @@ def frame_to_bytes(frame: VcFrame) -> bytes:
 
 def frame_from_bits(bits: np.ndarray) -> VcFrame:
     b = np.asarray(bits, dtype=np.uint8)
-    total_overhead = STREAM_ADDR_BITS + HEADER_CODED_BITS + FRAME_PAD_BITS
-    if b.ndim != 1 or b.size < total_overhead or (b.size - total_overhead) % 8:
+    if b.ndim != 1 or b.size < FRAME_OVERHEAD_BITS or (b.size - FRAME_OVERHEAD_BITS) % 8:
         raise ValueError("malformed frame bits")
     addr = int(b[:STREAM_ADDR_BITS] @ (1 << np.arange(STREAM_ADDR_BITS - 1, -1, -1,
                                                       dtype=np.uint64)))
     coded = b[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS]
-    pay = np.packbits(b[total_overhead:]).tobytes()
+    pay = np.packbits(b[FRAME_OVERHEAD_BITS:]).tobytes()
     return VcFrame(addr, coded.copy(), pay)
 
 

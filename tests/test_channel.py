@@ -13,8 +13,8 @@ from ssic.channel import (
     transmit,
 )
 from ssic.descramble import hd
-from ssic.scrambler import make_pilots, seed_from_int, seed_to_int
-from ssic.softbits import hard_decide
+from ssic.scrambler import make_pilots, scramble, seed_from_int, seed_to_int
+from ssic.softbits import LLR_MAX, hard_decide
 
 
 def test_sigma2_golden_points():
@@ -138,6 +138,85 @@ def test_transmit_never_false_accepts():
                                      hard_decide(obs.soft.payload)]))
             assert not np.array_equal(got, payload)
     assert passes > 0 and fails > 0  # the chosen SNR exercises both branches
+
+
+def _oracle_transmit(seed, payload, L, params, rng):
+    """transmit's LLRs by the formula it used before it called awgn_llrs.
+
+    Same draws in the same order; None for a missed frame.  The noise is
+    scaled per position by sigma_w and the matched LLR 2y/sigma^2 by the
+    burst's atten, then clamped as every stored LLR is.
+    """
+    if rng.random() < params.detection_loss_prob:
+        return None
+    tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
+    n = tx.size
+    sigma2 = snr_db_to_sigma2(params.snr_db)
+    sigma = np.full(n, np.sqrt(sigma2))
+    atten = np.ones(n)
+    if params.burst_prob > 0.0 and rng.random() < params.burst_prob:
+        start = int(rng.integers(0, n))
+        length = int(rng.geometric(1.0 / params.burst_len_mean))
+        a = params.burst_llr_atten
+        sigma[start:start + length] = np.sqrt(sigma2 / a)
+        atten[start:start + length] = a
+    y = (1.0 - 2.0 * tx) + rng.normal(0.0, 1.0, n) * sigma
+    return np.clip(atten * 2.0 * y / sigma2, -LLR_MAX, LLR_MAX)
+
+
+@pytest.mark.parametrize("params,exact", [
+    (dict(), True),
+    (dict(detection_loss_prob=0.3), True),
+    (dict(burst_prob=1.0, burst_llr_atten=0.25, burst_len_mean=300.0), True),
+    (dict(burst_prob=1.0, burst_llr_atten=0.3, burst_len_mean=300.0), False),
+])
+def test_transmit_matches_per_position_formula(params, exact):
+    L, frames = 16, 0
+    outcomes = set()
+    for i, m in enumerate((8, 64, 496, 1200, 12_496)):
+        for snr_db in (2.0, 6.0, 9.0, 14.0):
+            p = ChannelParams(snr_db=snr_db, **params)
+            draw = np.random.default_rng([i, int(snr_db)])
+            payload = draw.integers(0, 2, m, dtype=np.uint8)
+            seeds = draw.integers(1, 128, 6)
+            rng, ref_rng = (np.random.default_rng([i, int(snr_db), 1]) for _ in "ab")
+            for s in seeds:
+                seed = seed_from_int(int(s))
+                obs = transmit(seed, payload, L, p, rng)
+                ref = _oracle_transmit(seed, payload, L, p, ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                frames += 1
+                assert obs.detected == (ref is not None)
+                if ref is None:
+                    outcomes.add("missed")
+                    continue
+                hard = hard_decide(ref)
+                bits = hd(np.concatenate([hard[L - 7:L], hard[L:]]))
+                assert obs.crc_pass == np.array_equal(bits, payload)
+                if obs.crc_pass:
+                    outcomes.add("clean")
+                    assert np.array_equal(obs.hard_bits, bits)
+                    continue
+                outcomes.add("soft")
+                got = np.concatenate([obs.soft.pilots, obs.soft.payload])
+                assert np.array_equal(hard_decide(got), hard)
+                if exact:
+                    assert np.array_equal(got, ref)
+                else:
+                    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+    assert frames == 120
+    expected = {"clean", "soft"} | ({"missed"} if "detection_loss_prob" in params else set())
+    assert outcomes == expected
+
+
+def test_transmit_rejects_bad_seeds():
+    rng = np.random.default_rng(10)
+    params = ChannelParams(snr_db=5.0)
+    payload = np.zeros(8, dtype=np.uint8)
+    with pytest.raises(ValueError):
+        transmit(np.zeros(7, dtype=np.uint8), payload, 16, params, rng)
+    with pytest.raises(ValueError):
+        transmit(np.ones(6, dtype=np.uint8), payload, 16, params, rng)
 
 
 def test_burst_window_causes_hard_errors_at_high_snr():

@@ -160,10 +160,19 @@ def test_undetected_frames_are_rejected():
         agg.push(StreamObservation(stream_id=0, detected=False))
 
 
-def test_malformed_soft_payload_length_dropped():
+def test_malformed_soft_payload_length_dropped(monkeypatch):
     agg = make_agg({K1: P1})
+    monkeypatch.setattr(agg, "_descramble",
+                        lambda word: pytest.fail("a malformed word was descrambled"))
     bad = soft_obs(K1, P1, 0, wire_bits=np.zeros(499, dtype=np.uint8))
     assert agg.push(bad) is None
+    assert agg.stats.header_invalid_drops == 1
+    # a wrong pilot count is a configuration error, raised before the length check
+    short = StreamObservation(stream_id=0, detected=True, crc_pass=False,
+                              soft=SoftWord(pilots=bad.soft.pilots[1:],
+                                            payload=bad.soft.payload))
+    with pytest.raises(ValueError, match="pilots"):
+        agg.push(short)
     assert agg.stats.header_invalid_drops == 1
 
 
@@ -203,6 +212,8 @@ def test_config_validation():
         AggregatorConfig(pilot_len=6)
     with pytest.raises(ValueError):
         AggregatorConfig(window_size=0)
+    with pytest.raises(ValueError):
+        AggregatorConfig(window_size=32768)
     with pytest.raises(ValueError):
         Aggregator(AggregatorConfig(), payload_check=None)
 

@@ -48,6 +48,33 @@ GOLDEN_PACKET_PER_CSV = (
     "packet_per,5,12,1,srsx,40,40,22,0.55,0.154174900681\n"
 )
 
+# recorded before transmit computed its LLRs with awgn_llrs; bursts at
+# attenuations that are not powers of two exercise the in-window noise
+GOLDEN_NETSIM_CSV = (
+    "run_id,mode,sent,plr,per,fr\n"
+    "0,stream1,300,0.0333333333333,0.734482758621,0.743333333333\n"
+    "0,stream2,300,0.02,0.731292517007,0.736666666667\n"
+    "0,dup,300,0,0.546666666667,0.546666666667\n"
+    "0,ssic,300,0,0.0433333333333,0.0433333333333\n"
+    "1,stream1,300,0.0166666666667,0.359322033898,0.37\n"
+    "1,stream2,300,0.0133333333333,0.327702702703,0.336666666667\n"
+    "1,dup,300,0.00333333333333,0.133779264214,0.136666666667\n"
+    "1,ssic,300,0.00333333333333,0.0133779264214,0.0166666666667\n"
+)
+GOLDEN_NETSIM_HRSX_CSV = (
+    "run_id,mode,sent,plr,per,fr\n"
+    "0,stream1,150,0,1,1\n"
+    "0,stream2,150,0,1,1\n"
+    "0,stream3,150,0,1,1\n"
+    "0,dup,150,0,1,1\n"
+    "0,ssic,150,0,0.22,0.22\n"
+    "1,stream1,150,0,0.84,0.84\n"
+    "1,stream2,150,0,0.8,0.8\n"
+    "1,stream3,150,0,0.746666666667,0.746666666667\n"
+    "1,dup,150,0,0.52,0.52\n"
+    "1,ssic,150,0,0,0\n"
+)
+
 
 def test_default_variants_by_mode():
     assert SweepSpec("seed_ber", [0.0]).variants == ("hd", "hrsx")
@@ -124,6 +151,17 @@ def test_golden_payload_csv_bytes():
                      payload_bytes=16, variants=("hd", "naive", "hrsx", "srsx"),
                      rng_seed=22)
     assert rows_to_csv(SWEEP_COLUMNS, run_sweep(spec)) == GOLDEN_PACKET_PER_CSV
+
+
+def test_golden_netsim_csv_bytes():
+    spec = SweepSpec(mode="netsim", snr_grid=[7.0, 8.0], n_streams=2, trials=300,
+                     payload_bytes=120, detection_loss_prob=0.02, burst_prob=0.3,
+                     burst_llr_atten=0.3, rng_seed=31)
+    assert rows_to_csv(NETSIM_COLUMNS, run_netsim(spec)) == GOLDEN_NETSIM_CSV
+    spec = SweepSpec(mode="netsim", snr_grid=[3.0, 7.0], n_streams=3, trials=150,
+                     payload_bytes=100, variants=("hrsx",), burst_prob=0.5,
+                     burst_llr_atten=0.123, burst_len_mean=40.0, rng_seed=32)
+    assert rows_to_csv(NETSIM_COLUMNS, run_netsim(spec)) == GOLDEN_NETSIM_HRSX_CSV
 
 
 @pytest.mark.parametrize("spec", [
