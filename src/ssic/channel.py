@@ -57,8 +57,8 @@ class ChannelParams:
             raise ValueError(f"burst_prob out of [0,1]: {self.burst_prob}")
         if not 0.0 < self.burst_llr_atten <= 1.0:
             raise ValueError(f"burst_llr_atten out of (0,1]: {self.burst_llr_atten}")
-        if self.burst_len_mean < 1.0:
-            raise ValueError(f"burst_len_mean must be >= 1: {self.burst_len_mean}")
+        if not 1.0 <= self.burst_len_mean < np.inf:
+            raise ValueError(f"burst_len_mean must be finite and >= 1: {self.burst_len_mean}")
 
 
 @dataclass

@@ -17,16 +17,26 @@ arrival at a time:
   5. delivery records the key in the bounded dedup window and purges the
      pending list for that key.
 
-Delivered and pending keys both live in FIFO windows of window_size keys.
-A key evicted from the dedup window can in principle be re-delivered much
+Delivered and pending keys are held for at most window_size serials: each
+lives in a FIFO of window_size keys, and a key is also forgotten once it is
+window_size or more serials behind the newest delivered serial of its VCI,
+compared by serial-number arithmetic (RFC 1982, vcs_newer).  So a copy left
+pending never meets the copies of a later packet that reuses its key after
+the 16-bit serial wraps, and a copy arriving that far behind is not held.
+A key forgotten by the dedup window can in principle be re-delivered much
 later; the metrics count such duplicates rather than treating them as
 errors.  Payload verification is an idealized CRC: the simulation harness
 supplies a predicate that compares against ground truth and never
 false-accepts.
+
+run_network_point streams each copy to the aggregator as soon as no copy
+still to be sent can arrive before it, so a run holds only the copies
+within the arrival jitter of the newest packet, not every soft word.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -127,6 +137,7 @@ class Aggregator:
         self.mask = mask_matrix(config.pilot_len)
         self.delivered: OrderedDict[FrameKey, None] = OrderedDict()
         self.pending: OrderedDict[FrameKey, dict[int, np.ndarray]] = OrderedDict()
+        self.newest: dict[int, int] = {}  # newest delivered serial per VCI
         self.stats = AggregatorStats()
 
     def _descramble(self, word: SoftWord) -> np.ndarray:
@@ -136,11 +147,39 @@ class Aggregator:
             return hrsx(word, self.mask)[0]
         return naive_sd(word)
 
+    def _stale(self, key: FrameKey) -> bool:
+        """True when key is window_size or more serials behind its VCI's newest delivery."""
+        newest = self.newest.get(key.vci)
+        return (newest is not None and vcs_newer(newest, key.vcs)
+                and (newest - key.vcs) % VCS_MOD >= self.config.window_size)
+
+    def _advance(self, key: FrameKey) -> None:
+        """Make a newer delivered key its VCI's newest; forget the keys it leaves stale."""
+        last = self.newest.get(key.vci)
+        if last is not None and not vcs_newer(key.vcs, last):
+            return
+        self.newest[key.vci] = key.vcs
+        step = VCS_MOD if last is None else (key.vcs - last) % VCS_MOD
+        if step <= len(self.pending) + len(self.delivered):
+            # no held key is stale before a delivery moves the edge, and a move
+            # of step serials makes stale only the step serials it passes
+            edge = key.vcs - self.config.window_size
+            candidates = [FrameKey(key.vci, (edge - s) % VCS_MOD) for s in range(step)]
+        else:
+            candidates = [*self.pending, *self.delivered]
+        for k in candidates:
+            if self._stale(k):
+                if self.pending.pop(k, None) is not None:
+                    self.stats.pending_evictions += 1
+                self.delivered.pop(k, None)
+
     def _deliver(self, key: FrameKey, payload: bytes, combined: bool) -> tuple[FrameKey, bytes]:
         self.pending.pop(key, None)
-        self.delivered[key] = None
-        if len(self.delivered) > self.config.window_size:
-            self.delivered.popitem(last=False)
+        if not self._stale(key):
+            self.delivered[key] = None
+            if len(self.delivered) > self.config.window_size:
+                self.delivered.popitem(last=False)
+            self._advance(key)
         self.stats.delivered += 1
         if combined:
             self.stats.delivered_combined += 1
@@ -198,6 +237,10 @@ class Aggregator:
         return None
 
     def _store(self, key: FrameKey, stream_id: int, payload_llrs: np.ndarray) -> None:
+        if self._stale(key):
+            # arrived too late to meet another copy inside the window
+            self.stats.pending_evictions += 1
+            return
         if key not in self.pending:
             self.pending[key] = {}
             if len(self.pending) > self.config.window_size:
@@ -261,20 +304,60 @@ def run_network_point(n_packets: int, payload_bytes: int,
                       vci: int = 1) -> tuple[list[PacketRecord], AggregatorStats]:
     """Simulate one configured operating point end to end.
 
-    Every packet is dispatched on all streams; per-frame observations are
-    merged by jittered arrival time and fed to a fresh aggregator.  Returns
-    ground-truth packet records (with the aggregator outcome filled in) and
-    the aggregator counters.
+    Every packet is dispatched on all streams.  A detected copy of packet i
+    arrives at time i + arrival_jitter * u, u uniform in [0, 1), and waits
+    in a heap keyed on (arrival time, send order).  Just before packet i is
+    sent, every held copy that arrives before time i goes to a fresh
+    aggregator; no copy sent later can arrive before them, so the aggregator
+    sees the order of one sort of all arrivals.  The heap holds
+    O(streams * ceil(arrival_jitter)) copies at a time, and the aggregator
+    holds pending copies of at most window_size keys, none of them
+    window_size or more serials behind its newest delivery (see Aggregator);
+    only the sent packets and their small records grow with n_packets.
+    Returns ground-truth packet records (with the aggregator outcome filled
+    in) and the aggregator counters.
     """
     n_streams = len(stream_params)
     if n_streams < 1:
         raise ValueError("need at least one stream")
+    if not 0.0 <= arrival_jitter < np.inf:
+        raise ValueError(f"arrival_jitter: must be finite and >= 0, got {arrival_jitter}")
     dispatcher = Dispatcher(vci, [0x020000000000 + k for k in range(n_streams)])
     packets: list[bytes] = []
     records: list[PacketRecord] = []
-    arrivals: list[tuple[float, int, int, StreamObservation]] = []
+    held: list[tuple[float, int, int, StreamObservation]] = []
+    n_arrivals = 0
+
+    # (vci, vcs) keys repeat every VCS_MOD packets, so a key names a packet
+    # only relative to an arrival: it is the packet within half the serial
+    # space of the packet whose copy arrived.  push_until sets arriving to
+    # that packet's index before each push.  Packets not yet sent match no
+    # key: a payload equals an unsent one only by chance.
+    arriving = 0
+
+    def packet_of(key: FrameKey) -> int | None:
+        sent = records[arriving].key
+        j = arriving + (key.vcs - sent.vcs + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
+        return j if key.vci == sent.vci and 0 <= j < len(packets) else None
+
+    def payload_check(key: FrameKey, payload: bytes) -> bool:
+        j = packet_of(key)
+        return j is not None and packets[j] == payload
+
+    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
+                     payload_check=payload_check)
+
+    def push_until(t: float | None) -> None:
+        """Push the held copies that arrive before time t (all of them for None)."""
+        nonlocal arriving
+        while held and (t is None or held[0][0] < t):
+            _, _, arriving, obs = heapq.heappop(held)
+            result = agg.push(obs)
+            if result is not None and payload_check(*result):
+                records[packet_of(result[0])].ssic_delivered = True
 
     for i in range(n_packets):
+        push_until(i)
         packet = rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
         key, frames = dispatcher.send(packet)
         packets.append(packet)
@@ -285,29 +368,8 @@ def run_network_point(n_packets: int, payload_bytes: int,
             detected.append(obs.detected)
             hard.append(obs.detected and obs.crc_pass)
             if obs.detected:
-                arrivals.append((i + arrival_jitter * rng.random(), len(arrivals), i, obs))
+                heapq.heappush(held, (i + arrival_jitter * rng.random(), n_arrivals, i, obs))
+                n_arrivals += 1
         records.append(PacketRecord(key, tuple(detected), tuple(hard)))
-
-    # (vci, vcs) keys repeat every VCS_MOD packets, so a key names a packet
-    # only relative to an arrival: it is the packet within half the serial
-    # space of the packet whose copy arrived.  The push loop below sets
-    # arriving to that packet's index before each push.
-    arriving = 0
-
-    def packet_of(key: FrameKey) -> int | None:
-        sent = records[arriving].key
-        j = arriving + (key.vcs - sent.vcs + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
-        return j if key.vci == sent.vci and 0 <= j < n_packets else None
-
-    def payload_check(key: FrameKey, payload: bytes) -> bool:
-        j = packet_of(key)
-        return j is not None and packets[j] == payload
-
-    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
-                     payload_check=payload_check)
-    arrivals.sort(key=lambda t: (t[0], t[1]))
-    for _, _, arriving, obs in arrivals:
-        result = agg.push(obs)
-        if result is not None and payload_check(*result):
-            records[packet_of(result[0])].ssic_delivered = True
+    push_until(None)
     return records, agg.stats

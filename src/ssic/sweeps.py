@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -62,6 +63,28 @@ NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
 BLOCK_FLOATS = 1 << 15
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# SweepSpec annotation (a string, under the __future__ import) -> what a
+# value of that field must be, checked before its range: JSON configs may
+# hold any type
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_real),
+    "list[float]": ("a list of numbers",
+                    lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v))),
+    "tuple[str, ...]": ("a list of strings",
+                        lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v)),
+}
+
+
 def _default_variants(mode: str) -> tuple[str, ...]:
     if mode == "seed_ber":
         return ("hd", "hrsx")
@@ -91,13 +114,20 @@ class SweepSpec:
     arrival_jitter: float = 0.5
 
     def __post_init__(self):
-        if self.stream_snr_offsets is None:
+        # defaults only: validate() names a field of the wrong type
+        if self.stream_snr_offsets is None and _is_int(self.n_streams):
             self.stream_snr_offsets = [0.0] * self.n_streams
         if self.variants is None:
             self.variants = _default_variants(self.mode)
-        self.variants = tuple(self.variants)
+        if isinstance(self.variants, list):
+            self.variants = tuple(self.variants)
 
     def validate(self) -> None:
+        for f in fields(self):
+            want, ok = _FIELD_TYPES[f.type.removesuffix(" | None")]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"{f.name}: expected {want}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
         if not self.snr_grid or not all(np.isfinite(self.snr_grid)):
@@ -106,10 +136,11 @@ class SweepSpec:
             raise ValueError(f"L: must be >= 7, got {self.L}")
         if self.n_streams < 1:
             raise ValueError(f"n_streams: must be >= 1, got {self.n_streams}")
-        if len(self.stream_snr_offsets) != self.n_streams:
+        if (len(self.stream_snr_offsets) != self.n_streams
+                or not all(np.isfinite(self.stream_snr_offsets))):
             raise ValueError(
-                f"stream_snr_offsets: need {self.n_streams} entries, "
-                f"got {len(self.stream_snr_offsets)}")
+                f"stream_snr_offsets: need {self.n_streams} finite entries, "
+                f"got {self.stream_snr_offsets}")
         if self.trials < 1:
             raise ValueError(f"trials: must be >= 1, got {self.trials}")
         if self.payload_bytes < 0 or self.payload_bytes > MTU_PAYLOAD:
@@ -137,8 +168,11 @@ class SweepSpec:
         # the channel and aggregator rules live with their objects
         self.channel_params(self.snr_grid[0])
         AggregatorConfig(window_size=self.window_size)
-        if self.arrival_jitter < 0.0:
-            raise ValueError(f"arrival_jitter: must be >= 0, got {self.arrival_jitter}")
+        if not 0.0 <= self.arrival_jitter < np.inf:
+            raise ValueError(
+                f"arrival_jitter: must be finite and >= 0, got {self.arrival_jitter}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed: must be >= 0, got {self.rng_seed}")
 
     def channel_params(self, snr_db: float) -> ChannelParams:
         """One stream's link at snr_db, with the spec's impairments."""

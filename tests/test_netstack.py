@@ -5,6 +5,8 @@ protocol logic can be exercised deterministically; corruption is injected
 as explicit sign flips.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,26 @@ def test_delivered_window_is_finite_memory():
     assert agg.stats.duplicate_drops == 0 and agg.stats.delivered == 3
 
 
+
+def test_stale_keys_do_not_outlive_the_serial_wrap():
+    # a copy left pending under (1, 5) and a delivery record of (1, 7) fall
+    # window_size serials behind the newest delivery; after the wrap, new
+    # packets reuse both keys and must not meet the old entries
+    key, done = FrameKey(1, 5), FrameKey(1, 7)
+    old, new = b"old-packet-xx", b"new-packet-yy"
+    agg = make_agg({key: new}, window_size=64)
+    assert agg.push(soft_obs(key, old, 0)) is None
+    assert agg.push(hard_obs(done, old, 0)) == (done, old)
+    for vcs in (100, 20000, 40000, 60000, 65535, 0, 3):
+        assert agg.push(hard_obs(FrameKey(1, vcs), b"filler", 0)) is not None
+    assert key not in agg.pending and done not in agg.delivered
+    assert agg.stats.pending_evictions == 1
+    assert agg.push(soft_obs(key, new, 1)) is None  # nothing left to combine with
+    assert agg.stats.combine_failures == 0 and list(agg.pending[key]) == [1]
+    assert agg.push(soft_obs(key, new, 2)) == (key, new)
+    assert agg.push(hard_obs(done, new, 0)) == (done, new)  # not a duplicate
+    assert agg.stats.duplicate_drops == 0
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AggregatorConfig(variant="hd")
@@ -286,3 +308,26 @@ def test_run_network_point_attributes_packets_past_the_vcs_wrap(monkeypatch, snr
         assert run_metrics(records, 2)["ssic"].fr == 0.0
     else:
         assert stats.delivered_combined > 0
+
+
+@pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -0.5])
+def test_run_network_point_rejects_bad_jitter(jitter):
+    with pytest.raises(ValueError, match="arrival_jitter"):
+        run_network_point(2, 10, [ChannelParams(snr_db=8.0)], L, np.random.default_rng(0),
+                          arrival_jitter=jitter)
+
+
+def test_run_network_point_memory_is_bounded():
+    # arrivals stream through the aggregator as packets are sent, so the run
+    # holds only copies within the arrival jitter of the newest packet, not
+    # every soft word of the run (about 100 kB per 1,500-byte copy)
+    params = [ChannelParams(snr_db=8.0, detection_loss_prob=0.01, burst_prob=0.1,
+                            burst_llr_atten=0.25)] * 2
+    tracemalloc.start()
+    try:
+        records, stats = run_network_point(800, 1500, params, L, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.delivered_combined > 0 and len(records) == 800
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -75,6 +77,61 @@ GOLDEN_NETSIM_HRSX_CSV = (
     "1,ssic,150,0,0,0\n"
 )
 
+# recorded with the build-then-sort arrival loop, before arrivals streamed
+# through a heap; jitter 3.0 interleaves the copies of neighbouring packets
+GOLDEN_NETSIM_ORDER_CSV = {
+    0.0: (
+        "run_id,mode,sent,plr,per,fr\n"
+        "0,stream1,200,0.03,1,1\n"
+        "0,stream2,200,0.04,1,1\n"
+        "0,stream3,200,0.075,1,1\n"
+        "0,dup,200,0,1,1\n"
+        "0,ssic,200,0,0.095,0.095\n"
+        "1,stream1,200,0.04,0.734375,0.745\n"
+        "1,stream2,200,0.055,0.714285714286,0.73\n"
+        "1,stream3,200,0.09,0.752747252747,0.775\n"
+        "1,dup,200,0,0.4,0.4\n"
+        "1,ssic,200,0,0.005,0.005\n"
+    ),
+    3.0: (
+        "run_id,mode,sent,plr,per,fr\n"
+        "0,stream1,200,0.03,1,1\n"
+        "0,stream2,200,0.04,1,1\n"
+        "0,stream3,200,0.075,1,1\n"
+        "0,dup,200,0,1,1\n"
+        "0,ssic,200,0,0.105,0.105\n"
+        "1,stream1,200,0.04,0.734375,0.745\n"
+        "1,stream2,200,0.055,0.714285714286,0.73\n"
+        "1,stream3,200,0.09,0.752747252747,0.775\n"
+        "1,dup,200,0,0.4,0.4\n"
+        "1,ssic,200,0,0.005,0.005\n"
+    ),
+}
+# per grid point: sha256 prefix of the PacketRecords (see _records_digest)
+# and the AggregatorStats fields
+GOLDEN_NETSIM_ORDER_POINTS = {
+    0.0: [
+        ("67f8939d1565025b",
+         dict(delivered=181, delivered_hard=0, delivered_combined=181, duplicate_drops=101,
+              header_invalid_drops=0, soft_stored=289, combine_failures=89,
+              pending_evictions=0)),
+        ("b4f544cb4776025f",
+         dict(delivered=199, delivered_hard=92, delivered_combined=107, duplicate_drops=216,
+              header_invalid_drops=0, soft_stored=148, combine_failures=1,
+              pending_evictions=0)),
+    ],
+    3.0: [
+        ("87f5a7d371b2f294",
+         dict(delivered=179, delivered_hard=0, delivered_combined=179, duplicate_drops=89,
+              header_invalid_drops=0, soft_stored=303, combine_failures=103,
+              pending_evictions=0)),
+        ("b4f544cb4776025f",
+         dict(delivered=199, delivered_hard=86, delivered_combined=113, duplicate_drops=210,
+              header_invalid_drops=0, soft_stored=154, combine_failures=2,
+              pending_evictions=0)),
+    ],
+}
+
 
 def test_default_variants_by_mode():
     assert SweepSpec("seed_ber", [0.0]).variants == ("hd", "hrsx")
@@ -113,6 +170,20 @@ def test_offsets_default_to_zero_per_stream():
     (dict(mode="seed_ber", snr_grid=[0.0], window_size=0), "window_size"),
     (dict(mode="seed_ber", snr_grid=[0.0], arrival_jitter=-1.0), "arrival_jitter"),
     (dict(mode="netsim", snr_grid=[0.0], window_size=32768), "window_size"),
+    (dict(mode="seed_ber", snr_grid=[0.0], trials="5"), "trials"),
+    (dict(mode="seed_ber", snr_grid="1"), "snr_grid"),
+    (dict(mode="seed_ber", snr_grid=[0.0], n_streams="2"), "n_streams"),
+    (dict(mode="seed_ber", snr_grid=[0.0], L=16.0), "L"),
+    (dict(mode="seed_ber", snr_grid=[0.0], variants="hd"), "variants"),
+    (dict(mode="seed_ber", snr_grid=[0.0], burst_prob=True), "burst_prob"),
+    (dict(mode="seed_ber", snr_grid=[0.0], stream_snr_offsets=["0"]), "stream_snr_offsets"),
+    (dict(mode="seed_ber", snr_grid=[0.0], arrival_jitter=float("nan")), "arrival_jitter"),
+    (dict(mode="seed_ber", snr_grid=[0.0], arrival_jitter=float("inf")), "arrival_jitter"),
+    (dict(mode="seed_ber", snr_grid=[0.0], rng_seed=-1), "rng_seed"),
+    (dict(mode="seed_ber", snr_grid=[0.0], stream_snr_offsets=[float("nan")]),
+     "stream_snr_offsets"),
+    (dict(mode="seed_ber", snr_grid=[0.0], burst_len_mean=float("nan")), "burst_len_mean"),
+    (dict(mode="seed_ber", snr_grid=[0.0], burst_len_mean=float("inf")), "burst_len_mean"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
@@ -163,6 +234,33 @@ def test_golden_netsim_csv_bytes():
                      burst_llr_atten=0.123, burst_len_mean=40.0, rng_seed=32)
     assert rows_to_csv(NETSIM_COLUMNS, run_netsim(spec)) == GOLDEN_NETSIM_HRSX_CSV
 
+
+
+def _records_digest(records) -> str:
+    text = "\n".join(f"{r.key.vci} {r.key.vcs} {''.join(str(int(d)) for d in r.detected)} "
+                     f"{''.join(str(int(h)) for h in r.hard)} {int(r.ssic_delivered)}"
+                     for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("jitter", [0.0, 3.0])
+def test_golden_netsim_arrival_order(monkeypatch, jitter):
+    # the order in which copies reach the aggregator decides which copies
+    # combine first, so the counters pin the arrival order itself
+    points = []
+    network_point = sweeps.run_network_point
+
+    def capture(*args, **kwargs):
+        records, stats = network_point(*args, **kwargs)
+        points.append((_records_digest(records), asdict(stats)))
+        return records, stats
+
+    monkeypatch.setattr(sweeps, "run_network_point", capture)
+    spec = SweepSpec(mode="netsim", snr_grid=[4.0, 7.0], n_streams=3, trials=200,
+                     payload_bytes=64, detection_loss_prob=0.05, burst_prob=0.6,
+                     burst_llr_atten=0.3, arrival_jitter=jitter, rng_seed=43)
+    assert rows_to_csv(NETSIM_COLUMNS, run_netsim(spec)) == GOLDEN_NETSIM_ORDER_CSV[jitter]
+    assert points == GOLDEN_NETSIM_ORDER_POINTS[jitter]
 
 @pytest.mark.parametrize("spec", [
     dict(mode="payload_ber", n_streams=1, variants=("hd", "naive", "hrsx", "srsx")),
@@ -302,6 +400,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
     # nonexistent config file is an I/O error, not a crash
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
+    # a JSON value of the wrong type is named, not a traceback
+    cfg.write_text(json.dumps({"mode": "seed_ber", "snr_grid": [1.0], "trials": "5"}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "error: trials" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():
