@@ -18,7 +18,10 @@ Two impairments sit on top:
 
 The frame-level CRC is idealized: it passes exactly when hard-decision
 descrambling (register preloaded from the last 7 pilot decisions)
-reproduces the transmitted payload.  It never false-accepts.
+reproduces the transmitted payload.  It never false-accepts.  transmit
+decides this clean/soft split from the signs of the received samples y,
+which are the signs of the LLRs 2y/sigma^2; the LLRs are computed only for
+a soft frame, the one case that hands them upward.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scrambler import LFSR_LEN, register_outputs, scramble, seed_from_int, seed_to_int
-from .softbits import LLR_MAX, SoftWord, hard_decide
+from .softbits import LLR_MAX, SoftWord
 from .descramble import hd
 
 
@@ -151,6 +154,12 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     optional burst window degrades part of it, and the receiver classifies
     the result: missed entirely, clean (idealized CRC pass, hard bits), or
     soft (full LLR word for later combining).
+
+    The received samples y = s + sigma z are built in place by the same
+    operations, in the same order, as awgn_llrs, and the split is decided
+    from their signs: y < 0 exactly where 2y/sigma^2 < 0, since y is never
+    subnormal.  Only a soft frame scales y into LLRs.  sigma^2 is a scalar
+    unless a burst window was drawn.
     """
     payload = np.asarray(payload_bits, dtype=np.uint8)
     if rng.random() < params.detection_loss_prob:
@@ -158,18 +167,29 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
 
     tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
     n = tx.size
-    sigma2 = np.full(n, snr_db_to_sigma2(params.snr_db))
+    sigma2 = snr_db_to_sigma2(params.snr_db)
     if params.burst_prob > 0.0 and rng.random() < params.burst_prob:
         start = int(rng.integers(0, n))
         length = int(rng.geometric(1.0 / params.burst_len_mean))
+        sigma2 = np.full(n, sigma2)
         sigma2[start:start + length] /= params.burst_llr_atten
-    # left unclamped: hard decisions only read signs, and SoftWord clamps what it stores
-    llrs = awgn_llrs(tx, rng.standard_normal(n) * np.sqrt(sigma2), sigma2)
+    y = rng.standard_normal(n)
+    y *= np.sqrt(sigma2)
+    y += 1.0 - 2.0 * tx
 
-    hard = hard_decide(llrs)
-    descrambled = hd(np.concatenate([hard[L - LFSR_LEN:L], hard[L:]]))
+    # hard decisions from the last 7 pilots on; when they all equal what was
+    # sent, the preloaded register is the true one and descrambling
+    # reproduces the payload, so hd runs only for a frame with an error there
+    hard = (y[L - LFSR_LEN:] < 0).view(np.uint8)
+    if hard.tobytes() == tx[L - LFSR_LEN:].tobytes():
+        return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
+                                 hard_bits=payload.copy())
+    descrambled = hd(hard)
     if (descrambled == payload).all():
         return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
                                  hard_bits=descrambled)
+    # the matched LLRs 2y/sigma^2, left unclamped: SoftWord clamps what it stores
+    y *= 2.0
+    y /= sigma2
     return StreamObservation(stream_id=stream_id, detected=True, crc_pass=False,
-                             soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))
+                             soft=SoftWord(pilots=y[:L], payload=y[L:]))

@@ -15,7 +15,9 @@ Since log P(bit=0) - log P(bit=1) is the pilot LLR itself, the log-posterior
 of a seed is half the correlation of the pilot LLRs with that seed's +-1
 pilot pattern, up to a shared constant: one matrix product and a softmax.
 The three LLR receivers then differ only in what they know about each mask
-bit, and all three apply it through the one mix rule in _mix_mask.
+bit.  naive_sd and hrsx know it for certain and flip the payload LLR's sign
+where it is 1; srsx knows its probability and mixes it in by the boxplus
+rule in _mix_mask, which reduces to the same flip where that is 0 or 1.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def _mix_mask(payload: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _flip_by_registers(payload: np.ndarray, states: np.ndarray, start: int) -> np.ndarray:
     """Sign-flip (n, M) payload LLRs by the outputs start.. of n registers."""
-    return _mix_mask(payload, 1.0 - register_outputs(states, payload.shape[1], start))
+    return np.where(register_outputs(states, payload.shape[1], start), -payload, payload)
 
 
 def naive_rows(pilots: np.ndarray, payload: np.ndarray) -> np.ndarray:
@@ -213,7 +215,7 @@ def hrsx_rows(log_weights: np.ndarray, payload: np.ndarray,
 
     Returns the (n, M) descrambled LLRs and the n MAP seed indices (seed
     integer - 1; ties break toward the smallest seed).  The MAP seed's
-    delta posterior puts q at exactly 1 - its output bits from phase L.
+    delta posterior makes its output bits from phase L the mask.
     """
     idx = np.argmax(log_weights, axis=1)
     return _flip_by_registers(payload, idx + 1, L), idx

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -73,15 +73,24 @@ def vcs_newer(a: int, b: int) -> bool:
 
 def dispatch(packet: bytes, vci: int, next_vcs: int,
              stream_addrs: Sequence[int]) -> list[tuple[int, VcFrame]]:
-    """One frame per stream for a single packet; only stream_addr differs."""
+    """One frame per stream for a single packet; only stream_addr differs.
+
+    The header is encoded once: every frame shares that (read-only) coded
+    header and the payload.
+    """
     if not stream_addrs:
         raise ValueError("need at least one stream")
-    return [(k, encapsulate(packet, vci, next_vcs, addr))
-            for k, addr in enumerate(stream_addrs)]
+    frame = encapsulate(packet, vci, next_vcs, stream_addrs[0])
+    frame.header_coded.flags.writeable = False
+    return [(k, replace(frame, stream_addr=addr)) for k, addr in enumerate(stream_addrs)]
 
 
 class Dispatcher:
-    """Owns the serial counter; wraps mod 2^16."""
+    """Owns the serial counter; wraps mod 2^16.
+
+    send encodes each packet's header once; the packet's frames share it and
+    the payload and differ only in stream_addr.
+    """
 
     def __init__(self, vci: int, stream_addrs: Sequence[int], first_vcs: int = 0):
         self.vci = vci

@@ -121,6 +121,7 @@ def _codeword_table() -> np.ndarray:
 
 
 CODEWORDS = _codeword_table()  # row v = codeword for info value v, MSB-first
+_INFO_OF_CODEWORD = {row.tobytes(): v for v, row in enumerate(CODEWORDS)}  # uint8 bytes -> v
 _SIGNS = (1.0 - 2.0 * CODEWORDS.astype(np.float64))  # bit 0 -> +1, bit 1 -> -1
 
 
@@ -134,14 +135,13 @@ def bch_encode(info_bits: np.ndarray) -> np.ndarray:
 
 
 def _decode_blocks(y: np.ndarray) -> np.ndarray:
-    """Exact ML info bits of each row of (n, 63) LLRs, as an (n, 7) array.
+    """Exact ML info values (0..127) of each row of (n, 63) LLRs.
 
     One correlation against every codeword maximizes the sum over positions
     of (+llr if codeword bit 0 else -llr); ties break toward the lowest info
     value.
     """
-    v = np.argmax(y @ _SIGNS.T, axis=1)
-    return ((v[:, None] >> np.arange(BCH_K - 1, -1, -1)) & 1).astype(np.uint8)
+    return np.argmax(y @ _SIGNS.T, axis=1)
 
 
 def bch_decode_soft(llrs: np.ndarray) -> np.ndarray:
@@ -149,7 +149,8 @@ def bch_decode_soft(llrs: np.ndarray) -> np.ndarray:
     y = np.asarray(llrs, dtype=np.float64)
     if y.shape != (BCH_N,):
         raise ValueError(f"need {BCH_N} LLRs")
-    return _decode_blocks(y[None, :])[0]
+    v = int(_decode_blocks(y[None, :])[0])
+    return ((v >> np.arange(BCH_K - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def bch_decode_hard(bits: np.ndarray) -> np.ndarray:
@@ -158,13 +159,29 @@ def bch_decode_hard(bits: np.ndarray) -> np.ndarray:
     return bch_decode_soft(1.0 - 2.0 * b)
 
 
+_CRC16_POLY = 0x1021
+
+
+def _crc16_table() -> list[int]:
+    """Entry t: the register t << 8 after 8 shifts through the polynomial."""
+    crc = np.arange(256) << 8
+    for _ in range(8):
+        crc = np.where(crc & 0x8000, (crc << 1) ^ _CRC16_POLY, crc << 1) & 0xFFFF
+    return crc.tolist()
+
+
+_CRC16_TABLE = _crc16_table()
+
+
 def crc16_ccitt(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection."""
+    """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection.
+
+    Byte-wise: the top byte of the register, XORed with the next data byte,
+    indexes the table of its 8 shifts.
+    """
     crc = 0xFFFF
     for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
     return crc
 
 
@@ -190,35 +207,37 @@ class VcHeader:
     def make(cls, vci: int, vcs: int) -> "VcHeader":
         _check_u16("vci", vci)
         _check_u16("vcs", vcs)
-        return cls(vci, vcs, crc16_ccitt(bytes([vci >> 8, vci & 0xFF, vcs >> 8, vcs & 0xFF])))
+        return cls(vci, vcs, _header_crc(vci, vcs))
 
     def crc_ok(self) -> bool:
-        return self.crc16 == VcHeader.make(self.vci, self.vcs).crc16
+        return self.crc16 == _header_crc(self.vci, self.vcs)
 
 
-def _u16_bits(v: int) -> np.ndarray:
-    return np.array([(v >> (15 - i)) & 1 for i in range(16)], dtype=np.uint8)
+def _header_crc(vci: int, vcs: int) -> int:
+    return crc16_ccitt(bytes([vci >> 8, vci & 0xFF, vcs >> 8, vcs & 0xFF]))
 
 
-def _bits_to_u16(bits: np.ndarray) -> int:
-    return int(np.asarray(bits, dtype=np.uint64) @ (1 << np.arange(15, -1, -1, dtype=np.uint64)))
+# shift of each 7-bit info chunk within the 49-bit header block, first chunk first
+_CHUNK_SHIFTS = range(HEADER_FIELD_BITS - BCH_K, -1, -BCH_K)
 
 
 def encode_header(vci: int, vcs: int) -> np.ndarray:
-    """(vci, vcs) -> 441 coded header bits.  CRC is computed here."""
+    """(vci, vcs) -> 441 coded header bits.  CRC is computed here.
+
+    The header block is the integer vci.vcs.crc.0 (49 bits, MSB first); each
+    of its 7-bit chunks picks its codeword from the table.
+    """
     h = VcHeader.make(vci, vcs)
-    block = np.concatenate([
-        _u16_bits(h.vci), _u16_bits(h.vcs), _u16_bits(h.crc16),
-        np.zeros(1, dtype=np.uint8),
-    ])
-    return np.concatenate([bch_encode(block[7 * j:7 * j + 7]) for j in range(BCH_K)])
+    block = (h.vci << 33) | (h.vcs << 17) | (h.crc16 << 1)
+    return CODEWORDS[[(block >> s) & 0x7F for s in _CHUNK_SHIFTS]].ravel()
 
 
-def _header_from_field_bits(bits49: np.ndarray) -> VcHeader | None:
-    vci = _bits_to_u16(bits49[0:16])
-    vcs = _bits_to_u16(bits49[16:32])
-    crc = _bits_to_u16(bits49[32:48])
-    h = VcHeader(vci, vcs, crc)
+def _header_from_infos(infos) -> VcHeader | None:
+    """Header from the 7 blocks' info values, or None when its CRC mismatches."""
+    block = 0
+    for v in infos:
+        block = (block << BCH_K) | v
+    h = VcHeader(block >> 33, (block >> 17) & 0xFFFF, (block >> 1) & 0xFFFF)
     return h if h.crc_ok() else None
 
 
@@ -227,12 +246,24 @@ def decode_header_soft(llrs: np.ndarray) -> VcHeader | None:
     y = np.asarray(llrs, dtype=np.float64)
     if y.shape != (HEADER_CODED_BITS,):
         raise ValueError(f"need {HEADER_CODED_BITS} LLRs")
-    return _header_from_field_bits(_decode_blocks(y.reshape(BCH_K, BCH_N)).ravel())
+    return _header_from_infos(_decode_blocks(y.reshape(BCH_K, BCH_N)).tolist())
 
 
 def decode_header_hard(bits: np.ndarray) -> VcHeader | None:
-    b = np.asarray(bits, dtype=np.float64)
-    return decode_header_soft(1.0 - 2.0 * b)
+    """441 hard bits -> header: decode_header_soft of the +-1 LLRs 1 - 2b.
+
+    A codeword is its own unique ML decode, so when every 63-bit block of
+    a uint8 array is a codeword, its info value is read from a table.  Any
+    other input, values other than 0/1 included, is ML decoded.
+    """
+    b = np.asarray(bits)
+    if b.shape == (HEADER_CODED_BITS,) and b.dtype == np.uint8:
+        raw = b.tobytes()
+        infos = [_INFO_OF_CODEWORD.get(raw[j:j + BCH_N])
+                 for j in range(0, HEADER_CODED_BITS, BCH_N)]
+        if None not in infos:
+            return _header_from_infos(infos)
+    return decode_header_soft(1.0 - 2.0 * np.asarray(b, dtype=np.float64))
 
 
 @dataclass
@@ -264,13 +295,16 @@ def encapsulate(packet: bytes, vci: int, vcs: int, stream_addr: int) -> VcFrame:
     return VcFrame(stream_addr, encode_header(vci, vcs), bytes(packet))
 
 
+_ADDR_BYTES = STREAM_ADDR_BITS // 8
+_PAD = np.zeros(FRAME_PAD_BITS, dtype=np.uint8)
+
+
 def frame_to_bits(frame: VcFrame) -> np.ndarray:
     """Wire bit order: address, coded header, pad, payload (MSB-first bytes)."""
-    addr = np.array([(frame.stream_addr >> (STREAM_ADDR_BITS - 1 - i)) & 1
-                     for i in range(STREAM_ADDR_BITS)], dtype=np.uint8)
+    addr = np.unpackbits(np.frombuffer(frame.stream_addr.to_bytes(_ADDR_BYTES, "big"),
+                                       dtype=np.uint8))
     pay = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8))
-    return np.concatenate([addr, frame.header_coded,
-                           np.zeros(FRAME_PAD_BITS, dtype=np.uint8), pay])
+    return np.concatenate([addr, frame.header_coded, _PAD, pay])
 
 
 def frame_to_bytes(frame: VcFrame) -> bytes:
@@ -281,8 +315,7 @@ def frame_from_bits(bits: np.ndarray) -> VcFrame:
     b = np.asarray(bits, dtype=np.uint8)
     if b.ndim != 1 or b.size < FRAME_OVERHEAD_BITS or (b.size - FRAME_OVERHEAD_BITS) % 8:
         raise ValueError("malformed frame bits")
-    addr = int(b[:STREAM_ADDR_BITS] @ (1 << np.arange(STREAM_ADDR_BITS - 1, -1, -1,
-                                                      dtype=np.uint64)))
+    addr = int.from_bytes(np.packbits(b[:STREAM_ADDR_BITS]).tobytes(), "big")
     coded = b[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS]
     pay = np.packbits(b[FRAME_OVERHEAD_BITS:]).tobytes()
     return VcFrame(addr, coded.copy(), pay)

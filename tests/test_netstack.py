@@ -90,6 +90,18 @@ def test_dispatch_and_dispatcher():
     assert h is not None and (h.vci, h.vcs) == (4, 65535)
 
 
+def test_dispatched_frames_differ_only_in_the_address():
+    addrs = [0, 0x020000000001, (1 << 48) - 1]
+    frames = [f for _, f in dispatch(P3, vci=0xFFFF, next_vcs=0x8000, stream_addrs=addrs)]
+    bits = [frame_to_bits(f) for f in frames]
+    alone = frame_to_bits(encapsulate(P3, 0xFFFF, 0x8000, addrs[0]))
+    for addr, f, b in zip(addrs, frames, bits):
+        assert f.stream_addr == addr
+        assert int("".join(map(str, b[:48])), 2) == addr
+        assert np.array_equal(b[48:], alone[48:])
+    assert np.array_equal(bits[0], alone)
+
+
 def test_hard_copy_delivers_then_duplicates_drop():
     agg = make_agg({K1: P1})
     assert agg.push(hard_obs(K1, P1, 0)) == (K1, P1)

@@ -163,6 +163,57 @@ def test_header_code_round_trip(vci, vcs):
     assert h is not None and (h.vci, h.vcs) == (vci, vcs) and h.crc_ok()
 
 
+EDGE_U16 = (0, 1, 0x7FFF, 0x8000, 0xFFFF)
+
+
+def header_pairs(n_random: int, seed: int):
+    """Every pair of edge values, then n_random uniform (vci, vcs) pairs."""
+    rng = np.random.default_rng(seed)
+    yield from ((a, b) for a in EDGE_U16 for b in EDGE_U16)
+    for _ in range(n_random):
+        yield int(rng.integers(0, 1 << 16)), int(rng.integers(0, 1 << 16))
+
+
+def test_encode_header_equals_seven_block_encodes():
+    for vci, vcs in header_pairs(200, seed=41):
+        crc = binascii.crc_hqx(bytes([vci >> 8, vci & 0xFF, vcs >> 8, vcs & 0xFF]), 0xFFFF)
+        field_bits = np.array([int(c) for c in f"{vci:016b}{vcs:016b}{crc:016b}0"],
+                              dtype=np.uint8)
+        want = np.concatenate([bch_encode(field_bits[7 * j:7 * j + 7]) for j in range(BCH_K)])
+        got = encode_header(vci, vcs)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), (vci, vcs)
+
+
+def test_hard_header_decode_equals_soft_decode_of_the_signs():
+    """decode_header_hard reads a clean header's info bits directly; on any
+    input it must agree with the ML decode of the +-1 LLRs."""
+    rng = np.random.default_rng(43)
+    inputs = []
+    for vci, vcs in header_pairs(60, seed=44):
+        coded = encode_header(vci, vcs)
+        inputs.append(coded)
+        flipped = coded.copy()
+        j = int(rng.integers(0, BCH_K))
+        pos = rng.choice(BCH_N, size=int(rng.integers(1, 16)), replace=False)
+        flipped[BCH_N * j + pos] ^= 1
+        inputs.append(flipped)
+        inputs.append(rng.integers(0, 2, HEADER_CODED_BITS, dtype=np.uint8))
+        # a 2 in a block's first bit is no codeword bit, and as an info
+        # value it would index past the table's last row
+        two = coded.copy()
+        two[BCH_N * j] = 2
+        inputs.append(two)
+    valid = 0
+    for b in inputs:
+        want = decode_header_soft(1.0 - 2.0 * b.astype(np.float64))
+        assert decode_header_hard(b) == want
+        assert decode_header_hard(b.astype(np.int64)) == want
+        valid += want is not None
+    assert valid >= 2 * (25 + 60)  # every clean and every 1-15-flip header decodes
+    with pytest.raises(ValueError):
+        decode_header_hard(np.zeros(440, dtype=np.uint8))
+
+
 def test_header_soft_decode_under_noise():
     rng = np.random.default_rng(3)
     coded = encode_header(321, 54321)
@@ -277,6 +328,17 @@ def test_frame_round_trips(payload, vci, vcs, addr):
     assert h is not None and (h.vci, h.vcs) == (vci, vcs)
     b = frame_from_bytes(frame_to_bytes(f))
     assert b.payload == payload and b.stream_addr == addr
+
+
+def test_frame_bits_round_trip_extreme_addresses():
+    for addr in (0, (1 << STREAM_ADDR_BITS) - 1):
+        f = encapsulate(b"\x5a\x00\xff", 3, 4, addr)
+        bits = frame_to_bits(f)
+        assert bits.dtype == np.uint8 and bits.size == 496 + 24
+        assert (bits[:STREAM_ADDR_BITS] == (addr & 1)).all()  # all 0s or all 1s
+        g = frame_from_bits(bits)
+        assert g.stream_addr == addr and g.payload == f.payload
+        assert np.array_equal(g.header_coded, f.header_coded)
 
 
 def test_frame_validation():
