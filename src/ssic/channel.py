@@ -86,14 +86,17 @@ class StreamObservation:
                 raise ValueError("detected frame without CRC needs soft values")
 
 
-def awgn_llrs(tx_bits: np.ndarray, noise: np.ndarray, sigma2) -> np.ndarray:
+def awgn_llrs(tx_bits: np.ndarray, noise: np.ndarray, sigma2,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """Matched-filter LLRs 2y/sigma^2 of BPSK bits received with additive noise.
 
     Computed in place: the float noise array becomes the LLRs and is
     returned.  Elementwise, so it serves a block of words as well as one:
-    sigma2 broadcasts against the bits.
+    sigma2 broadcasts against the bits.  The +-1 symbols 1 - 2 tx_bits are
+    formed in scratch, a float array shaped like noise, when it is given.
     """
-    noise += 1.0 - 2.0 * tx_bits
+    symbols = np.multiply(tx_bits, 2.0, out=scratch)
+    noise += np.subtract(1.0, symbols, out=symbols)
     noise *= 2.0
     noise /= sigma2
     return noise
@@ -112,18 +115,19 @@ def fresh_seed(rng: np.random.Generator) -> np.ndarray:
 
 
 def scrambled_llrs(seed_ints, payload_bits: np.ndarray, L: int, noise: np.ndarray,
-                   sigma2) -> np.ndarray:
+                   sigma2, scratch: np.ndarray | None = None) -> np.ndarray:
     """Clamped LLRs of a block of scrambled words, each L pilots + M payload bits.
 
     Word w is L zero bits followed by payload_bits[w], scrambled by seed
     integer seed_ints[w] (1..127), sent as BPSK with noise[w] (L+M samples)
     added at noise variance sigma2[w].  payload_bits and sigma2 broadcast
     against seed_ints, whose shape the result takes, plus a last axis of
-    L+M LLRs.  The LLRs are written over the noise array.
+    L+M LLRs.  The LLRs are written over the noise array; scratch, a float
+    array shaped like noise, holds the +-1 symbols when it is given.
     """
     tx = register_outputs(seed_ints, noise.shape[-1])
     tx[..., L:] ^= payload_bits
-    llrs = awgn_llrs(tx, noise, np.asarray(sigma2)[..., None])
+    llrs = awgn_llrs(tx, noise, np.asarray(sigma2)[..., None], scratch)
     return np.clip(llrs, -LLR_MAX, LLR_MAX, out=llrs)
 
 

@@ -46,16 +46,20 @@ def ssic_combine(copies: list[StreamSoftCopy]) -> np.ndarray:
     return combine_streams(np.stack([c.llrs for c in copies]))
 
 
-def combine_streams(llrs: np.ndarray) -> np.ndarray:
+def combine_streams(llrs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of (..., K, M) LLRs over the K streams, clamped to +-LLR_MAX.
 
     The streams are added into a zero total in order 0..K-1, so a block of
-    packets sums exactly as ssic_combine sums each one.
+    packets sums exactly as ssic_combine sums each one.  The total is
+    written into out when it is given, as numpy's out= does.
     """
-    total = np.zeros(llrs.shape[:-2] + llrs.shape[-1:])
+    if out is None:
+        out = np.zeros(llrs.shape[:-2] + llrs.shape[-1:])
+    else:
+        out[...] = 0.0
     for k in range(llrs.shape[-2]):
-        total += llrs[..., k, :]
-    return np.clip(total, -LLR_MAX, LLR_MAX)
+        out += llrs[..., k, :]
+    return np.clip(out, -LLR_MAX, LLR_MAX, out=out)
 
 
 def decide(llrs: np.ndarray) -> np.ndarray:

@@ -16,8 +16,15 @@ of a seed is half the correlation of the pilot LLRs with that seed's +-1
 pilot pattern, up to a shared constant: one matrix product and a softmax.
 The three LLR receivers then differ only in what they know about each mask
 bit.  naive_sd and hrsx know it for certain and flip the payload LLR's sign
-where it is 1; srsx knows its probability and mixes it in by the boxplus
-rule in _mix_mask, which reduces to the same flip where that is 0 or 1.
+where it is 1; srsx knows its probability q and mixes it in by the boxplus
+rule, which reduces to the same flip where q is 0 or 1.
+
+The mask has period 127, so the row kernels keep what they know of it per
+phase: +-1 signs or q as (n, 127) tables, copied into (n, M) blocks a
+period at a time.  srsx tests q for softness on those 127 phases, not on
+every payload position.  The kernels write into caller-owned blocks (out=,
+and a (2, n, M) scratch for srsx), so a sweep reuses the same memory block
+after block; without them they allocate.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scrambler import (LFSR_LEN, PERIOD, all_seeds, mask_matrix, periodic_extend,
-                        register_outputs, seed_from_int)
+                        register_outputs, register_states, seed_from_int)
 from .softbits import LLR_MAX, SoftWord, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
@@ -134,21 +141,19 @@ def mask_zero_probs(weights: np.ndarray, L: int, M: int) -> np.ndarray:
     period; the probability is the posterior mass of the seeds whose output
     is 0 there: one product with the 0/1 table gives it at all 127 phases.
     """
-    pz0_by_phase = np.clip(weights @ _one_minus_z(), 0.0, 1.0)
-    return periodic_extend(pz0_by_phase, L, M)
+    return periodic_extend(mask_zero_by_phase(weights), L, M)
+
+
+def mask_zero_by_phase(weights: np.ndarray) -> np.ndarray:
+    """P(scrambling bit = 0) at each of the 127 phases: (n, 127) seed
+    weights -> (n, 127).  Entry j is the probability at register output j
+    mod 127."""
+    return np.clip(weights @ _one_minus_z(), 0.0, 1.0)
 
 
 def mask_zero_prob(posterior: SeedPosterior, L: int, M: int) -> np.ndarray:
     """mask_zero_probs for one word's posterior."""
     return mask_zero_probs(posterior.weights[None], L, M)[0]
-
-
-_BIT_WEIGHTS = 1 << np.arange(LFSR_LEN)
-
-
-def _register_states(bits: np.ndarray) -> np.ndarray:
-    """Register states (r0 = LSB) from (..., 7) bit rows."""
-    return bits.astype(np.intp) @ _BIT_WEIGHTS
 
 
 def hd_rows(word_hard: np.ndarray) -> np.ndarray:
@@ -157,7 +162,7 @@ def hd_rows(word_hard: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[1] < LFSR_LEN:
         raise ValueError("need a 7-bit register preload plus payload")
     payload = b[:, LFSR_LEN:]
-    return register_outputs(_register_states(b[:, :LFSR_LEN]), payload.shape[1]) ^ payload
+    return register_outputs(register_states(b[:, :LFSR_LEN]), payload.shape[1]) ^ payload
 
 
 def hd(word_hard: np.ndarray) -> np.ndarray:
@@ -173,57 +178,104 @@ def hd(word_hard: np.ndarray) -> np.ndarray:
     return hd_rows(b[None])[0]
 
 
-def _mix_mask(payload: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Descramble payload LLRs by mask bits that are 0 with probability q.
+@functools.lru_cache(maxsize=1)
+def _sign_table() -> np.ndarray:
+    """(128, 127) table: row v = 1 - 2 z over one output period of register
+    state v, the +-1 factor that descrambles an LLR at each phase."""
+    t = 1.0 - 2.0 * register_outputs(np.arange(1 << LFSR_LEN), PERIOD)
+    t.flags.writeable = False
+    return t
 
+
+def _fill_by_phase(out: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
+    """Fill (n, M) out from the (n, 127) per-phase table: column m gets
+    phase (start + m) mod 127.
+
+    The head up to the end of the first period, then the whole periods by
+    one broadcast assignment to an (n, periods, 127) view (splitting one
+    axis is always a view), then the tail.
+    """
+    n, M = out.shape
+    start %= PERIOD
+    head = min(M, -start % PERIOD)
+    reps, tail = divmod(M - head, PERIOD)
+    out[:, :head] = table[:, start:start + head]
+    out[:, head:M - tail].reshape(n, reps, PERIOD)[...] = table[:, None, :]
+    out[:, M - tail:] = table[:, :tail]
+    return out
+
+
+def _flip(payload: np.ndarray, signs: np.ndarray, start: int,
+          out: np.ndarray | None) -> np.ndarray:
+    """payload times the (n, 127) +-1 sign rows by phase from start, into out.
+
+    -1.0 * y is -y bit for bit (so is 1.0 * y, -0.0 included): the exact
+    sign flip.
+    """
+    out = _fill_by_phase(np.empty(payload.shape) if out is None else out, signs, start)
+    return np.multiply(payload, out, out=out)
+
+
+def naive_rows(pilots: np.ndarray, payload: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """naive_sd for n words: (n, L) pilot and (n, M) payload LLRs -> (n, M).
+
+    The result is written into out when it is given, as numpy's out= does.
+    """
+    states = register_states(hard_decide(pilots[:, -LFSR_LEN:]))
+    return _flip(payload, _sign_table()[states], 0, out)
+
+
+def hrsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
+              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """hrsx for n words given their (n, 127) seed log-posteriors.
+
+    Returns the (n, M) descrambled LLRs (written into out when given) and
+    the n MAP seed indices (seed integer - 1; ties break toward the
+    smallest seed).  The MAP seed's delta posterior makes its output bits
+    from phase L the mask.
+    """
+    idx = np.argmax(log_weights, axis=1)
+    return _flip(payload, _sign_table()[idx + 1], L, out), idx
+
+
+def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
+              out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """srsx for n words given their (n, 127) seed log-posteriors.
+
+    Descrambles payload LLRs by mask bits that are 0 with probability q.
     P(x=0) = q P(y=0) + (1-q) P(y=1), the boxplus of the payload LLR with
     the mask LLR.  Where q is 0 or 1 this is the exact sign flip
     payload * (2q - 1); elsewhere it is log(q e^y + 1-q) - log(q + (1-q) e^y),
     which only loses magnitude, up to an ulp of rounding that the clip keeps
     inside LLR_MAX.  SoftWord clamps |y| <= LLR_MAX, so e^y cannot overflow.
-    Elementwise, so it serves one word or a block of them alike.
+
+    q has period 127, so it is kept and tested per phase, (n, 127): a block
+    with no soft phase is only flipped, and one with some hard phases takes
+    the flip there.  The result is written into out, an (n, M) float block,
+    and the mix works in scratch, a (2, n, M) one; either is allocated when
+    not given.
     """
-    y, q = payload, np.asarray(q, dtype=np.float64)
+    q = mask_zero_by_phase(np.exp(log_weights))
     soft = (q > 0.0) & (q < 1.0)
     if not soft.any():
-        return y * (2.0 * q - 1.0)
-    e = np.exp(y)
-    num = q * e
-    num += 1.0 - q
-    den = e
-    den *= 1.0 - q
-    den += q
-    mixed = np.log(num, out=num)
-    mixed -= np.log(den, out=den)
+        return _flip(payload, 2.0 * q - 1.0, L, out)
+    out = np.empty(payload.shape) if out is None else out
+    num, by_phase = np.empty((2,) + payload.shape) if scratch is None else scratch
+    e = np.exp(payload, out=out)
+    np.multiply(_fill_by_phase(num, q, L), e, out=num)
+    num += _fill_by_phase(by_phase, 1.0 - q, L)
+    e *= by_phase  # e becomes the denominator
+    e += _fill_by_phase(by_phase, q, L)
+    np.log(num, out=num)
+    np.log(e, out=e)
+    mixed = np.subtract(num, e, out=out)
     np.clip(mixed, -LLR_MAX, LLR_MAX, out=mixed)
-    return mixed if soft.all() else np.where(soft, mixed, y * (2.0 * q - 1.0))
-
-
-def _flip_by_registers(payload: np.ndarray, states: np.ndarray, start: int) -> np.ndarray:
-    """Sign-flip (n, M) payload LLRs by the outputs start.. of n registers."""
-    return np.where(register_outputs(states, payload.shape[1], start), -payload, payload)
-
-
-def naive_rows(pilots: np.ndarray, payload: np.ndarray) -> np.ndarray:
-    """naive_sd for n words: (n, L) pilot and (n, M) payload LLRs -> (n, M)."""
-    return _flip_by_registers(payload, _register_states(hard_decide(pilots[:, -LFSR_LEN:])), 0)
-
-
-def hrsx_rows(log_weights: np.ndarray, payload: np.ndarray,
-              L: int) -> tuple[np.ndarray, np.ndarray]:
-    """hrsx for n words given their (n, 127) seed log-posteriors.
-
-    Returns the (n, M) descrambled LLRs and the n MAP seed indices (seed
-    integer - 1; ties break toward the smallest seed).  The MAP seed's
-    delta posterior makes its output bits from phase L the mask.
-    """
-    idx = np.argmax(log_weights, axis=1)
-    return _flip_by_registers(payload, idx + 1, L), idx
-
-
-def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int) -> np.ndarray:
-    """srsx for n words given their (n, 127) seed log-posteriors."""
-    return _mix_mask(payload, mask_zero_probs(np.exp(log_weights), L, payload.shape[1]))
+    if not soft.all():
+        hard = _fill_by_phase(np.empty(payload.shape, dtype=bool), ~soft, L)
+        np.putmask(mixed, hard, _flip(payload, 2.0 * q - 1.0, L, num))
+    return mixed
 
 
 def naive_sd(word: SoftWord) -> np.ndarray:

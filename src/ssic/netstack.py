@@ -49,7 +49,8 @@ from .descramble import hrsx, naive_sd, srsx
 from .scrambler import mask_matrix
 from .softbits import SoftWord
 from .vcframe import (FRAME_OVERHEAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, VcFrame,
-                      decode_header_soft, encapsulate, frame_from_bits, frame_to_bits)
+                      decode_header_soft, encapsulate, frame_from_bits, frame_to_bits,
+                      with_stream_addr)
 
 VCS_MOD = 1 << 16
 
@@ -370,10 +371,12 @@ def run_network_point(n_packets: int, payload_bytes: int,
         packet = rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
         key, frames = dispatcher.send(packet)
         packets.append(packet)
+        # the payload is unpacked once per packet; each stream stamps its address
+        wire = frame_to_bits(frames[0][1])
         detected, hard = [], []
         for k, frame in frames:
-            obs = transmit(fresh_seed(rng), frame_to_bits(frame), L, stream_params[k],
-                           rng, stream_id=k)
+            obs = transmit(fresh_seed(rng), with_stream_addr(wire, frame.stream_addr), L,
+                           stream_params[k], rng, stream_id=k)
             detected.append(obs.detected)
             hard.append(obs.detected and obs.crc_pass)
             if obs.detected:

@@ -33,29 +33,36 @@ def lfsr_step(state: np.ndarray) -> tuple[int, np.ndarray]:
     return z, nxt
 
 
+_BIT_WEIGHTS = 1 << np.arange(LFSR_LEN)
+
+
+@functools.lru_cache(maxsize=1)
+def _state_bits() -> np.ndarray:
+    """(128, 7): row v is register state v as bits, r0 = LSB."""
+    m = ((np.arange(1 << LFSR_LEN)[:, None] >> np.arange(LFSR_LEN)) & 1).astype(np.uint8)
+    m.flags.writeable = False
+    return m
+
+
 def seed_from_int(v: int) -> np.ndarray:
     """7-bit register state from an integer, r0 = LSB."""
     if not 0 <= v <= 127:
         raise ValueError(f"seed integer out of range: {v}")
-    return np.array([(v >> j) & 1 for j in range(LFSR_LEN)], dtype=np.uint8)
+    return _state_bits()[v].copy()
+
+
+def register_states(bits) -> np.ndarray:
+    """Register states as integers (r0 = LSB) of (..., 7) bit rows."""
+    return np.asarray(bits, dtype=np.uint8) @ _BIT_WEIGHTS
 
 
 def seed_to_int(state: np.ndarray) -> int:
-    s = np.asarray(state, dtype=np.uint8)
-    return int(sum(int(b) << j for j, b in enumerate(s)))
+    return int(register_states(state))
 
 
 def all_seeds() -> np.ndarray:
     """All 127 nonzero seeds as a (127, 7) bit matrix, row i = seed i+1."""
-    return _all_seeds().copy()
-
-
-@functools.lru_cache(maxsize=1)
-def _all_seeds() -> np.ndarray:
-    m = np.array([[(v >> j) & 1 for j in range(LFSR_LEN)] for v in range(1, 128)],
-                 dtype=np.uint8)
-    m.flags.writeable = False
-    return m
+    return _state_bits()[1:].copy()
 
 
 @functools.lru_cache(maxsize=1)

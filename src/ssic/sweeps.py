@@ -211,8 +211,13 @@ def _sweep_row(spec: SweepSpec, snr_db: float, variant: str, n: int, errors: int
             errors, rate, binomial_ci95(errors, n)]
 
 
+def _block_trials(trials: int, K: int, L: int, M: int) -> int:
+    """Trials per block, B: at most BLOCK_FLOATS floats of B * K words."""
+    return max(1, min(trials, BLOCK_FLOATS // (K * (L + M + N_SEEDS))))
+
+
 def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
-                  stream_snr_db: list[float]):
+                  stream_snr_db: list[float], work: np.ndarray | None = None):
     """Trials in blocks of B, each with K streams: yields (payload, seeds, llrs).
 
     payload is (b, M) bits, seeds (b, K) seed integers, llrs (b, K, L+M)
@@ -220,15 +225,19 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
     of a one-word-at-a-time loop: the payload (when M > 0), then per stream
     its seed and its L+M noise samples.  Only the deterministic work after
     the draws runs over the block, so B never changes a result.  The three
-    arrays are reused: a block is valid until the next one is drawn.
+    arrays are reused: a block is valid until the next one is drawn.  The
+    channel's +-1 symbols are formed in work, a flat float array of at
+    least B*K*(L+M) entries that the caller may use between blocks.
     """
     K = len(stream_snr_db)
     sigma2 = np.array([snr_db_to_sigma2(s) for s in stream_snr_db])
     sigma = np.sqrt(sigma2)
-    B = max(1, min(trials, BLOCK_FLOATS // (K * (L + M + N_SEEDS))))
+    B = _block_trials(trials, K, L, M)
     payload = np.zeros((B, M), dtype=np.uint8)
     seeds = np.zeros((B, K), dtype=np.intp)
     noise = np.zeros((B, K, L + M))
+    if work is None:
+        work = np.empty(noise.size)
     for first in range(0, trials, B):
         b = min(B, trials - first)
         for t in range(b):
@@ -240,7 +249,8 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
         # rng.normal(0, sigma, n) is exactly sigma times the same standard draws
         noise[:b] *= sigma[:, None]
         yield (payload[:b], seeds[:b],
-               scrambled_llrs(seeds[:b], payload[:b, None, :], L, noise[:b], sigma2))
+               scrambled_llrs(seeds[:b], payload[:b, None, :], L, noise[:b], sigma2,
+                              work[:noise[:b].size].reshape(b, K, L + M)))
 
 
 def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator) -> dict[str, int]:
@@ -261,17 +271,28 @@ def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator
 
 def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
                        ) -> tuple[dict[str, int], dict[str, int]]:
-    """Bit and packet error counts per variant, on shared noise."""
+    """Bit and packet error counts per variant, on shared noise.
+
+    The descrambled rows, a work array and the stream total are allocated
+    once here and written by every block of trials (a short last block uses
+    their leading rows), so the loop allocates nothing of a block's size.
+    The work array holds the channel's +-1 symbols while a block is drawn
+    and srsx's two scratch blocks after.
+    """
     A, L, K = mask_matrix(spec.L), spec.L, spec.n_streams
     M = spec.payload_bytes * 8
     bit_err = {v: 0 for v in spec.variants}
     pkt_err = {v: 0 for v in spec.variants}
     need_post = any(v in ("hrsx", "srsx") for v in spec.variants)
     stream_snr_db = [snr_db + off for off in spec.stream_snr_offsets]
-    for payload, _, llrs in _trial_blocks(rng, spec.trials, L, M, stream_snr_db):
+    B = _block_trials(spec.trials, K, L, M)
+    descrambled, total = np.empty((B * K, M)), np.empty((B, M))
+    work = np.empty(B * K * max(2 * M, L + M))
+    for payload, _, llrs in _trial_blocks(rng, spec.trials, L, M, stream_snr_db, work):
         b = payload.shape[0]
         rows = llrs.reshape(b * K, L + M)
         pilots, words = rows[:, :L], rows[:, L:]
+        out = descrambled[:b * K]
         lw = seed_log_weights(pilots, A) if need_post else None
         for v in spec.variants:
             if v == "hd":  # n_streams == 1, checked by validate()
@@ -279,12 +300,13 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
                                                           axis=1)))
             else:
                 if v == "naive":
-                    out = naive_rows(pilots, words)
+                    naive_rows(pilots, words, out=out)
                 elif v == "hrsx":
-                    out = hrsx_rows(lw, words, L)[0]
+                    hrsx_rows(lw, words, L, out=out)
                 else:
-                    out = srsx_rows(lw, words, L)
-                bits = decide(combine_streams(out.reshape(b, K, M)))
+                    srsx_rows(lw, words, L, out=out,
+                              scratch=work[:2 * out.size].reshape(2, b * K, M))
+                bits = decide(combine_streams(out.reshape(b, K, M), out=total[:b]))
             wrong = (bits != payload).sum(axis=1)
             bit_err[v] += int(wrong.sum())
             pkt_err[v] += int((wrong > 0).sum())

@@ -299,12 +299,26 @@ _ADDR_BYTES = STREAM_ADDR_BITS // 8
 _PAD = np.zeros(FRAME_PAD_BITS, dtype=np.uint8)
 
 
+def _addr_bits(stream_addr: int) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(stream_addr.to_bytes(_ADDR_BYTES, "big"),
+                                       dtype=np.uint8))
+
+
 def frame_to_bits(frame: VcFrame) -> np.ndarray:
     """Wire bit order: address, coded header, pad, payload (MSB-first bytes)."""
-    addr = np.unpackbits(np.frombuffer(frame.stream_addr.to_bytes(_ADDR_BYTES, "big"),
-                                       dtype=np.uint8))
     pay = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8))
-    return np.concatenate([addr, frame.header_coded, _PAD, pay])
+    return np.concatenate([_addr_bits(frame.stream_addr), frame.header_coded, _PAD, pay])
+
+
+def with_stream_addr(bits: np.ndarray, stream_addr: int) -> np.ndarray:
+    """A copy of a frame's wire bits carrying stream_addr instead.
+
+    The frames of one packet differ only in the address, so this gives each
+    stream's bits from one frame_to_bits call.
+    """
+    out = bits.copy()
+    out[:STREAM_ADDR_BITS] = _addr_bits(stream_addr)
+    return out
 
 
 def frame_to_bytes(frame: VcFrame) -> bytes:

@@ -103,6 +103,14 @@ def test_block_llrs_equal_soft_copy_rows():
             assert np.array_equal(block[t, k], np.concatenate([w.pilots, w.payload]))
     with pytest.raises(ValueError):
         soft_copy(np.zeros(7, dtype=np.uint8), payload[0], L, 1.0, again)
+    # the +-1 symbols formed in a caller's scratch block give the same bytes
+    scratch = np.full_like(noise, np.nan)
+    again = np.random.default_rng(9)
+    noise = np.array([[again.normal(0.0, np.sqrt(s2), L + M) for s2 in sigma2]
+                      for _ in range(3)])
+    in_scratch = scrambled_llrs(seeds, payload[:, None, :], L, noise, sigma2, scratch)
+    assert in_scratch.tobytes() == block.tobytes()
+    assert np.isin(scratch, (-1.0, 1.0)).all()
 
 
 def test_transmit_detection_loss():

@@ -72,3 +72,16 @@ def test_block_combine_equals_ssic_combine_per_packet():
     for b in range(5):
         copies = [StreamSoftCopy(k, block[b, k]) for k in range(3)]
         assert np.array_equal(out[b], ssic_combine(copies))
+
+
+def test_block_combine_into_out_equals_a_fresh_total():
+    """out= is zeroed before the streams are added, so stale contents never
+    leak in and a -0.0 LLR sums to +0.0, as in a fresh total."""
+    rng = np.random.default_rng(7)
+    block = np.clip(rng.normal(0.0, 8.0, (5, 3, 200)), -LLR_MAX, LLR_MAX)
+    block[:, :, :4] = [0.0, -0.0, LLR_MAX, -LLR_MAX]
+    out = np.full((8, 200), np.nan)
+    got = combine_streams(block, out=out[:5])
+    assert np.shares_memory(got, out)
+    assert out[:5].tobytes() == combine_streams(block).tobytes()
+    assert not np.signbit(out[:5, :2]).any() and np.isnan(out[5:]).all()

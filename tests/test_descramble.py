@@ -14,7 +14,6 @@ from scipy.special import expit
 from ssic.descramble import (
     N_SEEDS,
     SeedPosterior,
-    _mix_mask,
     hd,
     hd_rows,
     hrsx,
@@ -29,7 +28,8 @@ from ssic.descramble import (
     srsx_rows,
     z_sequence_table,
 )
-from ssic.scrambler import lfsr_run, make_pilots, mask_matrix, scramble, seed_from_int
+from ssic.scrambler import (lfsr_run, make_pilots, mask_matrix, register_outputs, scramble,
+                            seed_from_int)
 from ssic.softbits import LLR_MAX, SoftWord, flip_by_mask, hard_decide
 
 
@@ -302,9 +302,10 @@ def test_row_kernels_equal_single_word_functions_row_by_row():
         assert np.array_equal(naive_out[i], naive_sd(word))
         assert np.array_equal(hd_out[i], hd(hard[i]))
     # the mix is elementwise: a block equals its rows exactly
-    mixed = _mix_mask(payload, q)
+    mixed = mix_mask_oracle(payload, q)
+    assert np.array_equal(srsx_out, mixed)
     for i in range(len(words)):
-        assert np.array_equal(mixed[i], _mix_mask(payload[i], q[i]))
+        assert np.array_equal(mixed[i], mix_mask_oracle(payload[i], q[i]))
 
 
 def test_row_kernels_match_brute_force_oracles():
@@ -341,3 +342,124 @@ def test_row_kernels_validate_shapes():
         seed_log_weights(np.zeros((3, 16)), mask_matrix(7))
     with pytest.raises(ValueError):
         hd_rows(np.zeros((2, 6), dtype=np.uint8))
+
+
+# ---------------------------------------------- out= kernels against oracles
+# The formulas the row kernels had before they took out= and kept the mask
+# per phase, copied here verbatim as oracles: the kernels must reproduce
+# them byte for byte.
+
+def flip_oracle(payload, states, start):
+    return np.where(register_outputs(states, payload.shape[1], start), -payload, payload)
+
+
+def mix_mask_oracle(payload, q):
+    y, q = payload, np.asarray(q, dtype=np.float64)
+    soft = (q > 0.0) & (q < 1.0)
+    if not soft.any():
+        return y * (2.0 * q - 1.0)
+    e = np.exp(y)
+    num = q * e
+    num += 1.0 - q
+    den = e
+    den *= 1.0 - q
+    den += q
+    mixed = np.log(num, out=num)
+    mixed -= np.log(den, out=den)
+    np.clip(mixed, -LLR_MAX, LLR_MAX, out=mixed)
+    return mixed if soft.all() else np.where(soft, mixed, y * (2.0 * q - 1.0))
+
+
+def oracle_log_weights(rng, kind, n, L):
+    """(n, 127) log-posteriors whose mask probabilities are all 0/1 ("hard"),
+    all soft ("soft"), exact 0/1 at some phases and soft at others
+    ("partly"), or a block mixing those rows ("mixed")."""
+    with np.errstate(divide="ignore"):
+        if kind == "hard":
+            lw = np.full((n, N_SEEDS), -np.inf)
+            lw[np.arange(n), rng.integers(0, N_SEEDS, n)] = 0.0
+            return lw
+        if kind == "soft":
+            return np.log(rng.dirichlet(np.ones(N_SEEDS), n))
+        if kind == "partly":
+            # equal mass on a few seeds, or the posterior of clean pilots, where
+            # the MAP seed's mass rounds q to exactly 1 but not to exactly 0
+            lw = np.full((n, N_SEEDS), -np.inf)
+            for i in range(n):
+                if i % 2:
+                    seeds = rng.choice(N_SEEDS, int(rng.integers(2, 5)), replace=False)
+                    lw[i, seeds] = -np.log(seeds.size)
+                else:
+                    v = int(rng.integers(1, 128))
+                    pilots = flip_by_mask(np.full(L, LLR_MAX), make_pilots(seed_from_int(v), L))
+                    lw[i] = seed_log_weights(pilots[None], mask_matrix(L))[0]
+            return lw
+    kinds = ("hard", "soft", "partly")
+    return np.vstack([oracle_log_weights(rng, kinds[i % 3], 1, L) for i in range(n)])
+
+
+def oracle_payload(rng, n, M):
+    """Clamped LLRs holding +-0.0 and +-LLR_MAX among ordinary values."""
+    p = np.clip(rng.normal(0.0, 8.0, (n, M)), -LLR_MAX, LLR_MAX)
+    special = np.array([0.0, -0.0, LLR_MAX, -LLR_MAX])
+    idx = rng.integers(0, M, min(M, 8) * n)
+    p[np.repeat(np.arange(n), min(M, 8)), idx] = rng.choice(special, idx.size)
+    return p
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("L", [7, 16, 126, 127, 200])
+@pytest.mark.parametrize("kind", ["hard", "soft", "partly", "mixed"])
+def test_out_kernels_equal_oracles_byte_for_byte(L, kind):
+    rng = np.random.default_rng(L * 10 + len(kind))
+    for M in (1, 50, 126, 127, 254, 381, 1000):
+        for n in (1, 5):
+            lw = oracle_log_weights(rng, kind, n, L)
+            pilots, payload = rng.normal(0.0, 6.0, (n, L)), oracle_payload(rng, n, M)
+            # strided payload rows, as the sweep passes them
+            payload = np.concatenate([pilots, payload], axis=1)[:, L:]
+            q = mask_zero_probs(np.exp(lw), L, M)
+            assert same_bytes(srsx_rows(lw, payload, L), mix_mask_oracle(payload, q))
+            llrs, idx = hrsx_rows(lw, payload, L)
+            assert same_bytes(llrs, flip_oracle(payload, idx + 1, L))
+            states = hard_decide(pilots[:, -7:]).astype(np.intp) @ (1 << np.arange(7))
+            assert same_bytes(naive_rows(pilots, payload), flip_oracle(payload, states, 0))
+
+
+def test_oracle_cases_cover_exact_and_soft_mask_probabilities():
+    rng = np.random.default_rng(40)
+    L, M = 16, 300
+    q = {k: mask_zero_probs(np.exp(oracle_log_weights(rng, k, 6, L)), L, M)
+         for k in ("hard", "soft", "partly")}
+    assert np.isin(q["hard"], (0.0, 1.0)).all()
+    assert ((q["soft"] > 0.0) & (q["soft"] < 1.0)).all()
+    assert (q["partly"] == 0.0).any() and (q["partly"] == 1.0).any()
+    assert ((q["partly"] > 0.0) & (q["partly"] < 1.0)).any()
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "partly", "mixed"])
+def test_out_kernels_write_a_short_last_block_in_place(kind):
+    """A short block written into the leading rows of the full-size buffers
+    equals the oracle, and the rows past it are left alone."""
+    rng = np.random.default_rng(41)
+    L, M, rows, b = 16, 600, 8, 3
+    out, scratch = np.full((rows, M), 7.0), np.full((2, rows, M), 7.0)
+    lw = oracle_log_weights(rng, kind, b, L)
+    pilots, payload = rng.normal(0.0, 6.0, (b, L)), oracle_payload(rng, b, M)
+    q = mask_zero_probs(np.exp(lw), L, M)
+    states = hard_decide(pilots[:, -7:]).astype(np.intp) @ (1 << np.arange(7))
+    cases = [
+        (lambda o: srsx_rows(lw, payload, L, out=o, scratch=scratch[:, :b]),
+         mix_mask_oracle(payload, q)),
+        (lambda o: hrsx_rows(lw, payload, L, out=o)[0],
+         flip_oracle(payload, np.argmax(lw, axis=1) + 1, L)),
+        (lambda o: naive_rows(pilots, payload, out=o), flip_oracle(payload, states, 0)),
+    ]
+    for kernel, want in cases:
+        out[:] = 7.0
+        got = kernel(out[:b])
+        assert np.shares_memory(got, out) and same_bytes(out[:b], want)
+        assert (out[b:] == 7.0).all() and (scratch[:, b:] == 7.0).all()

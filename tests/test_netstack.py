@@ -26,7 +26,7 @@ from ssic.netstack import (
 )
 from ssic.scrambler import scramble, seed_from_int
 from ssic.softbits import SoftWord
-from ssic.vcframe import encapsulate, frame_to_bits
+from ssic.vcframe import encapsulate, frame_to_bits, with_stream_addr
 
 L = 16
 MAG = 6.0
@@ -100,6 +100,19 @@ def test_dispatched_frames_differ_only_in_the_address():
         assert int("".join(map(str, b[:48])), 2) == addr
         assert np.array_equal(b[48:], alone[48:])
     assert np.array_equal(bits[0], alone)
+
+
+@pytest.mark.parametrize("first", [0, 0x020000000001, (1 << 48) - 1])
+def test_stamped_addresses_equal_each_streams_frame_bits(first):
+    """run_network_point unpacks a packet once and stamps each stream's
+    address into a copy: the bits must be those of that stream's frame."""
+    addrs = [first, 0, 0x020000000001, (1 << 48) - 1]
+    frames = [f for _, f in dispatch(b"\x00\xa5" * 700, vci=3, next_vcs=9, stream_addrs=addrs)]
+    wire = frame_to_bits(frames[0])
+    for f in frames:
+        stamped = with_stream_addr(wire, f.stream_addr)
+        assert stamped.dtype == np.uint8 and stamped.tobytes() == frame_to_bits(f).tobytes()
+    assert wire.tobytes() == frame_to_bits(frames[0]).tobytes()  # stamping copies
 
 
 def test_hard_copy_delivers_then_duplicates_drop():

@@ -106,6 +106,19 @@ def test_seed_int_round_trip():
         seed_from_int(-1)
 
 
+def test_seed_int_conversions_equal_the_bitwise_forms():
+    for v in range(128):
+        want = np.array([(v >> j) & 1 for j in range(LFSR_LEN)], dtype=np.uint8)
+        s = seed_from_int(v)
+        assert s.dtype == np.uint8 and s.tobytes() == want.tobytes()
+        assert seed_to_int(s) == int(sum(int(b) << j for j, b in enumerate(want)))
+        assert type(seed_to_int(s)) is int
+    # each call returns a private copy of the cached table row
+    s = seed_from_int(5)
+    s[:] = 0
+    assert seed_to_int(seed_from_int(5)) == 5 and seed_from_int(5).flags.writeable
+
+
 def test_all_seeds_table():
     m = all_seeds()
     assert m.shape == (127, 7) and m.dtype == np.uint8
