@@ -21,11 +21,14 @@ descrambling (register preloaded from the last 7 pilot decisions)
 reproduces the transmitted payload.  It never false-accepts.  transmit
 decides this clean/soft split from the signs of the received samples y,
 which are the signs of the LLRs 2y/sigma^2; the LLRs are computed only for
-a soft frame, the one case that hands them upward.
+a soft frame, the one case that hands them upward.  Most frames at a useful
+SNR are passed as clean from the size of their noise alone, before the
+word is scrambled (see transmit).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +134,20 @@ def scrambled_llrs(seed_ints, payload_bits: np.ndarray, L: int, noise: np.ndarra
     return np.clip(llrs, -LLR_MAX, LLR_MAX, out=llrs)
 
 
+def _checked_seed(seed: np.ndarray) -> np.ndarray:
+    s = np.asarray(seed, dtype=np.uint8)
+    if s.shape != (LFSR_LEN,) or not s.any():
+        raise ValueError(f"seed must be a nonzero ({LFSR_LEN},) bit vector")
+    return s
+
+
+def _checked_payload(payload_bits: np.ndarray) -> np.ndarray:
+    payload = np.asarray(payload_bits, dtype=np.uint8)
+    if payload.ndim != 1:
+        raise ValueError("payload_bits must be one-dimensional")
+    return payload
+
+
 def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
               rng: np.random.Generator) -> SoftWord:
     """Scramble, transmit over plain AWGN, and split into pilot/payload LLRs.
@@ -138,16 +155,29 @@ def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
     The one-word case of scrambled_llrs, drawing its own noise: no
     detection loss, no bursts, no CRC short-circuit.
     """
-    s = np.asarray(seed, dtype=np.uint8)
-    if s.shape != (LFSR_LEN,) or not s.any():
-        raise ValueError(f"seed must be a nonzero ({LFSR_LEN},) bit vector")
-    payload = np.asarray(payload_bits, dtype=np.uint8)
-    if payload.ndim != 1:
-        raise ValueError("payload_bits must be one-dimensional")
+    s = _checked_seed(seed)
+    payload = _checked_payload(payload_bits)
     sigma2 = snr_db_to_sigma2(snr_db)
     noise = rng.normal(0.0, np.sqrt(sigma2), L + payload.size)
     llrs = scrambled_llrs(seed_to_int(s), payload, L, noise, sigma2)
     return SoftWord(pilots=llrs[:L], payload=llrs[L:])
+
+
+@functools.lru_cache(maxsize=64)
+def clean_noise_bound(sigma2: float) -> float:
+    """The largest double t with fl(t * sqrt(sigma2)) < 1.
+
+    fl(sqrt(sigma2) * z) is monotone in z, so every standard normal sample
+    with |z| <= t scales to noise of magnitude below 1, which cannot move
+    a +-1 symbol across zero: fl(w + 1) >= 0 and fl(w - 1) < 0 for |w| < 1.
+    """
+    s = np.sqrt(sigma2)
+    t = 1.0 / s
+    while t * s < 1.0:
+        t = np.nextafter(t, np.inf)
+    while t * s >= 1.0:
+        t = np.nextafter(t, -np.inf)
+    return float(t)
 
 
 def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: ChannelParams,
@@ -164,34 +194,50 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     from their signs: y < 0 exactly where 2y/sigma^2 < 0, since y is never
     subnormal.  Only a soft frame scales y into LLRs.  sigma^2 is a scalar
     unless a burst window was drawn.
+
+    With a scalar sigma^2, a frame whose standard normal draws from the
+    last 7 pilots on all have |z| <= clean_noise_bound(sigma^2) keeps the
+    sign of every symbol there, whatever was sent: it is clean, and neither
+    the scrambled word nor y is formed.  The draws are the same either way.
     """
-    payload = np.asarray(payload_bits, dtype=np.uint8)
     if rng.random() < params.detection_loss_prob:
         return StreamObservation(stream_id=stream_id, detected=False)
 
-    tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
-    n = tx.size
+    seed, payload = _checked_seed(seed), _checked_payload(payload_bits)
+    n = L + payload.size
     sigma2 = snr_db_to_sigma2(params.snr_db)
-    if params.burst_prob > 0.0 and rng.random() < params.burst_prob:
+    burst = params.burst_prob > 0.0 and rng.random() < params.burst_prob
+    if burst:
         start = int(rng.integers(0, n))
         length = int(rng.geometric(1.0 / params.burst_len_mean))
         sigma2 = np.full(n, sigma2)
         sigma2[start:start + length] /= params.burst_llr_atten
     y = rng.standard_normal(n)
+    if not burst:
+        tail, t = y[L - LFSR_LEN:], clean_noise_bound(sigma2)
+        if tail.max() <= t and tail.min() >= -t:
+            return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
+                                     hard_bits=payload.copy())
+
+    tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
     y *= np.sqrt(sigma2)
     y += 1.0 - 2.0 * tx
 
     # hard decisions from the last 7 pilots on; when they all equal what was
     # sent, the preloaded register is the true one and descrambling
-    # reproduces the payload, so hd runs only for a frame with an error there
+    # reproduces the payload.  When only the 7 pilot decisions are right, it
+    # reproduces the payload with its decision errors: soft.  So hd runs only
+    # for a frame with a wrong pilot decision there.
     hard = (y[L - LFSR_LEN:] < 0).view(np.uint8)
-    if hard.tobytes() == tx[L - LFSR_LEN:].tobytes():
+    sent = tx[L - LFSR_LEN:]
+    if hard.tobytes() == sent.tobytes():
         return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
                                  hard_bits=payload.copy())
-    descrambled = hd(hard)
-    if (descrambled == payload).all():
-        return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
-                                 hard_bits=descrambled)
+    if hard[:LFSR_LEN].tobytes() != sent[:LFSR_LEN].tobytes():
+        descrambled = hd(hard)
+        if (descrambled == payload).all():
+            return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
+                                     hard_bits=descrambled)
     # the matched LLRs 2y/sigma^2, left unclamped: SoftWord clamps what it stores
     y *= 2.0
     y /= sigma2

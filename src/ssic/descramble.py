@@ -278,14 +278,20 @@ def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
     return mixed
 
 
-def naive_sd(word: SoftWord) -> np.ndarray:
+def _row(block: np.ndarray | None) -> np.ndarray | None:
+    """A one-word array as a block of one row (None stays None)."""
+    return None if block is None else block[None]
+
+
+def naive_sd(word: SoftWord, out: np.ndarray | None = None) -> np.ndarray:
     """Soft descrambling from hard pilot decisions alone.
 
     Register preload comes from the last 7 pilot LLR signs; payload LLRs are
     sign-flipped by the implied mask.  Magnitudes are untouched, so one wrong
-    pilot decision silently inverts about half the payload.
+    pilot decision silently inverts about half the payload.  The result is
+    written into out, an (M,) float array, when it is given.
     """
-    return naive_rows(word.pilots[None], word.payload[None])[0]
+    return naive_rows(word.pilots[None], word.payload[None], _row(out))[0]
 
 
 def _log_weights(word: SoftWord, A: np.ndarray | None,
@@ -296,20 +302,27 @@ def _log_weights(word: SoftWord, A: np.ndarray | None,
 
 
 def hrsx(word: SoftWord, A: np.ndarray | None = None,
-         posterior: SeedPosterior | None = None) -> tuple[np.ndarray, np.ndarray]:
+         posterior: SeedPosterior | None = None,
+         out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hard re-scrambling: MAP seed from the pilot posterior, then sign flips.
 
-    Returns (descrambled payload LLRs, estimated seed bits).
+    Returns (descrambled payload LLRs, estimated seed bits); the LLRs are
+    written into out, an (M,) float array, when it is given.
     """
-    llrs, idx = hrsx_rows(_log_weights(word, A, posterior)[None], word.payload[None], word.L)
+    llrs, idx = hrsx_rows(_log_weights(word, A, posterior)[None], word.payload[None], word.L,
+                          _row(out))
     return llrs[0], seed_from_int(int(idx[0]) + 1)
 
 
 def srsx(word: SoftWord, A: np.ndarray | None = None,
-         posterior: SeedPosterior | None = None) -> np.ndarray:
+         posterior: SeedPosterior | None = None,
+         out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Soft re-scrambling: mix each payload LLR with the mask-bit posterior.
 
     A certain posterior gives hrsx's sign flips exactly; an uninformative
-    one drives the output toward 0.
+    one drives the output toward 0.  out, an (M,) float array, receives the
+    result and scratch, a (2, M) one, holds the mix (see srsx_rows); either
+    is allocated when not given.
     """
-    return srsx_rows(_log_weights(word, A, posterior)[None], word.payload[None], word.L)[0]
+    return srsx_rows(_log_weights(word, A, posterior)[None], word.payload[None], word.L,
+                     _row(out), None if scratch is None else scratch[:, None])[0]

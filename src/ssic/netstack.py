@@ -6,7 +6,8 @@ arrival at a time:
 
   1. clean (CRC-pass) frames skip soft processing, but still pass the
      duplicate check before delivery, so a packet is never delivered twice
-     inside the tracking window;
+     inside the tracking window; their header is read before the payload,
+     so a duplicate is dropped without unpacking it;
   2. soft frames are descrambled seed-blind (srsx by default) and their
      header is recovered by soft block decoding; an unverifiable header
      drops the copy;
@@ -44,13 +45,19 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
-from .combine import StreamSoftCopy, decide, ssic_combine
 from .descramble import hrsx, naive_sd, srsx
 from .scrambler import mask_matrix
 from .softbits import SoftWord
 from .vcframe import (FRAME_OVERHEAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, VcFrame,
-                      decode_header_soft, encapsulate, frame_from_bits, frame_to_bits,
-                      with_stream_addr)
+                      decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
+                      is_frame_length, payload_from_bits, with_stream_addr)
+
+# The per-copy entry points the aggregator used to call stay importable from
+# this module, under the names ssicbench/spans.py traces, although push no
+# longer calls them: it reads a clean copy's header and payload straight from
+# its bits and sums soft copies into one buffer.
+from .combine import ssic_combine  # noqa: F401
+from .vcframe import frame_from_bits  # noqa: F401
 
 VCS_MOD = 1 << 16
 
@@ -149,13 +156,20 @@ class Aggregator:
         self.pending: OrderedDict[FrameKey, dict[int, np.ndarray]] = OrderedDict()
         self.newest: dict[int, int] = {}  # newest delivered serial per VCI
         self.stats = AggregatorStats()
+        # row 0: a soft copy's descrambled word; rows 1-2: srsx's scratch,
+        # and then row 1 the sum of a packet's copies.  Reused by every push.
+        self._work = np.empty((3, 0))
 
     def _descramble(self, word: SoftWord) -> np.ndarray:
+        """The descrambled word, written into a work row: valid until the next push."""
+        if self._work.shape[1] != word.M:
+            self._work = np.empty((3, word.M))
+        out = self._work[0]
         if self.config.variant == "srsx":
-            return srsx(word, self.mask)
+            return srsx(word, self.mask, out=out, scratch=self._work[1:3])
         if self.config.variant == "hrsx":
-            return hrsx(word, self.mask)[0]
-        return naive_sd(word)
+            return hrsx(word, self.mask, out=out)[0]
+        return naive_sd(word, out=out)
 
     def _stale(self, key: FrameKey) -> bool:
         """True when key is window_size or more serials behind its VCI's newest delivery."""
@@ -198,13 +212,18 @@ class Aggregator:
         return key, payload
 
     def push(self, obs: StreamObservation) -> tuple[FrameKey, bytes] | None:
-        """Process one frame arrival; returns (key, packet) on delivery."""
+        """Process one frame arrival; returns (key, packet) on delivery.
+
+        A copy whose length no frame can have is dropped as header-invalid,
+        clean or soft.
+        """
         if not obs.detected:
             raise ValueError("undetected frames never reach the aggregator")
 
         if obs.crc_pass:
-            frame = frame_from_bits(obs.hard_bits)
-            header = frame.header()
+            bits = np.asarray(obs.hard_bits, dtype=np.uint8)
+            header = (header_from_bits(bits) if bits.ndim == 1 and is_frame_length(bits.size)
+                      else None)
             if header is None:
                 self.stats.header_invalid_drops += 1
                 return None
@@ -212,13 +231,13 @@ class Aggregator:
             if key in self.delivered:
                 self.stats.duplicate_drops += 1
                 return None
-            return self._deliver(key, frame.payload, combined=False)
+            return self._deliver(key, payload_from_bits(bits), combined=False)
 
         word = obs.soft
         if word.L != self.config.pilot_len:
             raise ValueError(f"observation has {word.L} pilots, config expects "
                              f"{self.config.pilot_len}")
-        if word.M < FRAME_OVERHEAD_BITS or (word.M - FRAME_OVERHEAD_BITS) % 8:
+        if not is_frame_length(word.M):
             self.stats.header_invalid_drops += 1
             return None
         llrs = self._descramble(word)
@@ -232,17 +251,20 @@ class Aggregator:
             return None
 
         payload_llrs = llrs[FRAME_OVERHEAD_BITS:]
-        stored = self.pending.get(key)
-        if stored:
-            copies = [StreamSoftCopy(sid, l) for sid, l in stored.items()
-                      if l.size == payload_llrs.size and sid != obs.stream_id]
-            copies.append(StreamSoftCopy(obs.stream_id, payload_llrs))
-            if len(copies) >= 2:
-                bits = decide(ssic_combine(copies))
-                packet = np.packbits(bits).tobytes()
-                if self.payload_check(key, packet):
-                    return self._deliver(key, packet, combined=True)
-                self.stats.combine_failures += 1
+        others = [l for sid, l in self.pending.get(key, {}).items()
+                  if l.size == payload_llrs.size and sid != obs.stream_id]
+        if others:
+            # the copies' LLR sum, stored copies first, as ssic_combine adds
+            # them; its signs are the decisions of the clamped sum
+            total = self._work[1, :payload_llrs.size]
+            np.copyto(total, others[0])
+            for l in others[1:]:
+                total += l
+            total += payload_llrs
+            packet = np.packbits(total < 0).tobytes()
+            if self.payload_check(key, packet):
+                return self._deliver(key, packet, combined=True)
+            self.stats.combine_failures += 1
         self._store(key, obs.stream_id, payload_llrs)
         return None
 
@@ -256,7 +278,7 @@ class Aggregator:
             if len(self.pending) > self.config.window_size:
                 self.pending.popitem(last=False)
                 self.stats.pending_evictions += 1
-        self.pending[key][stream_id] = payload_llrs
+        self.pending[key][stream_id] = payload_llrs.copy()
         self.stats.soft_stored += 1
 
 

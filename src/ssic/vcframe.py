@@ -325,14 +325,30 @@ def frame_to_bytes(frame: VcFrame) -> bytes:
     return np.packbits(frame_to_bits(frame)).tobytes()
 
 
+def is_frame_length(n_bits: int) -> bool:
+    """True when a frame can be n_bits long: the overhead plus a whole
+    number of payload bytes, at most MTU_PAYLOAD of them."""
+    payload_bits = n_bits - FRAME_OVERHEAD_BITS
+    return 0 <= payload_bits <= 8 * MTU_PAYLOAD and payload_bits % 8 == 0
+
+
+def header_from_bits(bits: np.ndarray) -> VcHeader | None:
+    """The header of a frame's wire bits, read without touching the payload."""
+    return decode_header_hard(bits[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS])
+
+
+def payload_from_bits(bits: np.ndarray) -> bytes:
+    """The packet bytes of a frame's wire bits."""
+    return np.packbits(bits[FRAME_OVERHEAD_BITS:]).tobytes()
+
+
 def frame_from_bits(bits: np.ndarray) -> VcFrame:
     b = np.asarray(bits, dtype=np.uint8)
-    if b.ndim != 1 or b.size < FRAME_OVERHEAD_BITS or (b.size - FRAME_OVERHEAD_BITS) % 8:
+    if b.ndim != 1 or not is_frame_length(b.size):
         raise ValueError("malformed frame bits")
     addr = int.from_bytes(np.packbits(b[:STREAM_ADDR_BITS]).tobytes(), "big")
     coded = b[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS]
-    pay = np.packbits(b[FRAME_OVERHEAD_BITS:]).tobytes()
-    return VcFrame(addr, coded.copy(), pay)
+    return VcFrame(addr, coded.copy(), payload_from_bits(b))
 
 
 def frame_from_bytes(data: bytes) -> VcFrame:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from ssic import channel
 from ssic.channel import (
     ChannelParams,
     StreamObservation,
     bpsk_awgn_llrs,
+    clean_noise_bound,
     fresh_seed,
     scrambled_llrs,
     snr_db_to_sigma2,
@@ -215,6 +217,110 @@ def test_transmit_matches_per_position_formula(params, exact):
     assert frames == 120
     expected = {"clean", "soft"} | ({"missed"} if "detection_loss_prob" in params else set())
     assert outcomes == expected
+
+
+class ScriptedRng:
+    """Stands in for a Generator: hands out chosen draws and logs each call.
+
+    standard_normal(n) and normal(0, 1, n) both return the scripted samples,
+    so transmit and _oracle_transmit see the same noise.
+    """
+
+    def __init__(self, z, uniforms, ints=(), lengths=()):
+        self.z, self.calls = z, []
+        self.uniforms, self.ints, self.lengths = list(uniforms), list(ints), list(lengths)
+
+    def random(self):
+        self.calls.append("random")
+        return self.uniforms.pop(0)
+
+    def integers(self, low, high):
+        self.calls.append(("integers", low, high))
+        return self.ints.pop(0)
+
+    def geometric(self, p):
+        self.calls.append(("geometric", p))
+        return self.lengths.pop(0)
+
+    def standard_normal(self, n):
+        assert n == self.z.size
+        self.calls.append(("normal", n))
+        return self.z.copy()
+
+    def normal(self, loc, scale, n):
+        assert (loc, scale, n) == (0.0, 1.0, self.z.size)
+        self.calls.append(("normal", n))
+        return self.z.copy()
+
+
+@pytest.mark.parametrize("sigma2", [snr_db_to_sigma2(s) for s in (-3.0, 0.0, 6.0, 10.2, 14.0)]
+                         + [0.3, 1e-3])
+def test_clean_noise_bound_is_the_last_double_below_one(sigma2):
+    t, s = clean_noise_bound(sigma2), np.sqrt(sigma2)
+    assert t * s < 1.0 <= np.nextafter(t, np.inf) * s
+    # the same products elementwise, as transmit scales its draws
+    z = np.array([t, -t, np.nextafter(t, np.inf)]) * s
+    assert abs(z[0]) < 1.0 and abs(z[1]) < 1.0 and z[2] >= 1.0
+
+
+BURST = dict(burst_prob=1.0, burst_llr_atten=0.25, burst_len_mean=40.0)
+
+
+@pytest.mark.parametrize("case,burst,screened,clean", [
+    ("max at t, min at -t", False, True, True),
+    ("just above t where a +1 was sent", False, False, True),
+    ("just above t where a -1 was sent", False, False, False),
+    ("pilot L-7 flipped", False, False, False),
+    ("pilot L-7 flipped, payload errors undo it", False, False, True),
+    ("burst drawn", True, False, True),
+])
+def test_clean_screen_is_exact_at_its_edges(monkeypatch, case, burst, screened, clean):
+    """The screen passes a frame as clean from |z| <= t alone; everywhere it
+    must agree with the per-position formula and draw exactly as it does."""
+    L, seed = 16, seed_from_int(37)
+    payload = np.random.default_rng(1).integers(0, 2, 200, dtype=np.uint8)
+    params = ChannelParams(snr_db=10.0, **(BURST if burst else {}))
+    sigma2 = snr_db_to_sigma2(10.0)
+    t = clean_noise_bound(sigma2)
+    tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
+    n = tx.size
+    z = np.clip(np.random.default_rng(2).standard_normal(n), -t / 2, t / 2)
+    one, zero = L + int(np.argmax(tx[L:] == 1)), L + int(np.argmax(tx[L:] == 0))
+    if case == "max at t, min at -t":
+        z[one], z[zero] = t, -t
+    elif case == "just above t where a +1 was sent":
+        z[zero] = np.nextafter(t, np.inf)
+    elif case == "just above t where a -1 was sent":
+        z[one] = np.nextafter(t, np.inf)
+    elif case.startswith("pilot L-7 flipped"):
+        flip = [L - 7]
+        if case.endswith("undo it"):
+            # the payload decisions that the wrong register preload descrambles
+            # back into the payload
+            wrong = tx[L - 7:L] ^ np.eye(1, 7, 0, dtype=np.uint8)[0]
+            blank = np.zeros(payload.size, dtype=np.uint8)
+            diff = hd(np.concatenate([tx[L - 7:L], blank])) ^ hd(np.concatenate([wrong, blank]))
+            flip += list(L + np.flatnonzero(diff))
+        z[flip] = -10.0 * t * (1.0 - 2.0 * tx[flip])
+    script = dict(uniforms=[0.5, 0.0], ints=[n // 3], lengths=[60])
+
+    scrambles = []
+    monkeypatch.setattr(channel, "scramble",
+                        lambda *a: scrambles.append(1) or scramble(*a))
+    rng, ref_rng = ScriptedRng(z, **script), ScriptedRng(z, **script)
+    obs = transmit(seed, payload, L, params, rng)
+    ref = _oracle_transmit(seed, payload, L, params, ref_rng)
+    assert rng.calls == ref_rng.calls
+    assert rng.calls[-1] == ("normal", n) and len(rng.calls) == (5 if burst else 2)
+    assert (not scrambles) == screened
+
+    hard = hard_decide(ref)
+    bits = hd(np.concatenate([hard[L - 7:L], hard[L:]]))
+    assert obs.crc_pass == np.array_equal(bits, payload) == clean
+    if clean:
+        assert np.array_equal(obs.hard_bits, bits)
+    else:
+        assert np.array_equal(np.concatenate([obs.soft.pilots, obs.soft.payload]), ref)
 
 
 def test_transmit_rejects_bad_seeds():

@@ -12,6 +12,8 @@ import pytest
 
 from ssic import netstack
 from ssic.channel import ChannelParams, StreamObservation
+from ssic.combine import StreamSoftCopy, decide, ssic_combine
+from ssic.descramble import hrsx, naive_sd, srsx
 from ssic.netstack import (
     Aggregator,
     AggregatorConfig,
@@ -24,8 +26,8 @@ from ssic.netstack import (
     run_network_point,
     vcs_newer,
 )
-from ssic.scrambler import scramble, seed_from_int
-from ssic.softbits import SoftWord
+from ssic.scrambler import mask_matrix, scramble, seed_from_int
+from ssic.softbits import LLR_MAX, SoftWord
 from ssic.vcframe import encapsulate, frame_to_bits, with_stream_addr
 
 L = 16
@@ -201,6 +203,75 @@ def test_malformed_soft_payload_length_dropped(monkeypatch):
     with pytest.raises(ValueError, match="pilots"):
         agg.push(short)
     assert agg.stats.header_invalid_drops == 1
+
+
+@pytest.mark.parametrize("n_bits", [500, 495, 496 + 8 * 1501])
+def test_malformed_clean_copy_dropped(n_bits):
+    """A clean copy whose bits no frame can have is dropped as header-invalid,
+    as a malformed soft copy is, instead of raising."""
+    agg = make_agg({K1: P1})
+    bits = np.zeros(n_bits, dtype=np.uint8)
+    bits[:min(n_bits, 496 + 8 * len(P1))] = hard_obs(K1, P1, 0).hard_bits[:n_bits]
+    obs = StreamObservation(stream_id=0, detected=True, crc_pass=True, hard_bits=bits)
+    assert agg.push(obs) is None
+    assert agg.stats.header_invalid_drops == 1 and agg.stats.delivered == 0
+    assert agg.push(hard_obs(K1, P1, 1)) == (K1, P1)
+
+
+def soft_obs_descrambling_to(key: FrameKey, sid: int,
+                             payload_llrs: np.ndarray) -> StreamObservation:
+    """A soft copy whose payload LLRs, sign-flipped by the true mask, are
+    payload_llrs exactly (+-1 products are exact, -0.0 included)."""
+    wire = frame_to_bits(encapsulate(bytes(payload_llrs.size // 8), key.vci, key.vcs, sid))
+    bits = np.concatenate([np.zeros(L, dtype=np.uint8), wire])
+    signs = 1.0 - 2.0 * scramble(seed_from_int(5), bits)
+    llrs = signs * MAG
+    mask_signs = signs[L + 496:] * (1.0 - 2.0 * wire[496:])  # 1 - 2 * mask bit
+    llrs[L + 496:] = payload_llrs * mask_signs
+    return StreamObservation(stream_id=sid, detected=True, crc_pass=False,
+                             soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))
+
+
+@pytest.mark.parametrize("variant", ["naive", "hrsx", "srsx"])
+def test_combined_decisions_equal_ssic_combine(variant):
+    """The aggregator sums a packet's copies in one buffer and decides from
+    the signs; its decisions must be those of ssic_combine of the same
+    copies in the same order: stored copies first, in the order their
+    streams were first stored, then the arriving one."""
+    rng = np.random.default_rng(11)
+    M = 256
+    a, b, a2, c = (np.clip(rng.normal(0.0, 8.0, M), -LLR_MAX, LLR_MAX) for _ in range(4))
+    a[:4], b[:4] = [-0.0, -0.0, 0.0, 7.5], [-0.0, 0.0, -0.0, -7.5]  # signed zeros, a = -b
+    a[4:8], b[4:8], c[4:8] = LLR_MAX, LLR_MAX, LLR_MAX  # sums beyond +-LLR_MAX
+    a2[4:8], c[8:12] = -LLR_MAX, -LLR_MAX
+    # sums whose sign depends on the order of the additions
+    a2[12:16], b[12:16], c[12:16] = 0.1, 0.2, -0.30000000000000004
+    a[12:16] = 0.1
+    assert (0.2 + 0.1) + -0.30000000000000004 == 0.0 > (0.2 + -0.30000000000000004) + 0.1
+
+    seen = []
+    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=64),
+                     payload_check=lambda k, p: seen.append(p) or False)
+    descramble = {"naive": naive_sd, "hrsx": lambda w: hrsx(w, mask_matrix(L))[0],
+                  "srsx": lambda w: srsx(w, mask_matrix(L))}[variant]
+    arrivals = [(0, a), (1, b), (0, a2), (2, c)]  # stream 0's second copy replaces its first
+    words = {}
+    expected = []
+    for sid, llrs in arrivals:
+        obs = soft_obs_descrambling_to(K1, sid, llrs)
+        mine = descramble(obs.soft)[496:]
+        if variant != "srsx":
+            assert mine.tobytes() == llrs.tobytes()
+        others = [StreamSoftCopy(s, w) for s, w in words.items() if s != sid]
+        if others:
+            bits = decide(ssic_combine(others + [StreamSoftCopy(sid, mine)]))
+            expected.append(np.packbits(bits).tobytes())
+        words[sid] = mine
+        assert agg.push(obs) is None
+    assert seen == expected and len(expected) == 3
+    assert agg.stats.combine_failures == 3 and list(agg.pending[K1]) == [0, 1, 2]
+    for sid, w in words.items():  # the stored copies are the latest of each stream
+        assert agg.pending[K1][sid].tobytes() == w.tobytes()
 
 
 def test_garbage_header_dropped():
