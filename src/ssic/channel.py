@@ -57,6 +57,13 @@ class ChannelParams:
     burst_llr_atten: float = 1.0
 
     def __post_init__(self):
+        try:  # Python floats raise where numpy's would warn
+            sigma2 = snr_db_to_sigma2(float(self.snr_db))
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = np.nan
+        if not 0.0 < sigma2 < np.inf:
+            raise ValueError(f"snr_db: the noise variance at {self.snr_db} dB is not a "
+                             "finite positive double")
         if not 0.0 <= self.detection_loss_prob <= 1.0:
             raise ValueError(f"detection_loss_prob out of [0,1]: {self.detection_loss_prob}")
         if not 0.0 <= self.burst_prob <= 1.0:
@@ -200,6 +207,8 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     sign of every symbol there, whatever was sent: it is clean, and neither
     the scrambled word nor y is formed.  The draws are the same either way.
     """
+    if L < LFSR_LEN:
+        raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
     if rng.random() < params.detection_loss_prob:
         return StreamObservation(stream_id=stream_id, detected=False)
 

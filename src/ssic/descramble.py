@@ -14,6 +14,8 @@ Four receivers, cheapest to best:
 Since log P(bit=0) - log P(bit=1) is the pilot LLR itself, the log-posterior
 of a seed is half the correlation of the pilot LLRs with that seed's +-1
 pilot pattern, up to a shared constant: one matrix product and a softmax.
+The pilot patterns are the seeds' first L register outputs, so the
+posterior needs only the pilot LLRs.
 The three LLR receivers then differ only in what they know about each mask
 bit.  naive_sd and hrsx know it for certain and flip the payload LLR's sign
 where it is 1; srsx knows its probability q and mixes it in by the boxplus
@@ -21,10 +23,13 @@ rule, which reduces to the same flip where q is 0 or 1.
 
 The mask has period 127, so the row kernels keep what they know of it per
 phase: +-1 signs or q as (n, 127) tables, copied into (n, M) blocks a
-period at a time.  srsx tests q for softness on those 127 phases, not on
-every payload position.  The kernels write into caller-owned blocks (out=,
-and a (2, n, M) scratch for srsx), so a sweep reuses the same memory block
-after block; without them they allocate.
+period at a time (scrambler.fill_by_phase).  srsx tests q for softness on
+those 127 phases, not on every payload position.  The kernels write into
+caller-owned blocks (out=, and a (2, n, M) scratch for srsx), so a sweep
+reuses the same memory block after block; without them they allocate.
+
+The pilot codebook and the per-phase tables are all read off the
+scrambler's period table.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import (LFSR_LEN, PERIOD, all_seeds, mask_matrix, periodic_extend,
-                        register_outputs, register_states, seed_from_int)
+from .scrambler import (LFSR_LEN, PERIOD, _period_table, fill_by_phase, register_outputs,
+                        register_states, seed_from_int)
 from .softbits import LLR_MAX, SoftWord, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
@@ -75,62 +80,53 @@ class SeedPosterior:
         return cls(np.full(N_SEEDS, -np.log(N_SEEDS)))
 
 
-def seed_log_weights(pilots: np.ndarray, A: np.ndarray) -> np.ndarray:
+def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
     """Normalized seed log-posteriors of n words at once: (n, L) -> (n, 127).
 
-    For candidate seed r the pilot block would have been A @ r mod 2, with
-    +-1 pattern s_r; each pilot contributes log expit(+-y), which is y*s/2
-    up to a term shared by every seed.  So each row is the log-softmax of
-    0.5 * y @ S over the (L, 127) codebook S.
+    For candidate seed r the pilot block would have been its first L
+    register outputs, with +-1 pattern s_r; each pilot contributes
+    log expit(+-y), which is y*s/2 up to a term shared by every seed.  So
+    each row is the log-softmax of 0.5 * y @ S over the (L, 127) codebook S.
     """
     y = np.asarray(pilots, dtype=np.float64)
-    A = np.asarray(A, dtype=np.uint8)
-    if y.ndim != 2 or A.shape != (y.shape[1], LFSR_LEN):
-        raise ValueError(f"need (n, L) pilot LLRs and an (L, {LFSR_LEN}) mask matrix, "
-                         f"got {y.shape} and {A.shape}")
-    lw = 0.5 * (y @ _pilot_codebook(A.tobytes(), y.shape[1]))
+    if y.ndim != 2 or y.shape[1] < LFSR_LEN:
+        raise ValueError(f"need (n, L) pilot LLRs with L >= {LFSR_LEN}, got {y.shape}")
+    lw = 0.5 * (y @ _pilot_codebook(y.shape[1]))
     lw -= lw.max(axis=1, keepdims=True)
     lw -= np.log(np.exp(lw).sum(axis=1, keepdims=True))
     return lw
 
 
 @functools.lru_cache(maxsize=32)
-def _pilot_codebook(a_bytes: bytes, L: int) -> np.ndarray:
-    """(L, 127) +-1 pilot patterns of all seeds, for the mask matrix A given
-    by its bytes: S = 1 - 2 (A @ seeds^T mod 2)."""
-    A = np.frombuffer(a_bytes, dtype=np.uint8).reshape(L, LFSR_LEN)
-    S = 1.0 - 2.0 * ((A @ all_seeds().T) % 2)
+def _pilot_codebook(L: int) -> np.ndarray:
+    """(L, 127) +-1 pilot patterns of all seeds: column i is 1 - 2 z over
+    the first L outputs of seed i+1.  C-contiguous, so y @ S sums in the
+    same order whatever built it."""
+    S = np.ascontiguousarray(1.0 - 2.0 * register_outputs(np.arange(1, N_SEEDS + 1), L).T)
     S.flags.writeable = False
     return S
 
 
-def seed_posterior(pilot_llrs: np.ndarray, A: np.ndarray) -> SeedPosterior:
-    """Posterior over seeds given pilot LLRs and the pilot mask matrix A."""
+def seed_posterior(pilot_llrs: np.ndarray) -> SeedPosterior:
+    """Posterior over seeds given one word's pilot LLRs."""
     y = np.asarray(pilot_llrs, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("pilot LLRs must be one-dimensional")
-    return SeedPosterior(seed_log_weights(y[None], A)[0])
+    return SeedPosterior(seed_log_weights(y[None])[0])
 
 
-@functools.lru_cache(maxsize=1)
-def _z_table() -> np.ndarray:
-    """(127, 127) table: row i = one full output period of seed i+1."""
-    t = register_outputs(np.arange(1, N_SEEDS + 1), PERIOD)
-    t.flags.writeable = False
-    return t
+def z_sequence_table() -> np.ndarray:
+    """(127, 127) read-only table: row i = one full output period of seed i+1."""
+    return _period_table()[1:]
 
 
 @functools.lru_cache(maxsize=1)
 def _one_minus_z() -> np.ndarray:
-    """1 - _z_table() as floats: entry (i, j) is 1 where seed i+1 outputs 0
-    at phase j."""
-    t = 1.0 - _z_table()
+    """1 - z_sequence_table() as floats: entry (i, j) is 1 where seed i+1
+    outputs 0 at phase j."""
+    t = 1.0 - z_sequence_table()
     t.flags.writeable = False
     return t
-
-
-def z_sequence_table() -> np.ndarray:
-    return _z_table()
 
 
 def mask_zero_probs(weights: np.ndarray, L: int, M: int) -> np.ndarray:
@@ -141,7 +137,8 @@ def mask_zero_probs(weights: np.ndarray, L: int, M: int) -> np.ndarray:
     period; the probability is the posterior mass of the seeds whose output
     is 0 there: one product with the 0/1 table gives it at all 127 phases.
     """
-    return periodic_extend(mask_zero_by_phase(weights), L, M)
+    q = mask_zero_by_phase(weights)
+    return fill_by_phase(np.empty(q.shape[:-1] + (M,)), q, L)
 
 
 def mask_zero_by_phase(weights: np.ndarray) -> np.ndarray:
@@ -182,27 +179,9 @@ def hd(word_hard: np.ndarray) -> np.ndarray:
 def _sign_table() -> np.ndarray:
     """(128, 127) table: row v = 1 - 2 z over one output period of register
     state v, the +-1 factor that descrambles an LLR at each phase."""
-    t = 1.0 - 2.0 * register_outputs(np.arange(1 << LFSR_LEN), PERIOD)
+    t = 1.0 - 2.0 * _period_table()
     t.flags.writeable = False
     return t
-
-
-def _fill_by_phase(out: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
-    """Fill (n, M) out from the (n, 127) per-phase table: column m gets
-    phase (start + m) mod 127.
-
-    The head up to the end of the first period, then the whole periods by
-    one broadcast assignment to an (n, periods, 127) view (splitting one
-    axis is always a view), then the tail.
-    """
-    n, M = out.shape
-    start %= PERIOD
-    head = min(M, -start % PERIOD)
-    reps, tail = divmod(M - head, PERIOD)
-    out[:, :head] = table[:, start:start + head]
-    out[:, head:M - tail].reshape(n, reps, PERIOD)[...] = table[:, None, :]
-    out[:, M - tail:] = table[:, :tail]
-    return out
 
 
 def _flip(payload: np.ndarray, signs: np.ndarray, start: int,
@@ -212,7 +191,7 @@ def _flip(payload: np.ndarray, signs: np.ndarray, start: int,
     -1.0 * y is -y bit for bit (so is 1.0 * y, -0.0 included): the exact
     sign flip.
     """
-    out = _fill_by_phase(np.empty(payload.shape) if out is None else out, signs, start)
+    out = fill_by_phase(np.empty(payload.shape) if out is None else out, signs, start)
     return np.multiply(payload, out, out=out)
 
 
@@ -264,16 +243,16 @@ def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
     out = np.empty(payload.shape) if out is None else out
     num, by_phase = np.empty((2,) + payload.shape) if scratch is None else scratch
     e = np.exp(payload, out=out)
-    np.multiply(_fill_by_phase(num, q, L), e, out=num)
-    num += _fill_by_phase(by_phase, 1.0 - q, L)
+    np.multiply(fill_by_phase(num, q, L), e, out=num)
+    num += fill_by_phase(by_phase, 1.0 - q, L)
     e *= by_phase  # e becomes the denominator
-    e += _fill_by_phase(by_phase, q, L)
+    e += fill_by_phase(by_phase, q, L)
     np.log(num, out=num)
     np.log(e, out=e)
     mixed = np.subtract(num, e, out=out)
     np.clip(mixed, -LLR_MAX, LLR_MAX, out=mixed)
     if not soft.all():
-        hard = _fill_by_phase(np.empty(payload.shape, dtype=bool), ~soft, L)
+        hard = fill_by_phase(np.empty(payload.shape, dtype=bool), ~soft, L)
         np.putmask(mixed, hard, _flip(payload, 2.0 * q - 1.0, L, num))
     return mixed
 
@@ -294,28 +273,25 @@ def naive_sd(word: SoftWord, out: np.ndarray | None = None) -> np.ndarray:
     return naive_rows(word.pilots[None], word.payload[None], _row(out))[0]
 
 
-def _log_weights(word: SoftWord, A: np.ndarray | None,
-                 posterior: SeedPosterior | None) -> np.ndarray:
+def _log_weights(word: SoftWord, posterior: SeedPosterior | None) -> np.ndarray:
     if posterior is not None:
         return posterior.log_weights
-    return seed_log_weights(word.pilots[None], mask_matrix(word.L) if A is None else A)[0]
+    return seed_log_weights(word.pilots[None])[0]
 
 
-def hrsx(word: SoftWord, A: np.ndarray | None = None,
-         posterior: SeedPosterior | None = None,
+def hrsx(word: SoftWord, posterior: SeedPosterior | None = None,
          out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hard re-scrambling: MAP seed from the pilot posterior, then sign flips.
 
     Returns (descrambled payload LLRs, estimated seed bits); the LLRs are
     written into out, an (M,) float array, when it is given.
     """
-    llrs, idx = hrsx_rows(_log_weights(word, A, posterior)[None], word.payload[None], word.L,
+    llrs, idx = hrsx_rows(_log_weights(word, posterior)[None], word.payload[None], word.L,
                           _row(out))
     return llrs[0], seed_from_int(int(idx[0]) + 1)
 
 
-def srsx(word: SoftWord, A: np.ndarray | None = None,
-         posterior: SeedPosterior | None = None,
+def srsx(word: SoftWord, posterior: SeedPosterior | None = None,
          out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Soft re-scrambling: mix each payload LLR with the mask-bit posterior.
 
@@ -324,5 +300,5 @@ def srsx(word: SoftWord, A: np.ndarray | None = None,
     result and scratch, a (2, M) one, holds the mix (see srsx_rows); either
     is allocated when not given.
     """
-    return srsx_rows(_log_weights(word, A, posterior)[None], word.payload[None], word.L,
+    return srsx_rows(_log_weights(word, posterior)[None], word.payload[None], word.L,
                      _row(out), None if scratch is None else scratch[:, None])[0]

@@ -46,7 +46,6 @@ import numpy as np
 
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
 from .descramble import hrsx, naive_sd, srsx
-from .scrambler import mask_matrix
 from .softbits import SoftWord
 from .vcframe import (FRAME_OVERHEAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, VcFrame,
                       decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
@@ -151,7 +150,6 @@ class Aggregator:
             raise ValueError("the aggregator needs a payload verification predicate")
         self.config = config
         self.payload_check = payload_check
-        self.mask = mask_matrix(config.pilot_len)
         self.delivered: OrderedDict[FrameKey, None] = OrderedDict()
         self.pending: OrderedDict[FrameKey, dict[int, np.ndarray]] = OrderedDict()
         self.newest: dict[int, int] = {}  # newest delivered serial per VCI
@@ -166,9 +164,9 @@ class Aggregator:
             self._work = np.empty((3, word.M))
         out = self._work[0]
         if self.config.variant == "srsx":
-            return srsx(word, self.mask, out=out, scratch=self._work[1:3])
+            return srsx(word, out=out, scratch=self._work[1:3])
         if self.config.variant == "hrsx":
-            return hrsx(word, self.mask, out=out)[0]
+            return hrsx(word, out=out)[0]
         return naive_sd(word, out=out)
 
     def _stale(self, key: FrameKey) -> bool:

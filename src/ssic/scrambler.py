@@ -5,10 +5,12 @@ z = r0 XOR r3, shifts the register one place toward index 0, and feeds z
 back into r6.  Seeded with any nonzero state it walks the full 127-state
 cycle, so the output is an m-sequence of period 127.
 
-Because the register is linear, every scrambling bit is a fixed GF(2)
-combination of the seed bits.  mask_matrix(L) gives those combinations for
-an L-bit all-zero pilot prefix: row i of the matrix, dotted with the seed
-over GF(2), is pilot output i.
+One table holds what every register state outputs: row v of the period
+table is one output period of state v.  Every other table derives from it.
+Output n of a state is phase n mod 127 of its row (fill_by_phase), and the
+register is linear, so every scrambling bit is a fixed GF(2) combination of
+the seed bits: mask_matrix(L) gives those combinations for an L-bit
+all-zero pilot prefix, its column j being the outputs of unit state 1 << j.
 """
 
 from __future__ import annotations
@@ -70,30 +72,35 @@ def _period_table() -> np.ndarray:
     """(128, 127): row v is the first 127 output bits from register state v.
 
     r0 = LSB; the zero state is a fixed point and its row is all zeros.
+    Every state steps at once: column k of e is r0..r6 for k < 7, then
+    output k - 7, so before that output the register is e[:, k-7:k] and
+    the output is r0 XOR r3.
     """
-    rows = []
-    for v in range(1 << LFSR_LEN):
-        s = [(v >> j) & 1 for j in range(LFSR_LEN)]
-        out = []
-        for _ in range(PERIOD):
-            z = s[0] ^ s[3]
-            out.append(z)
-            s = s[1:] + [z]
-        rows.append(out)
-    t = np.array(rows, dtype=np.uint8)
+    e = np.zeros((1 << LFSR_LEN, LFSR_LEN + PERIOD), dtype=np.uint8)
+    e[:, :LFSR_LEN] = _state_bits()
+    for k in range(LFSR_LEN, LFSR_LEN + PERIOD):
+        e[:, k] = e[:, k - LFSR_LEN] ^ e[:, k - 4]
+    t = np.ascontiguousarray(e[:, LFSR_LEN:])
     t.flags.writeable = False
     return t
 
 
-def periodic_extend(rows: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Entries start .. start+n-1 of rows (..., 127) repeated with period 127."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def fill_by_phase(out: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
+    """Fill (..., n) out from the (..., 127) per-phase table: entry m gets
+    phase (start + m) mod 127.
+
+    The head up to the end of the first period, then the whole periods by
+    one broadcast assignment to a (..., periods, 127) view (splitting one
+    axis is always a view), then the tail.
+    """
+    n = out.shape[-1]
     start %= PERIOD
-    reps = -(-(start + n) // PERIOD)  # ceil
-    out = np.empty(rows.shape[:-1] + (reps, PERIOD), dtype=rows.dtype)
-    out[...] = rows[..., None, :]
-    return out.reshape(rows.shape[:-1] + (reps * PERIOD,))[..., start:start + n]
+    head = min(n, -start % PERIOD)
+    reps, tail = divmod(n - head, PERIOD)
+    out[..., :head] = table[..., start:start + head]
+    out[..., head:n - tail].reshape(out.shape[:-1] + (reps, PERIOD))[...] = table[..., None, :]
+    out[..., n - tail:] = table[..., :tail]
+    return out
 
 
 def register_outputs(states, n: int, start: int = 0) -> np.ndarray:
@@ -102,7 +109,8 @@ def register_outputs(states, n: int, start: int = 0) -> np.ndarray:
     states holds register states as integers 0..127 (r0 = LSB), in any
     shape; the result has shape states.shape + (n,).
     """
-    return periodic_extend(_period_table()[np.asarray(states)], start, n)
+    rows = _period_table()[np.asarray(states)]
+    return fill_by_phase(np.empty(rows.shape[:-1] + (n,), dtype=np.uint8), rows, start)
 
 
 def lfsr_run(state: np.ndarray, n: int) -> np.ndarray:
@@ -146,18 +154,8 @@ def make_pilots(seed: np.ndarray, L: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _mask_matrix(L: int) -> np.ndarray:
-    # Index-set recurrence: track which seed bits each output depends on.
-    # Initialize the 7 virtual outputs before the pilot block as the seed
-    # bits themselves, then every later output is the XOR of the outputs
-    # 7 and 4 steps back.
-    sets: dict[int, frozenset[int]] = {
-        -(L + LFSR_LEN) + j: frozenset([j]) for j in range(LFSR_LEN)
-    }
-    a = np.zeros((L, LFSR_LEN), dtype=np.uint8)
-    for m in range(-L, 0):
-        sm = sets[m - 7] ^ sets[m - 4]
-        sets[m] = sm
-        a[m + L, list(sm)] = 1
+    # column j: the outputs of unit state 1 << j, by linearity
+    a = register_outputs(_BIT_WEIGHTS, L).T
     a.flags.writeable = False
     return a
 

@@ -39,7 +39,7 @@ from .channel import ChannelParams, scrambled_llrs, snr_db_to_sigma2
 from .combine import combine_streams, decide
 from .descramble import N_SEEDS, hd_rows, hrsx_rows, naive_rows, seed_log_weights, srsx_rows
 from .netstack import AggregatorConfig, run_metrics, run_network_point
-from .scrambler import LFSR_LEN, mask_matrix, register_outputs
+from .scrambler import LFSR_LEN, register_outputs
 from .softbits import hard_decide
 from .vcframe import MTU_PAYLOAD
 
@@ -165,8 +165,17 @@ class SweepSpec:
                 raise ValueError("variants: the aggregator needs a soft variant")
             if self.payload_bytes < 1:
                 raise ValueError("payload_bytes: netsim needs at least 1 byte")
-        # the channel and aggregator rules live with their objects
-        self.channel_params(self.snr_grid[0])
+        # the channel and aggregator rules live with their objects.  A link is
+        # built for every stream at every grid point; the impairment fields
+        # are checked first, at 0 dB, so a failure after that is the SNR's.
+        self.channel_params(0.0)
+        for snr_db in self.snr_grid:
+            for off in self.stream_snr_offsets:
+                try:
+                    self.channel_params(snr_db + off)
+                except ValueError as e:
+                    raise ValueError(f"snr_grid: {snr_db} dB with stream_snr_offsets "
+                                     f"entry {off} dB: {e}") from None
         AggregatorConfig(window_size=self.window_size)
         if not 0.0 <= self.arrival_jitter < np.inf:
             raise ValueError(
@@ -254,14 +263,13 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
 
 
 def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator) -> dict[str, int]:
-    A = mask_matrix(spec.L)
     errors = {v: 0 for v in spec.variants}
     for _, seeds, llrs in _trial_blocks(rng, spec.trials, spec.L, 0, [snr_db]):
         seeds, pilots = seeds[:, 0], llrs[:, 0]
         # hd and naive: register estimate straight from the last 7 pilot decisions
         true_z = register_outputs(seeds, LFSR_LEN, spec.L - LFSR_LEN)
         hard_est = hard_decide(pilots[:, -LFSR_LEN:])
-        map_est = np.argmax(seed_log_weights(pilots, A), axis=1) + 1
+        map_est = np.argmax(seed_log_weights(pilots), axis=1) + 1
         wrong = {"hard": int((hard_est != true_z).any(axis=1).sum()),
                  "map": int((map_est != seeds).sum())}
         for v in spec.variants:
@@ -279,7 +287,7 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
     The work array holds the channel's +-1 symbols while a block is drawn
     and srsx's two scratch blocks after.
     """
-    A, L, K = mask_matrix(spec.L), spec.L, spec.n_streams
+    L, K = spec.L, spec.n_streams
     M = spec.payload_bytes * 8
     bit_err = {v: 0 for v in spec.variants}
     pkt_err = {v: 0 for v in spec.variants}
@@ -293,7 +301,7 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
         rows = llrs.reshape(b * K, L + M)
         pilots, words = rows[:, :L], rows[:, L:]
         out = descrambled[:b * K]
-        lw = seed_log_weights(pilots, A) if need_post else None
+        lw = seed_log_weights(pilots) if need_post else None
         for v in spec.variants:
             if v == "hd":  # n_streams == 1, checked by validate()
                 bits = hd_rows(hard_decide(np.concatenate([pilots[:, -LFSR_LEN:], words],

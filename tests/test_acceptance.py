@@ -90,14 +90,13 @@ def test_criterion_01_scrambler_mask_identity_and_involution():
 
 def test_criterion_02_posterior_matches_probability_domain_oracle():
     rng = np.random.default_rng(2024)
-    A = mask_matrix(16)
     pilots = pilot_matrix(16)
     worst = 0.0
     for _ in range(1000):
         v = int(rng.integers(1, 128))
         snr_db = float(rng.uniform(-2.0, 6.0))
         word = soft_copy(seed_from_int(v), np.zeros(0, dtype=np.uint8), 16, snr_db, rng)
-        got = seed_posterior(word.pilots, A).weights
+        got = seed_posterior(word.pilots).weights
         ref = brute_weights(word.pilots, pilots)
         np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-300)
         denom = np.maximum(ref, 1e-300)
@@ -107,13 +106,12 @@ def test_criterion_02_posterior_matches_probability_domain_oracle():
 
 def test_criterion_03_hrsx_equals_exhaustive_ml_search():
     rng = np.random.default_rng(333)
-    A = mask_matrix(16)
     pilots = pilot_matrix(16)
     for _ in range(1000):
         v = int(rng.integers(1, 128))
         snr_db = float(rng.uniform(-2.0, 5.0))
         word = soft_copy(seed_from_int(v), np.zeros(0, dtype=np.uint8), 16, snr_db, rng)
-        _, est = hrsx(word, A)
+        _, est = hrsx(word)
         brute = int(np.argmax(brute_weights(word.pilots, pilots))) + 1
         assert seed_to_int(est) == brute
     report(3, "MAP seed equals exhaustive ML search on all 1000 trials")
@@ -142,7 +140,6 @@ def test_criterion_05_seed_error_ordering_significant():
     # pinned: 20000 frames at 2.5 dB, shared noise, rng seed 42
     n_frames, snr_db = 20000, 2.5
     rng = np.random.default_rng(42)
-    A127, A16 = mask_matrix(127), mask_matrix(16)
     hd_err = np.zeros(n_frames, dtype=bool)
     e16 = np.zeros(n_frames, dtype=bool)
     e127 = np.zeros(n_frames, dtype=bool)
@@ -152,8 +149,8 @@ def test_criterion_05_seed_error_ordering_significant():
         word = soft_copy(seed, np.zeros(0, dtype=np.uint8), 127, snr_db, rng)
         true_z = make_pilots(seed, 16)
         hd_err[i] = bool((hard_decide(word.pilots[9:16]) != true_z[9:16]).any())
-        e16[i] = seed_posterior(word.pilots[:16], A16).map_index() + 1 != true_int
-        e127[i] = seed_posterior(word.pilots, A127).map_index() + 1 != true_int
+        e16[i] = seed_posterior(word.pilots[:16]).map_index() + 1 != true_int
+        e127[i] = seed_posterior(word.pilots).map_index() + 1 != true_int
     hd_rate = hd_err.mean()
     assert 0.05 <= hd_rate <= 0.2, f"HD rate {hd_rate} outside the pinned window"
     # one-sided McNemar on paired frames, 99% significance

@@ -323,6 +323,21 @@ def test_clean_screen_is_exact_at_its_edges(monkeypatch, case, burst, screened, 
         assert np.array_equal(np.concatenate([obs.soft.pilots, obs.soft.payload]), ref)
 
 
+@pytest.mark.parametrize("L", [0, 6])
+def test_transmit_rejects_short_pilot_blocks(L):
+    # with L < 7 the register preload y[L - 7:] would wrap to the frame's end
+    rng = np.random.default_rng(11)
+    with pytest.raises(ValueError, match="L must be at least 7"):
+        transmit(seed_from_int(5), np.zeros(64, dtype=np.uint8), L,
+                 ChannelParams(snr_db=-5.0), rng)
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3080.0, -3090.0, float("nan")])
+def test_channel_params_reject_snr_without_a_double_noise_variance(snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        ChannelParams(snr_db=snr_db)
+
+
 def test_transmit_rejects_bad_seeds():
     rng = np.random.default_rng(10)
     params = ChannelParams(snr_db=5.0)

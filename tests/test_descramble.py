@@ -14,6 +14,7 @@ from scipy.special import expit
 from ssic.descramble import (
     N_SEEDS,
     SeedPosterior,
+    _pilot_codebook,
     hd,
     hd_rows,
     hrsx,
@@ -28,8 +29,8 @@ from ssic.descramble import (
     srsx_rows,
     z_sequence_table,
 )
-from ssic.scrambler import (lfsr_run, make_pilots, mask_matrix, register_outputs, scramble,
-                            seed_from_int)
+from ssic.scrambler import (all_seeds, lfsr_run, make_pilots, mask_matrix, register_outputs,
+                            scramble, seed_from_int)
 from ssic.softbits import LLR_MAX, SoftWord, flip_by_mask, hard_decide
 
 
@@ -57,28 +58,34 @@ def noisy_word(rng, seed_int, L, M, snr_db=2.0):
 
 def test_posterior_matches_probability_domain_brute_force():
     rng = np.random.default_rng(5)
-    A = mask_matrix(16)
     for _ in range(120):
         word, _ = noisy_word(rng, rng.integers(1, 128), 16, 0,
                              snr_db=rng.uniform(-2, 6))
-        post = seed_posterior(word.pilots, A)
+        post = seed_posterior(word.pilots)
         ref = brute_posterior(word.pilots, 16)
         np.testing.assert_allclose(post.weights, ref, rtol=1e-9, atol=1e-300)
         assert abs(post.weights.sum() - 1.0) < 1e-9
 
 
 def test_posterior_concentrates_on_true_seed_with_clean_pilots():
-    A = mask_matrix(16)
     for v in (1, 58, 127):
         llrs = flip_by_mask(np.full(16, LLR_MAX), make_pilots(seed_from_int(v), 16))
-        post = seed_posterior(llrs, A)
+        post = seed_posterior(llrs)
         assert post.map_index() + 1 == v
         assert post.weights[v - 1] > 0.999
 
 
 def test_posterior_validates_shapes():
     with pytest.raises(ValueError):
-        seed_posterior(np.zeros(16), mask_matrix(7))
+        seed_posterior(np.zeros(6))  # fewer pilots than the register has bits
+
+
+@pytest.mark.parametrize("L", [7, 16, 127])
+def test_pilot_codebook_equals_mask_matrix_construction(L):
+    S = _pilot_codebook(L)
+    ref = 1.0 - 2.0 * ((mask_matrix(L) @ all_seeds().T) % 2)
+    assert S.dtype == ref.dtype and same_bytes(S, ref)
+    assert S.flags.c_contiguous and not S.flags.writeable
 
 
 def test_seed_posterior_delta_uniform_and_ties():
@@ -164,11 +171,10 @@ def brute_ml_seed(pilot_llrs, L):
 
 def test_hrsx_seed_matches_brute_force_ml():
     rng = np.random.default_rng(7)
-    A = mask_matrix(16)
     for _ in range(150):
         word, _ = noisy_word(rng, rng.integers(1, 128), 16, 8,
                              snr_db=rng.uniform(-2, 4))
-        _, seed_bits = hrsx(word, A)
+        _, seed_bits = hrsx(word)
         assert int(sum(int(b) << j for j, b in enumerate(seed_bits))) == \
             brute_ml_seed(word.pilots, 16)
 
@@ -219,7 +225,7 @@ def test_srsx_output_clamped_and_shrinks_toward_zero():
     for _ in range(30):
         word, _ = noisy_word(rng, rng.integers(1, 128), 16, 50,
                              snr_db=rng.uniform(-2, 6))
-        post = seed_posterior(word.pilots, mask_matrix(16))
+        post = seed_posterior(word.pilots)
         out = srsx(word, posterior=post)
         assert np.all(np.abs(out) <= LLR_MAX)
         # mixing with an uncertain mask can only lose magnitude
@@ -281,9 +287,9 @@ def noisy_block(rng, n, L, M):
 
 def test_row_kernels_equal_single_word_functions_row_by_row():
     rng = np.random.default_rng(31)
-    L, M, A = 16, 300, mask_matrix(16)
+    L, M = 16, 300
     pilots, payload, words = noisy_block(rng, 40, L, M)
-    lw = seed_log_weights(pilots, A)
+    lw = seed_log_weights(pilots)
     q = mask_zero_probs(np.exp(lw), L, M)
     srsx_out = srsx_rows(lw, payload, L)
     hrsx_out, idx = hrsx_rows(lw, payload, L)
@@ -291,12 +297,12 @@ def test_row_kernels_equal_single_word_functions_row_by_row():
     hard = hard_decide(np.concatenate([pilots[:, -7:], payload], axis=1))
     hd_out = hd_rows(hard)
     for i, word in enumerate(words):
-        post = seed_posterior(word.pilots, A)
+        post = seed_posterior(word.pilots)
         np.testing.assert_allclose(lw[i], post.log_weights, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(q[i], mask_zero_prob(post, L, M), rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(srsx_out[i], srsx(word, A), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(srsx_out[i], srsx(word), rtol=1e-10, atol=1e-12)
         assert idx[i] == post.map_index()
-        llrs, seed_bits = hrsx(word, A)
+        llrs, seed_bits = hrsx(word)
         assert np.array_equal(hrsx_out[i], llrs)
         assert np.array_equal(seed_from_int(int(idx[i]) + 1), seed_bits)
         assert np.array_equal(naive_out[i], naive_sd(word))
@@ -312,7 +318,7 @@ def test_row_kernels_match_brute_force_oracles():
     rng = np.random.default_rng(32)
     L, M = 16, 300
     pilots, payload, _ = noisy_block(rng, 30, L, M)
-    lw = seed_log_weights(pilots, mask_matrix(L))
+    lw = seed_log_weights(pilots)
     for i in range(len(pilots)):
         np.testing.assert_allclose(np.exp(lw[i]), brute_posterior(pilots[i], L),
                                    rtol=1e-9, atol=1e-300)
@@ -331,15 +337,15 @@ def test_row_kernels_match_brute_force_oracles():
         np.testing.assert_allclose(out[i], brute_srsx(payload[i], np.exp(lw[i]), L),
                                    rtol=1e-9, atol=1e-12)
     # hrsx rows pick the brute-force ML seed
-    _, idx = hrsx_rows(seed_log_weights(pilots, mask_matrix(L)), payload, L)
+    _, idx = hrsx_rows(seed_log_weights(pilots), payload, L)
     assert [int(i) + 1 for i in idx] == [brute_ml_seed(p, L) for p in pilots]
 
 
 def test_row_kernels_validate_shapes():
     with pytest.raises(ValueError):
-        seed_log_weights(np.zeros(16), mask_matrix(16))  # one word, not a block
+        seed_log_weights(np.zeros(16))  # one word, not a block
     with pytest.raises(ValueError):
-        seed_log_weights(np.zeros((3, 16)), mask_matrix(7))
+        seed_log_weights(np.zeros((3, 6)))  # fewer pilots than the register has bits
     with pytest.raises(ValueError):
         hd_rows(np.zeros((2, 6), dtype=np.uint8))
 
@@ -392,7 +398,7 @@ def oracle_log_weights(rng, kind, n, L):
                 else:
                     v = int(rng.integers(1, 128))
                     pilots = flip_by_mask(np.full(L, LLR_MAX), make_pilots(seed_from_int(v), L))
-                    lw[i] = seed_log_weights(pilots[None], mask_matrix(L))[0]
+                    lw[i] = seed_log_weights(pilots[None])[0]
             return lw
     kinds = ("hard", "soft", "partly")
     return np.vstack([oracle_log_weights(rng, kinds[i % 3], 1, L) for i in range(n)])

@@ -26,7 +26,7 @@ from ssic.netstack import (
     run_network_point,
     vcs_newer,
 )
-from ssic.scrambler import mask_matrix, scramble, seed_from_int
+from ssic.scrambler import scramble, seed_from_int
 from ssic.softbits import LLR_MAX, SoftWord
 from ssic.vcframe import encapsulate, frame_to_bits, with_stream_addr
 
@@ -252,8 +252,7 @@ def test_combined_decisions_equal_ssic_combine(variant):
     seen = []
     agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=64),
                      payload_check=lambda k, p: seen.append(p) or False)
-    descramble = {"naive": naive_sd, "hrsx": lambda w: hrsx(w, mask_matrix(L))[0],
-                  "srsx": lambda w: srsx(w, mask_matrix(L))}[variant]
+    descramble = {"naive": naive_sd, "hrsx": lambda w: hrsx(w)[0], "srsx": srsx}[variant]
     arrivals = [(0, a), (1, b), (0, a2), (2, c)]  # stream 0's second copy replaces its first
     words = {}
     expected = []

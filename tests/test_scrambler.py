@@ -14,10 +14,12 @@ from ssic.scrambler import (
     LFSR_LEN,
     PERIOD,
     all_seeds,
+    fill_by_phase,
     lfsr_run,
     lfsr_step,
     make_pilots,
     mask_matrix,
+    register_outputs,
     scramble,
     seed_from_int,
     seed_to_int,
@@ -223,3 +225,21 @@ def test_mask_matrix_is_readonly_and_cached():
     a = mask_matrix(16)
     assert not a.flags.writeable
     assert mask_matrix(16) is a
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)])
+@pytest.mark.parametrize("start", [0, 1, 126, 127, 300])
+def test_fill_by_phase_equals_modular_indexing(lead, start):
+    rng = np.random.default_rng(start)
+    table = rng.integers(0, 1000, lead + (PERIOD,))
+    for n in (0, 1, 126, 127, 128, 1000):
+        out = fill_by_phase(np.full(lead + (n,), -1), table, start)
+        assert np.array_equal(out, table[..., (start + np.arange(n)) % PERIOD])
+
+
+def test_register_outputs_match_tracer_for_every_state():
+    states = np.arange(1 << LFSR_LEN).reshape(2, 64)
+    traces = np.array([RegisterTracer(seed_from_int(v)).run(430) for v in range(128)])
+    for start, n in ((0, 0), (5, 127), (130, 300)):
+        want = traces[:, start:start + n].reshape(2, 64, n)
+        assert np.array_equal(register_outputs(states, n, start), want)

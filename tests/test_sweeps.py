@@ -184,6 +184,10 @@ def test_offsets_default_to_zero_per_stream():
      "stream_snr_offsets"),
     (dict(mode="seed_ber", snr_grid=[0.0], burst_len_mean=float("nan")), "burst_len_mean"),
     (dict(mode="seed_ber", snr_grid=[0.0], burst_len_mean=float("inf")), "burst_len_mean"),
+    (dict(mode="seed_ber", snr_grid=[4000.0]), "snr_grid"),
+    (dict(mode="netsim", snr_grid=[0.0, -4000.0]), "snr_grid"),
+    (dict(mode="netsim", snr_grid=[3000.0], n_streams=2, stream_snr_offsets=[0.0, 100.0]),
+     "stream_snr_offsets entry 100.0"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
@@ -425,6 +429,11 @@ def test_cli_error_paths(tmp_path, capsys):
     cfg.write_text(json.dumps({"mode": "seed_ber", "snr_grid": [1.0], "trials": "5"}))
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "error: trials" in capsys.readouterr().err
+    # an SNR whose noise variance no double holds is named, not an overflow
+    assert main(["sweep", "--mode", "seed_ber", "--snr-grid", "4000", "--trials", "5"]) == 2
+    assert "error: snr_grid" in capsys.readouterr().err
+    assert main(["netsim", "--snr-grid=-4000", "--trials", "2", "--payload-bytes", "10"]) == 2
+    assert "error: snr_grid" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():
