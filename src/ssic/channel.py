@@ -61,9 +61,10 @@ class ChannelParams:
             sigma2 = snr_db_to_sigma2(float(self.snr_db))
         except (OverflowError, ZeroDivisionError):
             sigma2 = np.nan
-        if not 0.0 < sigma2 < np.inf:
+        # the matched LLRs scale by 2/sigma^2, which overflows for subnormal sigma^2
+        if not (0.0 < sigma2 < np.inf and 2.0 / sigma2 < np.inf):
             raise ValueError(f"snr_db: the noise variance at {self.snr_db} dB is not a "
-                             "finite positive double")
+                             "finite positive double with a finite 2/sigma^2")
         if not 0.0 <= self.detection_loss_prob <= 1.0:
             raise ValueError(f"detection_loss_prob out of [0,1]: {self.detection_loss_prob}")
         if not 0.0 <= self.burst_prob <= 1.0:

@@ -9,10 +9,13 @@ makes small performance gaps measurable without huge trial counts.
 The payload and seed sweeps run a grid point one block of trials x streams
 at a time (BLOCK_FLOATS bounds a block).  The draws stay in the order of a
 one-word loop: per trial the payload bits, then per stream the seed and the
-noise, written into the block's arrays.  The rest runs once per block: the
-channel LLRs, one seed-posterior product for all words, the mask mix, and
-the stream sum, added in stream order as ssic_combine adds.  So the block
-size changes the speed, never the CSV.
+noise.  A draw-ahead thread makes them into the other of two preallocated
+slots while the caller works on the current block, at most one block ahead;
+it calls nothing but the point's rng, which nothing else touches meanwhile.
+The rest runs in the caller, once per block: the noise scaling, the channel
+LLRs, one seed-posterior product for all words, the mask mix, and the stream
+sum, added in stream order as ssic_combine adds.  So neither the block size
+nor the overlap changes the CSV.
 
 Two row schemas:
 
@@ -26,10 +29,14 @@ Two row schemas:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import numbers
+import os
+import queue
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -225,6 +232,62 @@ def _block_trials(trials: int, K: int, L: int, M: int) -> int:
     return max(1, min(trials, BLOCK_FLOATS // (K * (L + M + N_SEEDS))))
 
 
+def _draw_block(rng: np.random.Generator, payload: np.ndarray, seeds: np.ndarray,
+                noise: np.ndarray) -> None:
+    """Fill one block trial by trial, in the order of a one-word loop."""
+    M, K = payload.shape[1], seeds.shape[1]
+    for t in range(len(seeds)):
+        if M:
+            payload[t] = rng.integers(0, 2, M, dtype=np.uint8)
+        for k in range(K):
+            seeds[t, k] = rng.integers(1, 128)
+            rng.standard_normal(out=noise[t, k])
+
+
+def _other_cpus() -> set[int] | None:
+    """The calling thread's allowed CPUs less the one it is running on.
+
+    None where the affinity cannot be set or the CPU cannot be read (it is
+    field 39 of /proc/thread-self/stat), or where no other CPU is allowed.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        with open("/proc/thread-self/stat") as f:
+            # after the ")" that closes field 2, field 39 is at index 36
+            cpu = int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+    return os.sched_getaffinity(0) - {cpu} or None
+
+
+def _draw_ahead(rng: np.random.Generator, trials: int, slots: list,
+                free: queue.SimpleQueue, filled: queue.SimpleQueue,
+                cpus: set[int] | None) -> None:
+    """The draw-ahead thread: block after block, take a free slot and fill it.
+
+    Puts each filled slot's index on filled, or the exception that stopped
+    it, which the caller re-raises.  Returns early when it takes None from
+    free.
+    """
+    try:
+        # A new thread stays on the CPU of the thread that made it where the
+        # cpuset does not balance load (sched_load_balance = 0), and then
+        # only takes turns with the caller.  So this thread, never the
+        # caller, moves off the caller's CPU when there is another.
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+        B = len(slots[0][1])
+        for first in range(0, trials, B):
+            s = free.get()
+            if s is None:
+                return
+            _draw_block(rng, *(a[:min(B, trials - first)] for a in slots[s]))
+            filled.put(s)
+    except BaseException as e:  # raised again in the caller
+        filled.put(e)
+
+
 def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
                   stream_snr_db: list[float], work: np.ndarray | None = None):
     """Trials in blocks of B, each with K streams: yields (payload, seeds, llrs).
@@ -233,47 +296,65 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
     clamped LLRs, b <= B.  The draws are made trial by trial in the order
     of a one-word-at-a-time loop: the payload (when M > 0), then per stream
     its seed and its L+M noise samples.  Only the deterministic work after
-    the draws runs over the block, so B never changes a result.  The three
-    arrays are reused: a block is valid until the next one is drawn.  The
-    channel's +-1 symbols are formed in work, a flat float array of at
-    least B*K*(L+M) entries that the caller may use between blocks.
+    the draws runs over the block, so B never changes a result.
+
+    The draws run on a draw-ahead thread (_draw_ahead) that alternates
+    between two preallocated slots of (payload, seeds, noise): it fills the
+    next block while the caller works on this one, and no further, since
+    the slot it would fill next is the one the caller holds.  A yielded
+    block lives in its slot, the LLRs written over the noise, so it stays
+    valid until the next block is requested.  The thread is stopped and
+    joined when the generator finishes, raises or is closed, and an
+    exception it meets is raised here.  While the generator runs, nothing
+    else may use rng.  The channel's +-1 symbols are formed in work, a flat
+    float array of at least B*K*(L+M) entries that the caller may use
+    between blocks.
     """
     K = len(stream_snr_db)
     sigma2 = np.array([snr_db_to_sigma2(s) for s in stream_snr_db])
     sigma = np.sqrt(sigma2)
     B = _block_trials(trials, K, L, M)
-    payload = np.zeros((B, M), dtype=np.uint8)
-    seeds = np.zeros((B, K), dtype=np.intp)
-    noise = np.zeros((B, K, L + M))
+    slots = [(np.zeros((B, M), dtype=np.uint8), np.zeros((B, K), dtype=np.intp),
+              np.zeros((B, K, L + M))) for _ in range(2)]
     if work is None:
-        work = np.empty(noise.size)
-    for first in range(0, trials, B):
-        b = min(B, trials - first)
-        for t in range(b):
-            if M:
-                payload[t] = rng.integers(0, 2, M, dtype=np.uint8)
-            for k in range(K):
-                seeds[t, k] = rng.integers(1, 128)
-                rng.standard_normal(out=noise[t, k])
-        # rng.normal(0, sigma, n) is exactly sigma times the same standard draws
-        noise[:b] *= sigma[:, None]
-        yield (payload[:b], seeds[:b],
-               scrambled_llrs(seeds[:b], payload[:b, None, :], L, noise[:b], sigma2,
-                              work[:noise[:b].size].reshape(b, K, L + M)))
+        work = np.empty(B * K * (L + M))
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    free.put(0)
+    free.put(1)
+    drawer = threading.Thread(target=_draw_ahead, name="ssic-draw-ahead", daemon=True,
+                              args=(rng, trials, slots, free, filled, _other_cpus()))
+    drawer.start()
+    try:
+        for first in range(0, trials, B):
+            s = filled.get()
+            if isinstance(s, BaseException):
+                raise s
+            b = min(B, trials - first)
+            payload, seeds, noise = (a[:b] for a in slots[s])
+            # rng.normal(0, sigma, n) is exactly sigma times the same standard draws
+            noise *= sigma[:, None]
+            yield (payload, seeds,
+                   scrambled_llrs(seeds, payload[:, None, :], L, noise, sigma2,
+                                  work[:noise.size].reshape(b, K, L + M)))
+            free.put(s)
+    finally:
+        free.put(None)  # stops the thread at its next wait for a slot, if any
+        drawer.join()
 
 
 def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator) -> dict[str, int]:
     errors = {v: 0 for v in spec.variants}
-    for _, seeds, llrs in _trial_blocks(rng, spec.trials, spec.L, 0, [snr_db]):
-        seeds, pilots = seeds[:, 0], llrs[:, 0]
-        # hd and naive: register estimate straight from the last 7 pilot decisions
-        true_z = register_outputs(seeds, LFSR_LEN, spec.L - LFSR_LEN)
-        hard_est = hard_decide(pilots[:, -LFSR_LEN:])
-        map_est = np.argmax(seed_log_weights(pilots), axis=1) + 1
-        wrong = {"hard": int((hard_est != true_z).any(axis=1).sum()),
-                 "map": int((map_est != seeds).sum())}
-        for v in spec.variants:
-            errors[v] += wrong["hard" if v in ("hd", "naive") else "map"]
+    with contextlib.closing(_trial_blocks(rng, spec.trials, spec.L, 0, [snr_db])) as blocks:
+        for _, seeds, llrs in blocks:
+            seeds, pilots = seeds[:, 0], llrs[:, 0]
+            # hd and naive: register estimate straight from the last 7 pilot decisions
+            true_z = register_outputs(seeds, LFSR_LEN, spec.L - LFSR_LEN)
+            hard_est = hard_decide(pilots[:, -LFSR_LEN:])
+            map_est = np.argmax(seed_log_weights(pilots), axis=1) + 1
+            wrong = {"hard": int((hard_est != true_z).any(axis=1).sum()),
+                     "map": int((map_est != seeds).sum())}
+            for v in spec.variants:
+                errors[v] += wrong["hard" if v in ("hd", "naive") else "map"]
     return errors
 
 
@@ -296,28 +377,30 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
     B = _block_trials(spec.trials, K, L, M)
     descrambled, total = np.empty((B * K, M)), np.empty((B, M))
     work = np.empty(B * K * max(2 * M, L + M))
-    for payload, _, llrs in _trial_blocks(rng, spec.trials, L, M, stream_snr_db, work):
-        b = payload.shape[0]
-        rows = llrs.reshape(b * K, L + M)
-        pilots, words = rows[:, :L], rows[:, L:]
-        out = descrambled[:b * K]
-        lw = seed_log_weights(pilots) if need_post else None
-        for v in spec.variants:
-            if v == "hd":  # n_streams == 1, checked by validate()
-                bits = hd_rows(hard_decide(np.concatenate([pilots[:, -LFSR_LEN:], words],
-                                                          axis=1)))
-            else:
-                if v == "naive":
-                    naive_rows(pilots, words, out=out)
-                elif v == "hrsx":
-                    hrsx_rows(lw, words, L, out=out)
+    blocks = _trial_blocks(rng, spec.trials, L, M, stream_snr_db, work)
+    with contextlib.closing(blocks):
+        for payload, _, llrs in blocks:
+            b = payload.shape[0]
+            rows = llrs.reshape(b * K, L + M)
+            pilots, words = rows[:, :L], rows[:, L:]
+            out = descrambled[:b * K]
+            lw = seed_log_weights(pilots) if need_post else None
+            for v in spec.variants:
+                if v == "hd":  # n_streams == 1, checked by validate()
+                    bits = hd_rows(hard_decide(np.concatenate([pilots[:, -LFSR_LEN:], words],
+                                                              axis=1)))
                 else:
-                    srsx_rows(lw, words, L, out=out,
-                              scratch=work[:2 * out.size].reshape(2, b * K, M))
-                bits = decide(combine_streams(out.reshape(b, K, M), out=total[:b]))
-            wrong = (bits != payload).sum(axis=1)
-            bit_err[v] += int(wrong.sum())
-            pkt_err[v] += int((wrong > 0).sum())
+                    if v == "naive":
+                        naive_rows(pilots, words, out=out)
+                    elif v == "hrsx":
+                        hrsx_rows(lw, words, L, out=out)
+                    else:
+                        srsx_rows(lw, words, L, out=out,
+                                  scratch=work[:2 * out.size].reshape(2, b * K, M))
+                    bits = decide(combine_streams(out.reshape(b, K, M), out=total[:b]))
+                wrong = (bits != payload).sum(axis=1)
+                bit_err[v] += int(wrong.sum())
+                pkt_err[v] += int((wrong > 0).sum())
     return bit_err, pkt_err
 
 

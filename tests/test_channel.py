@@ -6,6 +6,7 @@ from ssic import channel
 from ssic.channel import (
     ChannelParams,
     StreamObservation,
+    awgn_llrs,
     bpsk_awgn_llrs,
     clean_noise_bound,
     fresh_seed,
@@ -332,10 +333,21 @@ def test_transmit_rejects_short_pilot_blocks(L):
                  ChannelParams(snr_db=-5.0), rng)
 
 
-@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3080.0, -3090.0, float("nan")])
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3077.0, 3078.0, 3079.0, 3080.0,
+                                    -3090.0, float("nan")])
 def test_channel_params_reject_snr_without_a_double_noise_variance(snr_db):
     with pytest.raises(ValueError, match="snr_db"):
         ChannelParams(snr_db=snr_db)
+
+
+def test_highest_accepted_snr_gives_finite_llrs():
+    # 3076.5 dB is the last tenth of a dB whose 2/sigma^2 is a finite double
+    params = ChannelParams(snr_db=3076.5)
+    sigma2 = snr_db_to_sigma2(params.snr_db)
+    llrs = awgn_llrs(np.array([0, 1], dtype=np.uint8), np.zeros(2), sigma2)
+    assert np.isfinite(llrs).all() and llrs[0] == -llrs[1] > 0
+    with pytest.raises(ValueError, match="snr_db"):
+        ChannelParams(snr_db=3076.6)
 
 
 def test_transmit_rejects_bad_seeds():

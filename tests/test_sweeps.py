@@ -188,6 +188,9 @@ def test_offsets_default_to_zero_per_stream():
     (dict(mode="netsim", snr_grid=[0.0, -4000.0]), "snr_grid"),
     (dict(mode="netsim", snr_grid=[3000.0], n_streams=2, stream_snr_offsets=[0.0, 100.0]),
      "stream_snr_offsets entry 100.0"),
+    (dict(mode="seed_ber", snr_grid=[3077.0]), "snr_grid"),
+    (dict(mode="seed_ber", snr_grid=[3078.0]), "snr_grid"),
+    (dict(mode="payload_ber", snr_grid=[3079.0]), "snr_grid"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
@@ -429,9 +432,11 @@ def test_cli_error_paths(tmp_path, capsys):
     cfg.write_text(json.dumps({"mode": "seed_ber", "snr_grid": [1.0], "trials": "5"}))
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "error: trials" in capsys.readouterr().err
-    # an SNR whose noise variance no double holds is named, not an overflow
-    assert main(["sweep", "--mode", "seed_ber", "--snr-grid", "4000", "--trials", "5"]) == 2
-    assert "error: snr_grid" in capsys.readouterr().err
+    # an SNR whose noise variance or its 2/sigma^2 no double holds is named,
+    # not an overflow
+    for snr_db in ("4000", "3077", "3078", "3079"):
+        assert main(["sweep", "--mode", "seed_ber", "--snr-grid", snr_db, "--trials", "5"]) == 2
+        assert "error: snr_grid" in capsys.readouterr().err
     assert main(["netsim", "--snr-grid=-4000", "--trials", "2", "--payload-bytes", "10"]) == 2
     assert "error: snr_grid" in capsys.readouterr().err
 
