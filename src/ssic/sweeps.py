@@ -64,10 +64,18 @@ SWEEP_COLUMNS = ["mode", "snr_db", "L", "n_streams", "variant", "trials", "n",
 NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
 
 # Floats per block of trials x streams in the payload and seed sweeps, each
-# word counting its L+M LLRs and its 127 seed weights: large enough to spread
-# numpy's per-call cost over several words, small enough that the block's
-# arrays stay in cache and peak memory stays flat.
-BLOCK_FLOATS = 1 << 15
+# word counting its L+M LLRs and its 127 seed weights.  The draw-ahead thread
+# runs only while the caller's kernel calls (exp/log, fill_by_phase, the
+# channel LLRs, clip) have released the interpreter lock, so a block must be
+# long enough to give it that room.  2**15 floats held 3 packet_per trials
+# (4 x 256 B), about 1,000 slot handoffs a second; 2**17 holds 14, and a
+# packet_per chunk takes about a fifth less CPU.  At 2**18 a block array is
+# about 1.9 MB against a 2 MB L2, and a packet_per chunk took half as much
+# CPU again as at 2**15 and ran no faster.  A grid point holds two slots,
+# the descrambled rows, a work array and the stream total: 4.9 MB at
+# packet_per's shape, which tests/test_sweeps.py bounds so that peak RSS
+# stays within a few MB of the smaller blocks'.
+BLOCK_FLOATS = 1 << 17
 
 
 def _is_int(v) -> bool:
@@ -274,9 +282,11 @@ def _draw_ahead(rng: np.random.Generator, trials: int, slots: list,
         # A new thread stays on the CPU of the thread that made it where the
         # cpuset does not balance load (sched_load_balance = 0), and then
         # only takes turns with the caller.  So this thread, never the
-        # caller, moves off the caller's CPU when there is another.
+        # caller, moves off the caller's CPU when there is another.  Pinning
+        # changes no draw, so a pin the OS refuses leaves the thread unpinned.
         if cpus:
-            os.sched_setaffinity(0, cpus)
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
         B = len(slots[0][1])
         for first in range(0, trials, B):
             s = free.get()

@@ -232,3 +232,20 @@ def test_unpinned_draws_give_the_same_bytes(monkeypatch):
         monkeypatch.delattr(os, "sched_setaffinity")
     assert sweeps._other_cpus() is None
     assert sweep_csvs() == pinned
+
+
+def test_a_refused_pin_leaves_the_thread_unpinned(monkeypatch):
+    pinned = sweep_csvs()
+    refusals = []
+
+    def refuse(pid, cpus):
+        refusals.append(threading.get_ident())
+        raise PermissionError(1, "Operation not permitted")
+
+    # offer the thread a CPU set on any host, so that it always tries to pin
+    monkeypatch.setattr(sweeps, "_other_cpus", lambda: {0})
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    before = set(threading.enumerate())
+    assert sweep_csvs() == pinned
+    assert set(threading.enumerate()) == before
+    assert refusals and threading.get_ident() not in refusals
