@@ -8,12 +8,14 @@ Two subcommands:
 
 Spec fields come from --config (a JSON object of SweepSpec fields) with
 individual flags overriding.  Invalid specs exit with status 2 and a
-message naming the offending field.
+message naming the offending field, and so does an --out path that cannot
+be opened, before the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import fields
 
@@ -92,18 +94,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        if spec.mode == "netsim":
-            columns, rows = NETSIM_COLUMNS, run_netsim(spec)
-        else:
-            columns, rows = SWEEP_COLUMNS, run_sweep(spec)
+        # opened before the run, so that an unwritable path costs no simulation
+        with (open(args.out, "w", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if spec.mode == "netsim":
+                columns, rows = NETSIM_COLUMNS, run_netsim(spec)
+            else:
+                columns, rows = SWEEP_COLUMNS, run_sweep(spec)
+            write_csv(columns, rows, fh)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_csv(columns, rows, fh)
-    else:
-        write_csv(columns, rows, sys.stdout)
     return 0
 
 

@@ -46,6 +46,7 @@ import numpy as np
 
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
 from .descramble import hrsx, naive_sd, srsx
+from .scrambler import LFSR_LEN
 from .softbits import SoftWord
 from .vcframe import (FRAME_OVERHEAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, VcFrame,
                       decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
@@ -120,8 +121,8 @@ class AggregatorConfig:
     def __post_init__(self):
         if self.variant not in ("naive", "hrsx", "srsx"):
             raise ValueError(f"unknown soft descrambling variant: {self.variant}")
-        if self.pilot_len < 7:
-            raise ValueError("pilot_len must be >= 7")
+        if self.pilot_len < LFSR_LEN:
+            raise ValueError(f"pilot_len must be >= {LFSR_LEN}")
         if not 1 <= self.window_size < VCS_MOD // 2:
             # a window holding half the serial space could hold two packets
             # with the same (vci, vcs) key

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LLR_MAX = 20.0
+from .scrambler import LFSR_LEN
 
-MIN_PILOTS = 7
+LLR_MAX = 20.0
 
 
 def clamp_llrs(llrs: np.ndarray) -> np.ndarray:
@@ -77,9 +77,9 @@ class SoftWord:
         self.payload = clamp_llrs(np.asarray(self.payload, dtype=np.float64))
         if self.pilots.ndim != 1 or self.payload.ndim != 1:
             raise ValueError("pilots and payload must be one-dimensional")
-        if self.pilots.size < MIN_PILOTS:
+        if self.pilots.size < LFSR_LEN:
             raise ValueError(
-                f"need at least {MIN_PILOTS} pilot values, got {self.pilots.size}")
+                f"need at least {LFSR_LEN} pilot values, got {self.pilots.size}")
 
     @property
     def L(self) -> int:

@@ -9,13 +9,14 @@ makes small performance gaps measurable without huge trial counts.
 The payload and seed sweeps run a grid point one block of trials x streams
 at a time (BLOCK_FLOATS bounds a block).  The draws stay in the order of a
 one-word loop: per trial the payload bits, then per stream the seed and the
-noise.  A draw-ahead thread makes them into the other of two preallocated
-slots while the caller works on the current block, at most one block ahead;
-it calls nothing but the point's rng, which nothing else touches meanwhile.
-The rest runs in the caller, once per block: the noise scaling, the channel
-LLRs, one seed-posterior product for all words, the mask mix, and the stream
-sum, added in stream order as ssic_combine adds.  So neither the block size
-nor the overlap changes the CSV.
+noise.  They run on a draw-ahead thread, a one-worker executor: once the
+caller has the result() of one block's draw, it submits the next block's
+into the other of two preallocated slots, so the thread is at most one
+block ahead.  It calls nothing but the point's rng, which nothing else
+touches meanwhile.  The rest runs in the caller, once per block: the noise
+scaling, the channel LLRs, one seed-posterior product for all words, the
+mask mix, and the stream sum, added in stream order as ssic_combine adds.
+So neither the block size nor the overlap changes the CSV.
 
 Two row schemas:
 
@@ -35,8 +36,7 @@ import io
 import json
 import numbers
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -68,13 +68,14 @@ NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
 # runs only while the caller's kernel calls (exp/log, fill_by_phase, the
 # channel LLRs, clip) have released the interpreter lock, so a block must be
 # long enough to give it that room.  2**15 floats held 3 packet_per trials
-# (4 x 256 B), about 1,000 slot handoffs a second; 2**17 holds 14, and a
-# packet_per chunk takes about a fifth less CPU.  At 2**18 a block array is
-# about 1.9 MB against a 2 MB L2, and a packet_per chunk took half as much
-# CPU again as at 2**15 and ran no faster.  A grid point holds two slots,
-# the descrambled rows, a work array and the stream total: 4.9 MB at
-# packet_per's shape, which tests/test_sweeps.py bounds so that peak RSS
-# stays within a few MB of the smaller blocks'.
+# (4 x 256 B), about 1,000 blocks a second, each one submit() to the thread
+# and one result() back; 2**17 holds 14, and a packet_per chunk takes about
+# a fifth less CPU.  At 2**18 a block array is about 1.9 MB against a 2 MB
+# L2, and a packet_per chunk took half as much CPU again as at 2**15 and
+# ran no faster.  A grid point holds two slots, the descrambled rows, a work
+# array and the stream total: 4.9 MB at packet_per's shape, which
+# tests/test_sweeps.py bounds so that peak RSS stays within a few MB of the
+# smaller blocks'.
 BLOCK_FLOATS = 1 << 17
 
 
@@ -147,8 +148,8 @@ class SweepSpec:
             raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
         if not self.snr_grid or not all(np.isfinite(self.snr_grid)):
             raise ValueError("snr_grid: need a non-empty list of finite values")
-        if self.L < 7:
-            raise ValueError(f"L: must be >= 7, got {self.L}")
+        if self.L < LFSR_LEN:
+            raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
         if self.n_streams < 1:
             raise ValueError(f"n_streams: must be >= 1, got {self.n_streams}")
         if (len(self.stream_snr_offsets) != self.n_streams
@@ -269,33 +270,18 @@ def _other_cpus() -> set[int] | None:
     return os.sched_getaffinity(0) - {cpu} or None
 
 
-def _draw_ahead(rng: np.random.Generator, trials: int, slots: list,
-                free: queue.SimpleQueue, filled: queue.SimpleQueue,
-                cpus: set[int] | None) -> None:
-    """The draw-ahead thread: block after block, take a free slot and fill it.
+def _leave_cpu(cpus: set[int] | None) -> None:
+    """The draw-ahead thread's initializer: move off the caller's CPU.
 
-    Puts each filled slot's index on filled, or the exception that stopped
-    it, which the caller re-raises.  Returns early when it takes None from
-    free.
+    A new thread stays on the CPU of the thread that made it where the
+    cpuset does not balance load (sched_load_balance = 0), and then only
+    takes turns with the caller.  So this thread, never the caller, moves to
+    cpus (_other_cpus() read on the caller) when there are any.  Pinning
+    changes no draw, so a pin the OS refuses leaves the thread unpinned.
     """
-    try:
-        # A new thread stays on the CPU of the thread that made it where the
-        # cpuset does not balance load (sched_load_balance = 0), and then
-        # only takes turns with the caller.  So this thread, never the
-        # caller, moves off the caller's CPU when there is another.  Pinning
-        # changes no draw, so a pin the OS refuses leaves the thread unpinned.
-        if cpus:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, cpus)
-        B = len(slots[0][1])
-        for first in range(0, trials, B):
-            s = free.get()
-            if s is None:
-                return
-            _draw_block(rng, *(a[:min(B, trials - first)] for a in slots[s]))
-            filled.put(s)
-    except BaseException as e:  # raised again in the caller
-        filled.put(e)
+    if cpus:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, cpus)
 
 
 def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
@@ -308,17 +294,18 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
     its seed and its L+M noise samples.  Only the deterministic work after
     the draws runs over the block, so B never changes a result.
 
-    The draws run on a draw-ahead thread (_draw_ahead) that alternates
-    between two preallocated slots of (payload, seeds, noise): it fills the
-    next block while the caller works on this one, and no further, since
-    the slot it would fill next is the one the caller holds.  A yielded
-    block lives in its slot, the LLRs written over the noise, so it stays
-    valid until the next block is requested.  The thread is stopped and
-    joined when the generator finishes, raises or is closed, and an
-    exception it meets is raised here.  While the generator runs, nothing
-    else may use rng.  The channel's +-1 symbols are formed in work, a flat
-    float array of at least B*K*(L+M) entries that the caller may use
-    between blocks.
+    The draws run on a one-worker executor, the draw-ahead thread, and
+    alternate between two preallocated slots of (payload, seeds, noise).
+    Once the caller has the result() of this block's draw, it submits the
+    next block's into the other slot and then works on this one: the thread
+    is never more than one block ahead, and result() raises here an
+    exception the thread met.  A yielded block lives in its slot, the LLRs
+    written over the noise, so it stays valid until the next block is
+    requested.  The thread is joined when the generator finishes, raises or
+    is closed; an error in a draw whose block was never requested is
+    dropped with it.  While the generator runs, nothing else may use rng.
+    The channel's +-1 symbols are formed in work, a flat float array of at
+    least B*K*(L+M) entries that the caller may use between blocks.
     """
     K = len(stream_snr_db)
     sigma2 = np.array([snr_db_to_sigma2(s) for s in stream_snr_db])
@@ -328,28 +315,24 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
               np.zeros((B, K, L + M))) for _ in range(2)]
     if work is None:
         work = np.empty(B * K * (L + M))
-    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
-    free.put(0)
-    free.put(1)
-    drawer = threading.Thread(target=_draw_ahead, name="ssic-draw-ahead", daemon=True,
-                              args=(rng, trials, slots, free, filled, _other_cpus()))
-    drawer.start()
-    try:
-        for first in range(0, trials, B):
-            s = filled.get()
-            if isinstance(s, BaseException):
-                raise s
-            b = min(B, trials - first)
-            payload, seeds, noise = (a[:b] for a in slots[s])
+
+    def block(s: int, first: int) -> list[np.ndarray]:
+        """The rows of slot s that hold the block of trials from first on."""
+        return [a[:min(B, trials - first)] for a in slots[s]]
+
+    with ThreadPoolExecutor(1, "ssic-draw-ahead", _leave_cpu, (_other_cpus(),)) as drawer:
+        drawn = drawer.submit(_draw_block, rng, *block(0, 0))
+        for i, first in enumerate(range(0, trials, B)):
+            drawn.result()
+            s = i % 2
+            if first + B < trials:
+                drawn = drawer.submit(_draw_block, rng, *block(1 - s, first + B))
+            payload, seeds, noise = block(s, first)
             # rng.normal(0, sigma, n) is exactly sigma times the same standard draws
             noise *= sigma[:, None]
             yield (payload, seeds,
                    scrambled_llrs(seeds, payload[:, None, :], L, noise, sigma2,
-                                  work[:noise.size].reshape(b, K, L + M)))
-            free.put(s)
-    finally:
-        free.put(None)  # stops the thread at its next wait for a slot, if any
-        drawer.join()
+                                  work[:noise.size].reshape(noise.shape)))
 
 
 def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator) -> dict[str, int]:

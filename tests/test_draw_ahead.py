@@ -170,6 +170,23 @@ def test_closing_after_the_first_block_leaves_no_thread(monkeypatch):
     assert set(threading.enumerate()) == before
 
 
+def test_a_draw_error_in_a_block_never_taken_is_dropped(monkeypatch):
+    monkeypatch.setattr(sweeps, "BLOCK_FLOATS", 2 * (16 + 8 + 127))  # B = 2, K = 1
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    rng = StandInRng(np.random.default_rng(6), fail_at=3)  # block 2's first draw
+    before = set(threading.enumerate())
+    blocks = sweeps._trial_blocks(rng, 10, 16, 8, [1.0])
+    next(blocks)
+    deadline = time.monotonic() + 10
+    while rng.normals < 3 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert rng.normals == 3  # the draw failed before the generator was closed
+    blocks.close()
+    assert set(threading.enumerate()) == before
+    assert escaped == []
+
+
 def test_an_error_in_the_callers_loop_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(sweeps, "BLOCK_FLOATS", 2 * 2 * (16 + 48 + 127))
     calls = 0

@@ -476,6 +476,10 @@ def test_cli_error_paths(tmp_path, capsys):
         assert "error: snr_grid" in capsys.readouterr().err
     assert main(["netsim", "--snr-grid=-4000", "--trials", "2", "--payload-bytes", "10"]) == 2
     assert "error: snr_grid" in capsys.readouterr().err
+    # an --out in a missing directory fails before the run, not after it
+    assert main(["sweep", "--mode", "seed_ber", "--snr-grid", "0", "--trials", "5",
+                 "--out", str(tmp_path / "missing_dir" / "x.csv")]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():
