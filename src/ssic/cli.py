@@ -19,8 +19,9 @@ import contextlib
 import sys
 from dataclasses import fields
 
-from .sweeps import (NETSIM_COLUMNS, SWEEP_COLUMNS, SweepSpec, load_spec_file,
-                     run_netsim, run_sweep, write_csv)
+from .netstack import SOFT_VARIANTS
+from .sweeps import (MODES, NETSIM_COLUMNS, SWEEP_COLUMNS, VARIANTS, SweepSpec,
+                     load_spec_file, run_netsim, run_sweep, write_csv)
 
 
 def _float_list(s: str) -> list[float]:
@@ -52,13 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="Monte-Carlo metric sweeps")
     _add_common(sweep)
-    sweep.add_argument("--mode", choices=("seed_ber", "payload_ber", "packet_per"))
+    sweep.add_argument("--mode", choices=[m for m in MODES if m != "netsim"])
     sweep.add_argument("--variants", type=_str_list,
-                       help="comma-separated subset of hd,naive,hrsx,srsx")
+                       help=f"comma-separated subset of {','.join(VARIANTS)}")
 
     net = sub.add_parser("netsim", help="network simulation rounds")
     _add_common(net)
-    net.add_argument("--variant", choices=("naive", "hrsx", "srsx"),
+    net.add_argument("--variant", choices=SOFT_VARIANTS,
                      help="aggregator soft descrambler (default srsx)")
     net.add_argument("--detection-loss-prob", type=float, dest="detection_loss_prob")
     net.add_argument("--burst-prob", type=float, dest="burst_prob")

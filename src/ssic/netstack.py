@@ -60,6 +60,7 @@ from .combine import ssic_combine  # noqa: F401
 from .vcframe import frame_from_bits  # noqa: F401
 
 VCS_MOD = 1 << 16
+SOFT_VARIANTS = ("naive", "hrsx", "srsx")  # the seed-blind descramblers push can run
 
 
 class FrameKey(NamedTuple):
@@ -119,7 +120,7 @@ class AggregatorConfig:
     window_size: int = 1024
 
     def __post_init__(self):
-        if self.variant not in ("naive", "hrsx", "srsx"):
+        if self.variant not in SOFT_VARIANTS:
             raise ValueError(f"unknown soft descrambling variant: {self.variant}")
         if self.pilot_len < LFSR_LEN:
             raise ValueError(f"pilot_len must be >= {LFSR_LEN}")

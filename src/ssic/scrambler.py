@@ -6,11 +6,14 @@ back into r6.  Seeded with any nonzero state it walks the full 127-state
 cycle, so the output is an m-sequence of period 127.
 
 One table holds what every register state outputs: row v of the period
-table is one output period of state v.  Every other table derives from it.
-Output n of a state is phase n mod 127 of its row (fill_by_phase), and the
-register is linear, so every scrambling bit is a fixed GF(2) combination of
-the seed bits: mask_matrix(L) gives those combinations for an L-bit
-all-zero pilot prefix, its column j being the outputs of unit state 1 << j.
+table is one output period of state v, the 7-bit linear recurrence
+z[k] = z[k-7] XOR z[k-4] run from all 128 states at once (_recurrence,
+which with other taps builds vcframe's header codewords too).  Every other
+table derives from it.  Output n of a state is phase n mod 127 of its row
+(fill_by_phase), and the register is linear, so every scrambling bit is a
+fixed GF(2) combination of the seed bits: mask_matrix(L) gives those
+combinations for an L-bit all-zero pilot prefix, its column j being the
+outputs of unit state 1 << j.
 """
 
 from __future__ import annotations
@@ -67,19 +70,26 @@ def all_seeds() -> np.ndarray:
     return _state_bits()[1:].copy()
 
 
+def _recurrence(init, taps: tuple[int, ...], n: int) -> np.ndarray:
+    """(rows, n) bits of a 7-bit linear recurrence, every row at once: bits
+    0..6 are the row of the (rows, 7) init, bit k the XOR of bits k - t over taps."""
+    e = np.zeros((len(init), n), dtype=np.uint8)
+    e[:, :LFSR_LEN] = init
+    for k in range(LFSR_LEN, n):
+        for t in taps:
+            e[:, k] ^= e[:, k - t]
+    return e
+
+
 @functools.lru_cache(maxsize=1)
 def _period_table() -> np.ndarray:
     """(128, 127): row v is the first 127 output bits from register state v.
 
     r0 = LSB; the zero state is a fixed point and its row is all zeros.
-    Every state steps at once: column k of e is r0..r6 for k < 7, then
-    output k - 7, so before that output the register is e[:, k-7:k] and
-    the output is r0 XOR r3.
+    Run from r0..r6, the recurrence with taps (7, 4) holds the register
+    before output k in bits k..k+6, so bit k + 7 is output k = r0 XOR r3.
     """
-    e = np.zeros((1 << LFSR_LEN, LFSR_LEN + PERIOD), dtype=np.uint8)
-    e[:, :LFSR_LEN] = _state_bits()
-    for k in range(LFSR_LEN, LFSR_LEN + PERIOD):
-        e[:, k] = e[:, k - LFSR_LEN] ^ e[:, k - 4]
+    e = _recurrence(_state_bits(), (7, 4), LFSR_LEN + PERIOD)
     t = np.ascontiguousarray(e[:, LFSR_LEN:])
     t.flags.writeable = False
     return t

@@ -45,7 +45,7 @@ import numpy as np
 from .channel import ChannelParams, scrambled_llrs, snr_db_to_sigma2
 from .combine import combine_streams, decide
 from .descramble import N_SEEDS, hd_rows, hrsx_rows, naive_rows, seed_log_weights, srsx_rows
-from .netstack import AggregatorConfig, run_metrics, run_network_point
+from .netstack import SOFT_VARIANTS, AggregatorConfig, run_metrics, run_network_point
 from .scrambler import LFSR_LEN, register_outputs
 from .softbits import hard_decide
 from .vcframe import MTU_PAYLOAD
@@ -57,7 +57,7 @@ from .combine import ssic_combine  # noqa: F401
 from .descramble import hrsx, naive_sd, seed_posterior, srsx  # noqa: F401
 
 MODES = ("seed_ber", "payload_ber", "packet_per", "netsim")
-VARIANTS = ("hd", "naive", "hrsx", "srsx")
+VARIANTS = ("hd",) + SOFT_VARIANTS
 
 SWEEP_COLUMNS = ["mode", "snr_db", "L", "n_streams", "variant", "trials", "n",
                  "errors", "rate", "ci95"]
@@ -106,7 +106,7 @@ def _default_variants(mode: str) -> tuple[str, ...]:
         return ("hd", "hrsx")
     if mode == "netsim":
         return ("srsx",)
-    return ("naive", "hrsx", "srsx")
+    return SOFT_VARIANTS
 
 
 @dataclass
@@ -177,7 +177,7 @@ class SweepSpec:
         if self.mode == "netsim":
             if len(self.variants) != 1:
                 raise ValueError("variants: netsim uses exactly one variant")
-            if self.variants[0] == "hd":
+            if self.variants[0] not in SOFT_VARIANTS:
                 raise ValueError("variants: the aggregator needs a soft variant")
             if self.payload_bytes < 1:
                 raise ValueError("payload_bytes: netsim needs at least 1 byte")

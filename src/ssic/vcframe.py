@@ -10,19 +10,23 @@ A frame carries [stream address | coded header | pad | payload]:
   payload       raw packet bytes, at most MTU_PAYLOAD
 
 The header code is the narrow-sense binary BCH code of length 63 with 7
-information bits.  Its generator polynomial is derived here from scratch
-over GF(2^6) (primitive polynomial x^6 + x + 1) as the product of the
-minimal polynomials of alpha^1..alpha^30, giving minimum distance 31, so
-any 15 hard errors per block are correctable.  With only 128 codewords,
+information bits over GF(2^6) (x^6 + x + 1; generator roots alpha^1 to
+alpha^30), systematic with the info bits sent first.  Its codewords come
+from the scrambler's 7-bit register recurrence (_codeword_table).  The
+nonzero ones are the 63 shifts of one m-sequence (weight 32), their
+complements (31) and the all-ones word (63), so the minimum distance is 31
+and any 15 hard errors per block are correctable.  With only 128 codewords,
 soft decoding is exact maximum-likelihood: correlate the received LLRs
 against every codeword.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .scrambler import _recurrence
 
 BCH_N = 63
 BCH_K = 7
@@ -36,86 +40,18 @@ FRAME_OVERHEAD_BITS = STREAM_ADDR_BITS + HEADER_CODED_BITS + FRAME_PAD_BITS  # 4
 FRAME_OVERHEAD_BYTES = FRAME_OVERHEAD_BITS // 8
 MTU_PAYLOAD = 1500
 
-_PRIM_POLY = 0b1000011  # x^6 + x + 1, primitive over GF(2)
-
-
-def _gf64_mul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x40:
-            a ^= _PRIM_POLY
-    return r
-
-
-def _gf2poly_mul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
-def _gf2poly_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _generator_poly() -> int:
-    """LCM of the minimal polynomials of alpha^1..alpha^30, as a GF(2) poly."""
-    alpha_pow = [1] * 63
-    for i in range(1, 63):
-        alpha_pow[i] = _gf64_mul(alpha_pow[i - 1], 2)
-    g = 1
-    covered: set[int] = set()
-    for i in range(1, 31):
-        if i in covered:
-            continue
-        cls = []
-        e = i
-        while e not in cls:
-            cls.append(e)
-            e = (e * 2) % 63
-        covered.update(cls)
-        # minimal polynomial: product of (x + alpha^e) over the conjugacy class
-        coeffs = [1]  # low degree first, coefficients in GF(64)
-        for e in cls:
-            root = alpha_pow[e]
-            nxt = [0] * (len(coeffs) + 1)
-            for d, c in enumerate(coeffs):
-                nxt[d] ^= _gf64_mul(c, root)
-                nxt[d + 1] ^= c
-            coeffs = nxt
-        if any(c not in (0, 1) for c in coeffs):
-            raise AssertionError("minimal polynomial not binary")
-        mp = sum(c << d for d, c in enumerate(coeffs))
-        g = _gf2poly_mul(g, mp)
-    if g.bit_length() - 1 != BCH_N - BCH_K:
-        raise AssertionError(f"generator degree {g.bit_length() - 1}, expected {BCH_N - BCH_K}")
-    return g
-
-
-_GEN_POLY = _generator_poly()
-
-
-def _encode_int(info_value: int) -> int:
-    """Systematic codeword as a degree-62 polynomial int; info in the top 7."""
-    m = info_value << (BCH_N - BCH_K)
-    return m ^ _gf2poly_mod(m, _GEN_POLY)
-
 
 def _codeword_table() -> np.ndarray:
-    t = np.zeros((1 << BCH_K, BCH_N), dtype=np.uint8)
-    for v in range(1 << BCH_K):
-        c = _encode_int(v)
-        t[v] = [(c >> (BCH_N - 1 - p)) & 1 for p in range(BCH_N)]
+    """Row v: the codeword of info value v, transmitted order.
+
+    The check polynomial (x^63 - 1)/g(x) is h(x) = (x + 1)(x^6 + x^5 + 1):
+    its roots are alpha^0 and the conjugates of alpha^-1, x^6 + x^5 + 1
+    being the reciprocal of x^6 + x + 1.  With bit p the coefficient of
+    x^(62-p), c(x)h(x) = 0 mod x^63 - 1 reads b[k] = b[k-7] ^ b[k-6] ^ b[k-2],
+    so the info bits, sent first, fix the rest of the word.
+    """
+    info = (np.arange(1 << BCH_K)[:, None] >> np.arange(BCH_K - 1, -1, -1)) & 1
+    t = _recurrence(info, (7, 6, 2), BCH_N)
     t.flags.writeable = False
     return t
 

@@ -73,6 +73,35 @@ def test_code_is_linear_and_cyclic():
         assert tuple(np.roll(CODEWORDS[v], 1)) in cw_set
 
 
+def _gf64_mul(a, b):
+    """Product of two elements of GF(2^6) = GF(2)[x] / (x^6 + x + 1), as 6-bit ints."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & 0b1000000:
+            a ^= 0b1000011
+    return r
+
+
+def test_codewords_vanish_at_alpha_1_to_30():
+    # the definition of the narrow-sense BCH code, independent of how the
+    # table is built: with bit p the coefficient of x^(62-p), every codeword
+    # c(x) has the roots alpha^1..alpha^30, alpha = x a primitive element
+    powers = [1]
+    for _ in range(62):
+        powers.append(_gf64_mul(powers[-1], 0b10))
+    assert len(set(powers)) == 63
+    for row in CODEWORDS.tolist():
+        for i in range(1, 31):
+            s = 0
+            for bit in row:  # Horner, highest power first
+                s = _gf64_mul(s, powers[i]) ^ bit
+            assert s == 0, (row, i)
+
+
 def test_encode_is_systematic_in_the_info_bits():
     rng = np.random.default_rng(1)
     for _ in range(20):
