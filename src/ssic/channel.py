@@ -113,13 +113,6 @@ def awgn_llrs(tx_bits: np.ndarray, noise: np.ndarray, sigma2,
     return noise
 
 
-def bpsk_awgn_llrs(bits: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Raw (unclamped) LLRs for a bit sequence over the AWGN link."""
-    b = np.asarray(bits, dtype=np.uint8)
-    sigma2 = snr_db_to_sigma2(snr_db)
-    return awgn_llrs(b, rng.normal(0.0, np.sqrt(sigma2), b.size), sigma2)
-
-
 def fresh_seed(rng: np.random.Generator) -> np.ndarray:
     """Uniform random nonzero scrambler seed."""
     return seed_from_int(int(rng.integers(1, 128)))

@@ -15,7 +15,10 @@ Since log P(bit=0) - log P(bit=1) is the pilot LLR itself, the log-posterior
 of a seed is half the correlation of the pilot LLRs with that seed's +-1
 pilot pattern, up to a shared constant: one matrix product and a softmax.
 The pilot patterns are the seeds' first L register outputs, so the
-posterior needs only the pilot LLRs.
+posterior needs only the pilot LLRs.  A posterior is an array of
+normalized log-weights, entry i for seed integer i+1: (n, 127) for a block
+of words (seed_log_weights), (127,) for one word (seed_posterior).
+hrsx and srsx compute it from the word's own pilots.
 The three LLR receivers then differ only in what they know about each mask
 bit.  naive_sd and hrsx know it for certain and flip the payload LLR's sign
 where it is 1; srsx knows its probability q and mixes it in by the boxplus
@@ -35,7 +38,6 @@ scrambler's period table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,40 +46,6 @@ from .scrambler import (LFSR_LEN, PERIOD, _period_table, fill_by_phase, register
 from .softbits import LLR_MAX, SoftWord, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
-
-
-@dataclass(frozen=True)
-class SeedPosterior:
-    """Normalized log-probabilities over the 127 nonzero seeds.
-
-    Entry i corresponds to seed integer i+1 (r0 = LSB).
-    """
-
-    log_weights: np.ndarray
-
-    def __post_init__(self):
-        lw = np.asarray(self.log_weights, dtype=np.float64)
-        if lw.shape != (N_SEEDS,):
-            raise ValueError(f"log_weights must have shape ({N_SEEDS},)")
-        object.__setattr__(self, "log_weights", lw)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-    def map_index(self) -> int:
-        """Index of the MAP seed; ties break toward the smallest seed integer."""
-        return int(np.argmax(self.log_weights))
-
-    @classmethod
-    def delta(cls, seed_int: int) -> "SeedPosterior":
-        lw = np.full(N_SEEDS, -np.inf)
-        lw[seed_int - 1] = 0.0
-        return cls(lw)
-
-    @classmethod
-    def uniform(cls) -> "SeedPosterior":
-        return cls(np.full(N_SEEDS, -np.log(N_SEEDS)))
 
 
 def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
@@ -107,12 +75,15 @@ def _pilot_codebook(L: int) -> np.ndarray:
     return S
 
 
-def seed_posterior(pilot_llrs: np.ndarray) -> SeedPosterior:
-    """Posterior over seeds given one word's pilot LLRs."""
+def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
+    """Normalized seed log-posteriors of one word: (L,) pilot LLRs -> (127,).
+
+    Entry i is seed integer i+1 (r0 = LSB).
+    """
     y = np.asarray(pilot_llrs, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("pilot LLRs must be one-dimensional")
-    return SeedPosterior(seed_log_weights(y[None])[0])
+    return seed_log_weights(y[None])[0]
 
 
 def z_sequence_table() -> np.ndarray:
@@ -129,28 +100,11 @@ def _one_minus_z() -> np.ndarray:
     return t
 
 
-def mask_zero_probs(weights: np.ndarray, L: int, M: int) -> np.ndarray:
-    """P(scrambling bit = 0) at the M payload positions of n words: (n, 127)
-    seed weights -> (n, M).
-
-    Payload position m uses register output L+m, reduced mod the sequence
-    period; the probability is the posterior mass of the seeds whose output
-    is 0 there: one product with the 0/1 table gives it at all 127 phases.
-    """
-    q = mask_zero_by_phase(weights)
-    return fill_by_phase(np.empty(q.shape[:-1] + (M,)), q, L)
-
-
 def mask_zero_by_phase(weights: np.ndarray) -> np.ndarray:
     """P(scrambling bit = 0) at each of the 127 phases: (n, 127) seed
     weights -> (n, 127).  Entry j is the probability at register output j
     mod 127."""
     return np.clip(weights @ _one_minus_z(), 0.0, 1.0)
-
-
-def mask_zero_prob(posterior: SeedPosterior, L: int, M: int) -> np.ndarray:
-    """mask_zero_probs for one word's posterior."""
-    return mask_zero_probs(posterior.weights[None], L, M)[0]
 
 
 def hd_rows(word_hard: np.ndarray) -> np.ndarray:
@@ -273,26 +227,19 @@ def naive_sd(word: SoftWord, out: np.ndarray | None = None) -> np.ndarray:
     return naive_rows(word.pilots[None], word.payload[None], _row(out))[0]
 
 
-def _log_weights(word: SoftWord, posterior: SeedPosterior | None) -> np.ndarray:
-    if posterior is not None:
-        return posterior.log_weights
-    return seed_log_weights(word.pilots[None])[0]
-
-
-def hrsx(word: SoftWord, posterior: SeedPosterior | None = None,
-         out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hrsx(word: SoftWord, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hard re-scrambling: MAP seed from the pilot posterior, then sign flips.
 
     Returns (descrambled payload LLRs, estimated seed bits); the LLRs are
     written into out, an (M,) float array, when it is given.
     """
-    llrs, idx = hrsx_rows(_log_weights(word, posterior)[None], word.payload[None], word.L,
+    llrs, idx = hrsx_rows(seed_log_weights(word.pilots[None]), word.payload[None], word.L,
                           _row(out))
     return llrs[0], seed_from_int(int(idx[0]) + 1)
 
 
-def srsx(word: SoftWord, posterior: SeedPosterior | None = None,
-         out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+def srsx(word: SoftWord, out: np.ndarray | None = None,
+         scratch: np.ndarray | None = None) -> np.ndarray:
     """Soft re-scrambling: mix each payload LLR with the mask-bit posterior.
 
     A certain posterior gives hrsx's sign flips exactly; an uninformative
@@ -300,5 +247,5 @@ def srsx(word: SoftWord, posterior: SeedPosterior | None = None,
     result and scratch, a (2, M) one, holds the mix (see srsx_rows); either
     is allocated when not given.
     """
-    return srsx_rows(_log_weights(word, posterior)[None], word.payload[None], word.L,
+    return srsx_rows(seed_log_weights(word.pilots[None]), word.payload[None], word.L,
                      _row(out), None if scratch is None else scratch[:, None])[0]

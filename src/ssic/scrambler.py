@@ -25,19 +25,6 @@ import numpy as np
 LFSR_LEN = 7
 PERIOD = 127  # 2**7 - 1
 
-
-def lfsr_step(state: np.ndarray) -> tuple[int, np.ndarray]:
-    """One register update.  Returns (output bit, next state)."""
-    s = np.asarray(state, dtype=np.uint8)
-    if s.shape != (LFSR_LEN,):
-        raise ValueError(f"state must have shape ({LFSR_LEN},), got {s.shape}")
-    z = int(s[0] ^ s[3])
-    nxt = np.empty(LFSR_LEN, dtype=np.uint8)
-    nxt[:-1] = s[1:]
-    nxt[-1] = z
-    return z, nxt
-
-
 _BIT_WEIGHTS = 1 << np.arange(LFSR_LEN)
 
 
@@ -63,11 +50,6 @@ def register_states(bits) -> np.ndarray:
 
 def seed_to_int(state: np.ndarray) -> int:
     return int(register_states(state))
-
-
-def all_seeds() -> np.ndarray:
-    """All 127 nonzero seeds as a (127, 7) bit matrix, row i = seed i+1."""
-    return _state_bits()[1:].copy()
 
 
 def _recurrence(init, taps: tuple[int, ...], n: int) -> np.ndarray:
@@ -149,19 +131,6 @@ def scramble(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return lfsr_run(s, x.size) ^ x
 
 
-def make_pilots(seed: np.ndarray, L: int) -> np.ndarray:
-    """Scrambler output over an all-zero L-bit prefix (L >= 7).
-
-    Pilot bit i equals output bit i of the seeded register, so the pilots
-    expose the seed through known linear combinations.  After emitting 7
-    pilots the register state equals those 7 bits, which is what lets a
-    receiver resynchronize from hard pilot decisions.
-    """
-    if L < LFSR_LEN:
-        raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
-    return scramble(seed, np.zeros(L, dtype=np.uint8))
-
-
 @functools.lru_cache(maxsize=32)
 def _mask_matrix(L: int) -> np.ndarray:
     # column j: the outputs of unit state 1 << j, by linearity
@@ -171,7 +140,8 @@ def _mask_matrix(L: int) -> np.ndarray:
 
 
 def mask_matrix(L: int) -> np.ndarray:
-    """(L, 7) GF(2) matrix A with make_pilots(seed, L) == A @ seed mod 2."""
+    """(L, 7) GF(2) matrix A with scramble(seed, zeros(L)) == A @ seed mod 2:
+    the pilots, an all-zero L-bit prefix, as combinations of the seed bits."""
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
     return _mask_matrix(L)

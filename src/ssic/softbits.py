@@ -20,45 +20,9 @@ def clamp_llrs(llrs: np.ndarray) -> np.ndarray:
     return np.clip(llrs, -LLR_MAX, LLR_MAX)
 
 
-def llr_to_prob(llrs):
-    """(P(bit=0), P(bit=1)) from LLRs; works elementwise on arrays."""
-    l = np.asarray(llrs, dtype=np.float64)
-    return np.exp(-np.logaddexp(0.0, -l)), np.exp(-np.logaddexp(0.0, l))
-
-
 def hard_decide(llrs) -> np.ndarray:
     """Sign decision: 0 for l >= 0 (ties resolve to 0), else 1."""
     return (np.asarray(llrs) < 0).astype(np.uint8)
-
-
-def flip_by_mask(llrs: np.ndarray, mask_bits: np.ndarray) -> np.ndarray:
-    """Descramble soft values: negate each LLR whose mask bit is 1.
-
-    XOR with a known bit, in the LLR domain, is a sign flip.  Self-inverse
-    and magnitude-preserving.
-    """
-    l = np.asarray(llrs, dtype=np.float64)
-    z = np.asarray(mask_bits, dtype=np.uint8)
-    if l.shape != z.shape:
-        raise ValueError(f"length mismatch: {l.shape} vs {z.shape}")
-    return l * (1.0 - 2.0 * z.astype(np.float64))
-
-
-def quantize(llrs, n_bits: int):
-    """Uniform mid-rise quantizer over [-LLR_MAX, LLR_MAX] with 2**n_bits levels.
-
-    Returns reconstruction values, not level indices.  Sign-magnitude
-    indexing keeps the map odd-symmetric away from zero; zero itself maps
-    to the smallest positive level (a mid-rise grid has no zero level).
-    """
-    if n_bits < 2:
-        raise ValueError(f"n_bits must be >= 2, got {n_bits}")
-    l = np.asarray(llrs, dtype=np.float64)
-    step = 2.0 * LLR_MAX / (1 << n_bits)
-    k = np.floor(np.abs(l) / step)
-    k = np.minimum(k, (1 << (n_bits - 1)) - 1)
-    sign = np.where(l < 0, -1.0, 1.0)
-    return sign * (k + 0.5) * step
 
 
 @dataclass

@@ -167,6 +167,8 @@ class SweepSpec:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"variants: unknown variant {v!r}")
+            if self.variants.count(v) > 1:  # the points keep one error count per name
+                raise ValueError(f"variants: {v!r} listed twice")
         if self.mode in ("payload_ber", "packet_per"):
             if self.payload_bytes < 1:
                 raise ValueError("payload_bytes: payload modes need at least 1 byte")

@@ -61,15 +61,6 @@ _INFO_OF_CODEWORD = {row.tobytes(): v for v, row in enumerate(CODEWORDS)}  # uin
 _SIGNS = (1.0 - 2.0 * CODEWORDS.astype(np.float64))  # bit 0 -> +1, bit 1 -> -1
 
 
-def bch_encode(info_bits: np.ndarray) -> np.ndarray:
-    """7 info bits (transmitted order) -> 63-bit codeword, info bits first."""
-    b = np.asarray(info_bits, dtype=np.uint8)
-    if b.shape != (BCH_K,):
-        raise ValueError(f"info must be {BCH_K} bits")
-    v = int(b @ (1 << np.arange(BCH_K - 1, -1, -1)))
-    return CODEWORDS[v].copy()
-
-
 def _decode_blocks(y: np.ndarray) -> np.ndarray:
     """Exact ML info values (0..127) of each row of (n, 63) LLRs.
 
@@ -87,12 +78,6 @@ def bch_decode_soft(llrs: np.ndarray) -> np.ndarray:
         raise ValueError(f"need {BCH_N} LLRs")
     v = int(_decode_blocks(y[None, :])[0])
     return ((v >> np.arange(BCH_K - 1, -1, -1)) & 1).astype(np.uint8)
-
-
-def bch_decode_hard(bits: np.ndarray) -> np.ndarray:
-    """Minimum-distance decoding of hard bits (ML at unit confidence)."""
-    b = np.asarray(bits, dtype=np.float64)
-    return bch_decode_soft(1.0 - 2.0 * b)
 
 
 _CRC16_POLY = 0x1021
@@ -219,9 +204,6 @@ class VcFrame:
         if len(self.payload) > MTU_PAYLOAD:
             raise ValueError(f"payload exceeds MTU: {len(self.payload)} > {MTU_PAYLOAD}")
 
-    def header(self) -> VcHeader | None:
-        return decode_header_hard(self.header_coded)
-
 
 def encapsulate(packet: bytes, vci: int, vcs: int, stream_addr: int) -> VcFrame:
     """Wrap a packet for one stream.  Frames for the same (packet, vci, vcs)
@@ -257,10 +239,6 @@ def with_stream_addr(bits: np.ndarray, stream_addr: int) -> np.ndarray:
     return out
 
 
-def frame_to_bytes(frame: VcFrame) -> bytes:
-    return np.packbits(frame_to_bits(frame)).tobytes()
-
-
 def is_frame_length(n_bits: int) -> bool:
     """True when a frame can be n_bits long: the overhead plus a whole
     number of payload bytes, at most MTU_PAYLOAD of them."""
@@ -286,8 +264,3 @@ def frame_from_bits(bits: np.ndarray) -> VcFrame:
     coded = b[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS]
     return VcFrame(addr, coded.copy(), payload_from_bits(b))
 
-
-def frame_from_bytes(data: bytes) -> VcFrame:
-    if len(data) < FRAME_OVERHEAD_BYTES:
-        raise ValueError(f"frame too short: {len(data)} bytes")
-    return frame_from_bits(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))

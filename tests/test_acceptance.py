@@ -11,25 +11,19 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import binomtest, norm
 
-from ssic.channel import ChannelParams, bpsk_awgn_llrs, fresh_seed, soft_copy
+from ssic.channel import ChannelParams, fresh_seed, soft_copy
 from ssic.combine import StreamSoftCopy, decide, ssic_combine
 from ssic.descramble import (
-    SeedPosterior,
+    N_SEEDS,
     hrsx,
-    mask_zero_prob,
+    hrsx_rows,
+    mask_zero_by_phase,
     seed_posterior,
-    srsx,
+    srsx_rows,
     z_sequence_table,
 )
 from ssic.netstack import FrameKey, run_metrics, run_network_point
-from ssic.scrambler import (
-    all_seeds,
-    make_pilots,
-    mask_matrix,
-    scramble,
-    seed_from_int,
-    seed_to_int,
-)
+from ssic.scrambler import mask_matrix, scramble, seed_from_int, seed_to_int
 from ssic.softbits import hard_decide
 from ssic.sweeps import (
     NETSIM_COLUMNS,
@@ -41,6 +35,7 @@ from ssic.sweeps import (
 )
 from ssic.vcframe import BCH_MIN_DIST, CODEWORDS, decode_header_soft, encode_header
 
+from oracles import bpsk_awgn_llrs
 from test_netstack import hard_obs, make_agg, soft_obs
 
 
@@ -58,9 +53,14 @@ def crossing_db(grid, rates, target):
     raise AssertionError(f"no grid pair brackets rate {target}: {rates}")
 
 
+def pilots_of(seed: np.ndarray, L: int) -> np.ndarray:
+    """A seed's L noise-free pilot bits: its scrambled all-zero prefix."""
+    return scramble(seed, np.zeros(L, dtype=np.uint8))
+
+
 def pilot_matrix(L: int) -> np.ndarray:
     """(127, L) noise-free pilot bits for every seed."""
-    return np.vstack([make_pilots(seed_from_int(v), L) for v in range(1, 128)])
+    return np.vstack([pilots_of(seed_from_int(v), L) for v in range(1, 128)])
 
 
 def brute_weights(y: np.ndarray, pilots: np.ndarray) -> np.ndarray:
@@ -71,14 +71,14 @@ def brute_weights(y: np.ndarray, pilots: np.ndarray) -> np.ndarray:
 
 
 def test_criterion_01_scrambler_mask_identity_and_involution():
-    seeds = all_seeds()
+    seeds = np.array([seed_from_int(v) for v in range(1, 128)])
     checked = 0
     for L in (7, 16, 127):
         a = mask_matrix(L)
         predicted = (seeds @ a.T) % 2
         for i in range(127):
             seed = seeds[i]
-            assert np.array_equal(predicted[i], make_pilots(seed, L))
+            assert np.array_equal(predicted[i], pilots_of(seed, L))
             checked += 1
     rng = np.random.default_rng(0)
     for v in range(1, 128):
@@ -96,7 +96,7 @@ def test_criterion_02_posterior_matches_probability_domain_oracle():
         v = int(rng.integers(1, 128))
         snr_db = float(rng.uniform(-2.0, 6.0))
         word = soft_copy(seed_from_int(v), np.zeros(0, dtype=np.uint8), 16, snr_db, rng)
-        got = seed_posterior(word.pilots).weights
+        got = np.exp(seed_posterior(word.pilots))
         ref = brute_weights(word.pilots, pilots)
         np.testing.assert_allclose(got, ref, rtol=1e-6, atol=1e-300)
         denom = np.maximum(ref, 1e-300)
@@ -122,13 +122,15 @@ def test_criterion_04_srsx_reduces_to_hrsx_and_uniform_mask_probs():
     for v in range(1, 128):
         word = soft_copy(seed_from_int(v), rng.integers(0, 2, 32, dtype=np.uint8),
                          16, 0.0, rng)
-        post = SeedPosterior.delta(v)
-        out_s = srsx(word, posterior=post)
-        out_h, _ = hrsx(word, posterior=post)
+        delta = np.full((1, N_SEEDS), -np.inf)
+        delta[0, v - 1] = 0.0
+        out_s = srsx_rows(delta, word.payload[None], word.L)[0]
+        out_h = hrsx_rows(delta, word.payload[None], word.L)[0][0]
         assert np.array_equal(out_s, out_h), f"seed {v} not bit-exact"
     # uniform posterior: P(z=0) at payload position m is the zero count of
     # z-table column (L+m) mod 127 over 127; enumeration says 63 everywhere
-    q = mask_zero_prob(SeedPosterior.uniform(), 16, 127)
+    uniform = np.exp(np.full((1, N_SEEDS), -np.log(N_SEEDS)))
+    q = mask_zero_by_phase(uniform)[0, (16 + np.arange(127)) % 127]
     counts = (z_sequence_table() == 0).sum(axis=0)
     want = counts[(16 + np.arange(127)) % 127] / 127.0
     np.testing.assert_allclose(q, want, rtol=1e-12)
@@ -147,10 +149,10 @@ def test_criterion_05_seed_error_ordering_significant():
         seed = fresh_seed(rng)
         true_int = seed_to_int(seed)
         word = soft_copy(seed, np.zeros(0, dtype=np.uint8), 127, snr_db, rng)
-        true_z = make_pilots(seed, 16)
+        true_z = pilots_of(seed, 16)
         hd_err[i] = bool((hard_decide(word.pilots[9:16]) != true_z[9:16]).any())
-        e16[i] = seed_posterior(word.pilots[:16]).map_index() + 1 != true_int
-        e127[i] = seed_posterior(word.pilots).map_index() + 1 != true_int
+        e16[i] = np.argmax(seed_posterior(word.pilots[:16])) + 1 != true_int
+        e127[i] = np.argmax(seed_posterior(word.pilots)) + 1 != true_int
     hd_rate = hd_err.mean()
     assert 0.05 <= hd_rate <= 0.2, f"HD rate {hd_rate} outside the pinned window"
     # one-sided McNemar on paired frames, 99% significance

@@ -13,14 +13,12 @@ from scipy.special import expit
 
 from ssic.descramble import (
     N_SEEDS,
-    SeedPosterior,
     _pilot_codebook,
     hd,
     hd_rows,
     hrsx,
     hrsx_rows,
-    mask_zero_prob,
-    mask_zero_probs,
+    mask_zero_by_phase,
     naive_rows,
     naive_sd,
     seed_log_weights,
@@ -29,9 +27,31 @@ from ssic.descramble import (
     srsx_rows,
     z_sequence_table,
 )
-from ssic.scrambler import (all_seeds, lfsr_run, make_pilots, mask_matrix, register_outputs,
-                            scramble, seed_from_int)
-from ssic.softbits import LLR_MAX, SoftWord, flip_by_mask, hard_decide
+from ssic.scrambler import lfsr_run, mask_matrix, register_outputs, scramble, seed_from_int
+from ssic.softbits import LLR_MAX, SoftWord, hard_decide
+
+from oracles import flip_by_mask
+
+
+def pilot_bits(seed_int: int, L: int) -> np.ndarray:
+    """The L pilots of a seed: its scrambled all-zero prefix."""
+    return scramble(seed_from_int(seed_int), np.zeros(L, dtype=np.uint8))
+
+
+def mask_q(weights: np.ndarray, L: int, M: int) -> np.ndarray:
+    """P(mask bit = 0) at the M payload positions of n words: (n, 127) seed
+    weights -> (n, M), payload position m read at phase (L + m) mod 127."""
+    return mask_zero_by_phase(weights)[:, (L + np.arange(M)) % N_SEEDS]
+
+
+def delta_log_weights(seed_int: int) -> np.ndarray:
+    """The log-posterior that puts all mass on one seed."""
+    lw = np.full(N_SEEDS, -np.inf)
+    lw[seed_int - 1] = 0.0
+    return lw
+
+
+UNIFORM_LOG_WEIGHTS = np.full(N_SEEDS, -np.log(N_SEEDS))
 
 
 def brute_posterior(pilot_llrs: np.ndarray, L: int) -> np.ndarray:
@@ -39,7 +59,7 @@ def brute_posterior(pilot_llrs: np.ndarray, L: int) -> np.ndarray:
     y = np.asarray(pilot_llrs, dtype=np.float64)
     w = np.empty(N_SEEDS)
     for v in range(1, 128):
-        bits = make_pilots(seed_from_int(v), L)
+        bits = pilot_bits(v, L)
         p = np.where(bits == 0, expit(y), expit(-y))
         w[v - 1] = np.prod(p)
     return w / w.sum()
@@ -48,8 +68,7 @@ def brute_posterior(pilot_llrs: np.ndarray, L: int) -> np.ndarray:
 def noisy_word(rng, seed_int, L, M, snr_db=2.0):
     seed = seed_from_int(seed_int)
     payload = rng.integers(0, 2, M, dtype=np.uint8)
-    sent = np.concatenate([make_pilots(seed, L), scramble(seed, np.concatenate(
-        [np.zeros(L, dtype=np.uint8), payload]))[L:]])
+    sent = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
     sigma2 = 1.0 / (2.0 * 10 ** (snr_db / 10.0))
     y = (1.0 - 2.0 * sent) + rng.normal(0.0, np.sqrt(sigma2), L + M)
     llrs = 2.0 * y / sigma2
@@ -61,18 +80,18 @@ def test_posterior_matches_probability_domain_brute_force():
     for _ in range(120):
         word, _ = noisy_word(rng, rng.integers(1, 128), 16, 0,
                              snr_db=rng.uniform(-2, 6))
-        post = seed_posterior(word.pilots)
+        weights = np.exp(seed_posterior(word.pilots))
         ref = brute_posterior(word.pilots, 16)
-        np.testing.assert_allclose(post.weights, ref, rtol=1e-9, atol=1e-300)
-        assert abs(post.weights.sum() - 1.0) < 1e-9
+        np.testing.assert_allclose(weights, ref, rtol=1e-9, atol=1e-300)
+        assert abs(weights.sum() - 1.0) < 1e-9
 
 
 def test_posterior_concentrates_on_true_seed_with_clean_pilots():
     for v in (1, 58, 127):
-        llrs = flip_by_mask(np.full(16, LLR_MAX), make_pilots(seed_from_int(v), 16))
-        post = seed_posterior(llrs)
-        assert post.map_index() + 1 == v
-        assert post.weights[v - 1] > 0.999
+        llrs = flip_by_mask(np.full(16, LLR_MAX), pilot_bits(v, 16))
+        lw = seed_posterior(llrs)
+        assert np.argmax(lw) + 1 == v
+        assert np.exp(lw[v - 1]) > 0.999
 
 
 def test_posterior_validates_shapes():
@@ -83,20 +102,28 @@ def test_posterior_validates_shapes():
 @pytest.mark.parametrize("L", [7, 16, 127])
 def test_pilot_codebook_equals_mask_matrix_construction(L):
     S = _pilot_codebook(L)
-    ref = 1.0 - 2.0 * ((mask_matrix(L) @ all_seeds().T) % 2)
+    seeds = np.array([seed_from_int(v) for v in range(1, 128)])
+    ref = 1.0 - 2.0 * ((mask_matrix(L) @ seeds.T) % 2)
     assert S.dtype == ref.dtype and same_bytes(S, ref)
     assert S.flags.c_contiguous and not S.flags.writeable
 
 
 def test_seed_posterior_delta_uniform_and_ties():
-    d = SeedPosterior.delta(9)
-    assert d.map_index() == 8
-    assert d.weights[8] == 1.0 and d.weights.sum() == 1.0
-    u = SeedPosterior.uniform()
-    np.testing.assert_allclose(u.weights, 1.0 / 127)
-    assert u.map_index() == 0  # exact tie resolves to the smallest seed
-    with pytest.raises(ValueError):
-        SeedPosterior(np.zeros(5))
+    # hrsx_rows takes each row's MAP seed; an exact tie resolves to the smallest
+    pair = np.full(N_SEEDS, -np.inf)
+    pair[[40, 90]] = -np.log(2.0)
+    lw = np.vstack([delta_log_weights(9), UNIFORM_LOG_WEIGHTS, pair])
+    payload = np.full(20, 5.0)
+    llrs, idx = hrsx_rows(lw, np.tile(payload, (3, 1)), 16)
+    assert idx.tolist() == [8, 0, 40]
+    for row, v in zip(llrs, (9, 1, 41)):
+        assert np.array_equal(row, flip_by_mask(payload, lfsr_run(seed_from_int(v), 36)[16:]))
+    # zero pilot LLRs carry no information: an exactly uniform posterior, seed 1
+    u = seed_posterior(np.zeros(16))
+    assert (u == u[0]).all()
+    np.testing.assert_allclose(np.exp(u), 1.0 / 127)
+    _, seed_bits = hrsx(SoftWord(np.zeros(16), payload))
+    assert np.array_equal(seed_bits, seed_from_int(1))
 
 
 def test_z_table_rows_are_seed_outputs():
@@ -110,7 +137,7 @@ def test_z_table_rows_are_seed_outputs():
 @given(st.integers(1, 127), st.integers(7, 40), st.integers(0, 200))
 @settings(max_examples=40, deadline=None)
 def test_mask_zero_prob_delta_is_exact_sequence(seed_int, L, M):
-    q = mask_zero_prob(SeedPosterior.delta(seed_int), L, M)
+    q = mask_q(np.exp(delta_log_weights(seed_int))[None], L, M)[0]
     z = lfsr_run(seed_from_int(seed_int), L + M)[L:]
     assert np.array_equal(q, 1.0 - z)
 
@@ -120,8 +147,7 @@ def test_mask_zero_prob_matches_enumeration_for_random_posteriors():
     t = z_sequence_table()
     for _ in range(25):
         w = rng.dirichlet(np.ones(127))
-        post = SeedPosterior(np.log(w))
-        q = mask_zero_prob(post, 16, 300)
+        q = mask_q(np.exp(np.log(w))[None], 16, 300)[0]
         for m in (0, 1, 111, 126, 127, 299):
             phase = (16 + m) % 127
             ref = sum(w[i] for i in range(127) if t[i, phase] == 0)
@@ -199,9 +225,9 @@ def test_srsx_delta_posterior_reduces_to_hrsx_bit_exact():
     rng = np.random.default_rng(13)
     for v in (1, 9, 127):
         word, _ = noisy_word(rng, v, 16, 64, snr_db=0.0)
-        post = SeedPosterior.delta(v)
-        out_s = srsx(word, posterior=post)
-        out_h, _ = hrsx(word, posterior=post)
+        lw = delta_log_weights(v)[None]
+        out_s = srsx_rows(lw, word.payload[None], word.L)[0]
+        out_h = hrsx_rows(lw, word.payload[None], word.L)[0][0]
         assert np.array_equal(out_s, out_h)
 
 
@@ -211,8 +237,8 @@ def test_srsx_uniform_posterior_wipes_information():
     # output bits of all nonzero register states are 63 zeros and 64 ones
     rng = np.random.default_rng(14)
     word, _ = noisy_word(rng, 50, 16, 127, snr_db=10.0)
-    out = srsx(word, posterior=SeedPosterior.uniform())
-    q = mask_zero_prob(SeedPosterior.uniform(), 16, 127)
+    out = srsx_rows(UNIFORM_LOG_WEIGHTS[None], word.payload[None], word.L)[0]
+    q = mask_q(np.exp(UNIFORM_LOG_WEIGHTS)[None], 16, 127)[0]
     t = z_sequence_table()
     counts = (t == 0).sum(axis=0)  # zeros per phase over all seeds
     np.testing.assert_allclose(q, counts[(16 + np.arange(127)) % 127] / 127,
@@ -225,8 +251,7 @@ def test_srsx_output_clamped_and_shrinks_toward_zero():
     for _ in range(30):
         word, _ = noisy_word(rng, rng.integers(1, 128), 16, 50,
                              snr_db=rng.uniform(-2, 6))
-        post = seed_posterior(word.pilots)
-        out = srsx(word, posterior=post)
+        out = srsx(word)
         assert np.all(np.abs(out) <= LLR_MAX)
         # mixing with an uncertain mask can only lose magnitude
         assert np.all(np.abs(out) <= np.abs(word.payload) + 1e-12)
@@ -248,22 +273,21 @@ def test_srsx_matches_brute_force_seed_mixture():
     rng = np.random.default_rng(17)
     L, M = 16, 300
     with np.errstate(divide="ignore"):  # small alphas underflow some weights to 0
-        posts = [SeedPosterior(np.log(rng.dirichlet(np.full(127, a))))
+        posts = [np.log(rng.dirichlet(np.full(127, a)))
                  for a in (1.0, 0.2, 0.02) for _ in range(5)]
     # a few equal-weight seeds: q is exactly 0 or 1 where they agree and
     # soft where they do not
     for seeds in ((3, 90), (1, 2, 64, 127)):
         lw = np.full(N_SEEDS, -np.inf)
         lw[np.array(seeds) - 1] = -np.log(len(seeds))
-        post = SeedPosterior(lw)
-        q = mask_zero_prob(post, L, M)
+        q = mask_q(np.exp(lw)[None], L, M)[0]
         assert (q == 0.0).any() and (q == 1.0).any() and ((q > 0) & (q < 1)).any()
-        posts.append(post)
+        posts.append(lw)
     for post in posts:
         word, _ = noisy_word(rng, rng.integers(1, 128), L, M, snr_db=rng.uniform(-2, 6))
         # rtol is relative; atol covers outputs within rounding of zero
-        np.testing.assert_allclose(srsx(word, posterior=post),
-                                   brute_srsx(word.payload, post.weights, L),
+        np.testing.assert_allclose(srsx_rows(post[None], word.payload[None], L)[0],
+                                   brute_srsx(word.payload, np.exp(post), L),
                                    rtol=1e-9, atol=1e-12)
 
 
@@ -290,7 +314,7 @@ def test_row_kernels_equal_single_word_functions_row_by_row():
     L, M = 16, 300
     pilots, payload, words = noisy_block(rng, 40, L, M)
     lw = seed_log_weights(pilots)
-    q = mask_zero_probs(np.exp(lw), L, M)
+    q = mask_q(np.exp(lw), L, M)
     srsx_out = srsx_rows(lw, payload, L)
     hrsx_out, idx = hrsx_rows(lw, payload, L)
     naive_out = naive_rows(pilots, payload)
@@ -298,10 +322,11 @@ def test_row_kernels_equal_single_word_functions_row_by_row():
     hd_out = hd_rows(hard)
     for i, word in enumerate(words):
         post = seed_posterior(word.pilots)
-        np.testing.assert_allclose(lw[i], post.log_weights, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(q[i], mask_zero_prob(post, L, M), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(lw[i], post, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(q[i], mask_q(np.exp(post)[None], L, M)[0],
+                                   rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(srsx_out[i], srsx(word), rtol=1e-10, atol=1e-12)
-        assert idx[i] == post.map_index()
+        assert idx[i] == np.argmax(post)
         llrs, seed_bits = hrsx(word)
         assert np.array_equal(hrsx_out[i], llrs)
         assert np.array_equal(seed_from_int(int(idx[i]) + 1), seed_bits)
@@ -397,7 +422,7 @@ def oracle_log_weights(rng, kind, n, L):
                     lw[i, seeds] = -np.log(seeds.size)
                 else:
                     v = int(rng.integers(1, 128))
-                    pilots = flip_by_mask(np.full(L, LLR_MAX), make_pilots(seed_from_int(v), L))
+                    pilots = flip_by_mask(np.full(L, LLR_MAX), pilot_bits(v, L))
                     lw[i] = seed_log_weights(pilots[None])[0]
             return lw
     kinds = ("hard", "soft", "partly")
@@ -427,7 +452,7 @@ def test_out_kernels_equal_oracles_byte_for_byte(L, kind):
             pilots, payload = rng.normal(0.0, 6.0, (n, L)), oracle_payload(rng, n, M)
             # strided payload rows, as the sweep passes them
             payload = np.concatenate([pilots, payload], axis=1)[:, L:]
-            q = mask_zero_probs(np.exp(lw), L, M)
+            q = mask_q(np.exp(lw), L, M)
             assert same_bytes(srsx_rows(lw, payload, L), mix_mask_oracle(payload, q))
             llrs, idx = hrsx_rows(lw, payload, L)
             assert same_bytes(llrs, flip_oracle(payload, idx + 1, L))
@@ -438,7 +463,7 @@ def test_out_kernels_equal_oracles_byte_for_byte(L, kind):
 def test_oracle_cases_cover_exact_and_soft_mask_probabilities():
     rng = np.random.default_rng(40)
     L, M = 16, 300
-    q = {k: mask_zero_probs(np.exp(oracle_log_weights(rng, k, 6, L)), L, M)
+    q = {k: mask_q(np.exp(oracle_log_weights(rng, k, 6, L)), L, M)
          for k in ("hard", "soft", "partly")}
     assert np.isin(q["hard"], (0.0, 1.0)).all()
     assert ((q["soft"] > 0.0) & (q["soft"] < 1.0)).all()
@@ -455,7 +480,7 @@ def test_out_kernels_write_a_short_last_block_in_place(kind):
     out, scratch = np.full((rows, M), 7.0), np.full((2, rows, M), 7.0)
     lw = oracle_log_weights(rng, kind, b, L)
     pilots, payload = rng.normal(0.0, 6.0, (b, L)), oracle_payload(rng, b, M)
-    q = mask_zero_probs(np.exp(lw), L, M)
+    q = mask_q(np.exp(lw), L, M)
     states = hard_decide(pilots[:, -7:]).astype(np.intp) @ (1 << np.arange(7))
     cases = [
         (lambda o: srsx_rows(lw, payload, L, out=o, scratch=scratch[:, :b]),

@@ -28,7 +28,7 @@ from ssic.netstack import (
 )
 from ssic.scrambler import scramble, seed_from_int
 from ssic.softbits import LLR_MAX, SoftWord
-from ssic.vcframe import encapsulate, frame_to_bits, with_stream_addr
+from ssic.vcframe import decode_header_hard, encapsulate, frame_to_bits, with_stream_addr
 
 L = 16
 MAG = 6.0
@@ -88,7 +88,7 @@ def test_dispatch_and_dispatcher():
     key1, _ = d.send(P2)
     assert key0 == FrameKey(4, 65535)
     assert key1 == FrameKey(4, 0)  # sequence wraps mod 2^16
-    h = frames0[0][1].header()
+    h = decode_header_hard(frames0[0][1].header_coded)
     assert h is not None and (h.vci, h.vcs) == (4, 65535)
 
 

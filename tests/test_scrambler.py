@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 from ssic.scrambler import (
     LFSR_LEN,
     PERIOD,
-    all_seeds,
     fill_by_phase,
     lfsr_run,
-    lfsr_step,
-    make_pilots,
     mask_matrix,
     register_outputs,
     scramble,
     seed_from_int,
     seed_to_int,
 )
+
+from oracles import lfsr_step
 
 
 class RegisterTracer:
@@ -121,15 +120,6 @@ def test_seed_int_conversions_equal_the_bitwise_forms():
     assert seed_to_int(seed_from_int(5)) == 5 and seed_from_int(5).flags.writeable
 
 
-def test_all_seeds_table():
-    m = all_seeds()
-    assert m.shape == (127, 7) and m.dtype == np.uint8
-    for i in range(127):
-        assert seed_to_int(m[i]) == i + 1
-    m[0, 0] ^= 1  # caller gets a private copy
-    assert seed_to_int(all_seeds()[0]) == 1
-
-
 @given(
     v=st.integers(min_value=1, max_value=127),
     bits=st.lists(st.integers(0, 1), min_size=0, max_size=400),
@@ -156,10 +146,8 @@ def test_make_pilots_is_scrambled_zeros():
     for v in (1, 64, 127):
         seed = seed_from_int(v)
         for L in (7, 16, 127, 300):
-            pilots = make_pilots(seed, L)
+            pilots = scramble(seed, np.zeros(L, dtype=np.uint8))
             assert np.array_equal(pilots, lfsr_run(seed, L))
-    with pytest.raises(ValueError):
-        make_pilots(seed_from_int(3), 6)
 
 
 def test_register_equals_last_pilots_after_any_prefix():
@@ -183,13 +171,14 @@ def test_mask_matrix_golden_rows():
 
 
 def test_mask_matrix_defining_property_exhaustive():
-    seeds = all_seeds()
+    seeds = np.array([seed_from_int(v) for v in range(1, 128)])
     for L in (7, 16, 127):
         a = mask_matrix(L)
         assert a.shape == (L, 7) and a.dtype == np.uint8
         predicted = (seeds @ a.T) % 2  # (127, L)
         for i in range(127):
-            assert np.array_equal(predicted[i], make_pilots(seeds[i], L)), (L, i + 1)
+            pilots = scramble(seeds[i], np.zeros(L, dtype=np.uint8))
+            assert np.array_equal(predicted[i], pilots), (L, i + 1)
 
 
 def test_mask_matrix_row_recurrence():

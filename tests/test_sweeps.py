@@ -191,6 +191,10 @@ def test_offsets_default_to_zero_per_stream():
     (dict(mode="seed_ber", snr_grid=[3077.0]), "snr_grid"),
     (dict(mode="seed_ber", snr_grid=[3078.0]), "snr_grid"),
     (dict(mode="payload_ber", snr_grid=[3079.0]), "snr_grid"),
+    (dict(mode="packet_per", snr_grid=[0.0], variants=("srsx", "srsx")),
+     "variants: 'srsx' listed twice"),
+    (dict(mode="seed_ber", snr_grid=[0.0], variants=("hd", "hrsx", "hd")),
+     "variants: 'hd' listed twice"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
@@ -480,6 +484,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["sweep", "--mode", "seed_ber", "--snr-grid", "0", "--trials", "5",
                  "--out", str(tmp_path / "missing_dir" / "x.csv")]) == 2
     assert "error: " in capsys.readouterr().err
+    # a repeated variant would count its errors twice into one row
+    assert main(["sweep", "--mode", "packet_per", "--snr-grid", "0", "--trials", "5",
+                 "--payload-bytes", "16", "--variants", "srsx,srsx"]) == 2
+    assert "error: variants: 'srsx' listed twice" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():
