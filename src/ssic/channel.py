@@ -19,11 +19,10 @@ Two impairments sit on top:
 The frame-level CRC is idealized: it passes exactly when hard-decision
 descrambling (register preloaded from the last 7 pilot decisions)
 reproduces the transmitted payload.  It never false-accepts.  transmit
-decides this clean/soft split from the signs of the received samples y,
-which are the signs of the LLRs 2y/sigma^2; the LLRs are computed only for
-a soft frame, the one case that hands them upward.  Most frames at a useful
-SNR are passed as clean from the size of their noise alone, before the
-word is scrambled (see transmit).
+forms the LLRs with awgn_llrs, as every path here does, and decides this
+clean/soft split from their signs; only a soft frame hands them upward.
+Most frames at a useful SNR are passed as clean from the size of their
+noise alone, before the word is scrambled (see transmit).
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import LFSR_LEN, register_outputs, scramble, seed_from_int, seed_to_int
+from .scrambler import (LFSR_LEN, _checked_seed, register_outputs, scramble, seed_from_int,
+                        seed_to_int)
 from .softbits import LLR_MAX, SoftWord
 from .descramble import hd
 
@@ -135,13 +135,6 @@ def scrambled_llrs(seed_ints, payload_bits: np.ndarray, L: int, noise: np.ndarra
     return np.clip(llrs, -LLR_MAX, LLR_MAX, out=llrs)
 
 
-def _checked_seed(seed: np.ndarray) -> np.ndarray:
-    s = np.asarray(seed, dtype=np.uint8)
-    if s.shape != (LFSR_LEN,) or not s.any():
-        raise ValueError(f"seed must be a nonzero ({LFSR_LEN},) bit vector")
-    return s
-
-
 def _checked_payload(payload_bits: np.ndarray) -> np.ndarray:
     payload = np.asarray(payload_bits, dtype=np.uint8)
     if payload.ndim != 1:
@@ -190,16 +183,14 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     the result: missed entirely, clean (idealized CRC pass, hard bits), or
     soft (full LLR word for later combining).
 
-    The received samples y = s + sigma z are built in place by the same
-    operations, in the same order, as awgn_llrs, and the split is decided
-    from their signs: y < 0 exactly where 2y/sigma^2 < 0, since y is never
-    subnormal.  Only a soft frame scales y into LLRs.  sigma^2 is a scalar
-    unless a burst window was drawn.
+    The scaled noise sigma z and the sent word go through awgn_llrs, and
+    the split is decided from the signs of the LLRs, the receiver's hard
+    decisions.  sigma^2 is a scalar unless a burst window was drawn.
 
     With a scalar sigma^2, a frame whose standard normal draws from the
     last 7 pilots on all have |z| <= clean_noise_bound(sigma^2) keeps the
     sign of every symbol there, whatever was sent: it is clean, and neither
-    the scrambled word nor y is formed.  The draws are the same either way.
+    the scrambled word nor an LLR is formed.  The draws are the same either way.
     """
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
@@ -215,23 +206,23 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
         length = int(rng.geometric(1.0 / params.burst_len_mean))
         sigma2 = np.full(n, sigma2)
         sigma2[start:start + length] /= params.burst_llr_atten
-    y = rng.standard_normal(n)
+    noise = rng.standard_normal(n)
     if not burst:
-        tail, t = y[L - LFSR_LEN:], clean_noise_bound(sigma2)
+        tail, t = noise[L - LFSR_LEN:], clean_noise_bound(sigma2)
         if tail.max() <= t and tail.min() >= -t:
             return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
                                      hard_bits=payload.copy())
 
     tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
-    y *= np.sqrt(sigma2)
-    y += 1.0 - 2.0 * tx
+    noise *= np.sqrt(sigma2)
+    llrs = awgn_llrs(tx, noise, sigma2)
 
     # hard decisions from the last 7 pilots on; when they all equal what was
     # sent, the preloaded register is the true one and descrambling
     # reproduces the payload.  When only the 7 pilot decisions are right, it
     # reproduces the payload with its decision errors: soft.  So hd runs only
     # for a frame with a wrong pilot decision there.
-    hard = (y[L - LFSR_LEN:] < 0).view(np.uint8)
+    hard = (llrs[L - LFSR_LEN:] < 0).view(np.uint8)
     sent = tx[L - LFSR_LEN:]
     if hard.tobytes() == sent.tobytes():
         return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
@@ -241,8 +232,6 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
         if (descrambled == payload).all():
             return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
                                      hard_bits=descrambled)
-    # the matched LLRs 2y/sigma^2, left unclamped: SoftWord clamps what it stores
-    y *= 2.0
-    y /= sigma2
+    # left unclamped: SoftWord clamps what it stores
     return StreamObservation(stream_id=stream_id, detected=True, crc_pass=False,
-                             soft=SoftWord(pilots=y[:L], payload=y[L:]))
+                             soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))

@@ -43,22 +43,23 @@ def ssic_combine(copies: list[StreamSoftCopy]) -> np.ndarray:
         if c.stream_id in ids:
             raise ValueError(f"duplicate stream_id {c.stream_id}")
         ids.add(c.stream_id)
-    return combine_streams(np.stack([c.llrs for c in copies]))
+    return combine_streams([c.llrs for c in copies])
 
 
-def combine_streams(llrs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum of (..., K, M) LLRs over the K streams, clamped to +-LLR_MAX.
+def combine_streams(rows, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of K equal-shape LLR arrays, one per stream, clamped to +-LLR_MAX.
 
-    The streams are added into a zero total in order 0..K-1, so a block of
-    packets sums exactly as ssic_combine sums each one.  The total is
+    rows is any sequence of them, a list or a (K, ..., M) array.  They are
+    added into a zero total in order 0..K-1, so a block of packets sums
+    exactly as ssic_combine and the aggregator sum each one.  The total is
     written into out when it is given, as numpy's out= does.
     """
     if out is None:
-        out = np.zeros(llrs.shape[:-2] + llrs.shape[-1:])
+        out = np.zeros(np.shape(rows[0]))
     else:
         out[...] = 0.0
-    for k in range(llrs.shape[-2]):
-        out += llrs[..., k, :]
+    for r in rows:
+        out += r
     return np.clip(out, -LLR_MAX, LLR_MAX, out=out)
 
 

@@ -67,10 +67,10 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _pilot_codebook(L: int) -> np.ndarray:
-    """(L, 127) +-1 pilot patterns of all seeds: column i is 1 - 2 z over
-    the first L outputs of seed i+1.  C-contiguous, so y @ S sums in the
-    same order whatever built it."""
-    S = np.ascontiguousarray(1.0 - 2.0 * register_outputs(np.arange(1, N_SEEDS + 1), L).T)
+    """(L, 127) +-1 pilot patterns of all seeds: column i is the sign table's
+    row i+1 over phases 0..L-1.  C-contiguous, so y @ S sums in the same
+    order whatever built it."""
+    S = fill_by_phase(np.empty((N_SEEDS, L)), _sign_table()[1:], 0).T.copy()
     S.flags.writeable = False
     return S
 
@@ -93,9 +93,9 @@ def z_sequence_table() -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _one_minus_z() -> np.ndarray:
-    """1 - z_sequence_table() as floats: entry (i, j) is 1 where seed i+1
-    outputs 0 at phase j."""
-    t = 1.0 - z_sequence_table()
+    """1 - z_sequence_table() as floats, (1 + sign) / 2 of the sign table:
+    entry (i, j) is 1 where seed i+1 outputs 0 at phase j."""
+    t = 0.5 * (1.0 + _sign_table()[1:])
     t.flags.writeable = False
     return t
 

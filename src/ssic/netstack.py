@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
+from .combine import combine_streams, decide
 from .descramble import hrsx, naive_sd, srsx
 from .scrambler import LFSR_LEN
 from .softbits import SoftWord
@@ -55,7 +56,7 @@ from .vcframe import (FRAME_OVERHEAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, 
 # The per-copy entry points the aggregator used to call stay importable from
 # this module, under the names ssicbench/spans.py traces, although push no
 # longer calls them: it reads a clean copy's header and payload straight from
-# its bits and sums soft copies into one buffer.
+# its bits and sums soft copies with combine_streams into a work row.
 from .combine import ssic_combine  # noqa: F401
 from .vcframe import frame_from_bits  # noqa: F401
 
@@ -254,14 +255,8 @@ class Aggregator:
         others = [l for sid, l in self.pending.get(key, {}).items()
                   if l.size == payload_llrs.size and sid != obs.stream_id]
         if others:
-            # the copies' LLR sum, stored copies first, as ssic_combine adds
-            # them; its signs are the decisions of the clamped sum
-            total = self._work[1, :payload_llrs.size]
-            np.copyto(total, others[0])
-            for l in others[1:]:
-                total += l
-            total += payload_llrs
-            packet = np.packbits(total < 0).tobytes()
+            total = combine_streams([*others, payload_llrs], self._work[1, :payload_llrs.size])
+            packet = np.packbits(decide(total)).tobytes()
             if self.payload_check(key, packet):
                 return self._deliver(key, packet, combined=True)
             self.stats.combine_failures += 1

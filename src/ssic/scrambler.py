@@ -114,17 +114,24 @@ def lfsr_run(state: np.ndarray, n: int) -> np.ndarray:
     return register_outputs(seed_to_int(state), n)
 
 
-def scramble(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """XOR a bit sequence with the seed's output sequence.
-
-    Self-inverse: scramble(seed, scramble(seed, x)) == x.
-    The seed must be nonzero, otherwise the output sequence is degenerate.
-    """
+def _checked_seed(seed) -> np.ndarray:
+    """seed as uint8 register bits; raises unless it is a nonzero (7,) vector,
+    the only kind whose output sequence is not degenerate."""
     s = np.asarray(seed, dtype=np.uint8)
     if s.shape != (LFSR_LEN,):
         raise ValueError(f"seed must have shape ({LFSR_LEN},), got {s.shape}")
     if not s.any():
         raise ValueError("seed must be nonzero")
+    return s
+
+
+def scramble(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """XOR a bit sequence with the seed's output sequence.
+
+    Self-inverse: scramble(seed, scramble(seed, x)) == x.
+    The seed must be nonzero (_checked_seed).
+    """
+    s = _checked_seed(seed)
     x = np.asarray(bits, dtype=np.uint8)
     if x.ndim != 1:
         raise ValueError("bits must be one-dimensional")

@@ -152,6 +152,8 @@ class SweepSpec:
             raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
         if self.n_streams < 1:
             raise ValueError(f"n_streams: must be >= 1, got {self.n_streams}")
+        if self.mode == "seed_ber" and self.n_streams != 1:
+            raise ValueError(f"n_streams: seed_ber measures one stream, got {self.n_streams}")
         if (len(self.stream_snr_offsets) != self.n_streams
                 or not all(np.isfinite(self.stream_snr_offsets))):
             raise ValueError(
@@ -339,7 +341,8 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
 
 def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator) -> dict[str, int]:
     errors = {v: 0 for v in spec.variants}
-    with contextlib.closing(_trial_blocks(rng, spec.trials, spec.L, 0, [snr_db])) as blocks:
+    blocks = _trial_blocks(rng, spec.trials, spec.L, 0, [snr_db + spec.stream_snr_offsets[0]])
+    with contextlib.closing(blocks):
         for _, seeds, llrs in blocks:
             seeds, pilots = seeds[:, 0], llrs[:, 0]
             # hd and naive: register estimate straight from the last 7 pilot decisions
@@ -392,7 +395,8 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
                     else:
                         srsx_rows(lw, words, L, out=out,
                                   scratch=work[:2 * out.size].reshape(2, b * K, M))
-                    bits = decide(combine_streams(out.reshape(b, K, M), out=total[:b]))
+                    bits = decide(combine_streams(out.reshape(b, K, M).swapaxes(0, 1),
+                                                  out=total[:b]))
                 wrong = (bits != payload).sum(axis=1)
                 bit_err[v] += int(wrong.sum())
                 pkt_err[v] += int((wrong > 0).sum())

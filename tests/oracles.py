@@ -1,9 +1,9 @@
 """Reference implementations the tests check the package against.
 
 Each is the plain form of something the package computes another way: one
-register step at a time, a sign flip by an explicit mask, and the AWGN link
-drawing its own noise for a bit sequence.  They live here, apart from the
-code they check.
+register step at a time, a sign flip by an explicit mask, the AWGN link
+drawing its own noise for a bit sequence, and the header CRC from its
+polynomial.  They live here, apart from the code they check.
 """
 
 import numpy as np
@@ -42,3 +42,29 @@ def bpsk_awgn_llrs(bits: np.ndarray, snr_db: float, rng: np.random.Generator) ->
     b = np.asarray(bits, dtype=np.uint8)
     sigma2 = snr_db_to_sigma2(snr_db)
     return awgn_llrs(b, rng.normal(0.0, np.sqrt(sigma2), b.size), sigma2)
+
+
+_CRC16_POLY = 0x1021
+
+
+def _crc16_table() -> list[int]:
+    """Entry t: the register t << 8 after 8 shifts through the polynomial."""
+    crc = np.arange(256) << 8
+    for _ in range(8):
+        crc = np.where(crc & 0x8000, (crc << 1) ^ _CRC16_POLY, crc << 1) & 0xFFFF
+    return crc.tolist()
+
+
+_CRC16_TABLE = _crc16_table()
+
+
+def crc16_ccitt(data: bytes) -> int:
+    """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection.
+
+    Byte-wise: the top byte of the register, XORed with the next data byte,
+    indexes the table of its 8 shifts.
+    """
+    crc = 0xFFFF
+    for byte in data:
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
+    return crc

@@ -68,7 +68,7 @@ def test_decide_is_sign_rule():
 def test_block_combine_equals_ssic_combine_per_packet():
     rng = np.random.default_rng(6)
     block = np.clip(rng.normal(0.0, 8.0, (5, 3, 200)), -LLR_MAX, LLR_MAX)
-    out = combine_streams(block)
+    out = combine_streams(np.moveaxis(block, 1, 0))
     for b in range(5):
         copies = [StreamSoftCopy(k, block[b, k]) for k in range(3)]
         assert np.array_equal(out[b], ssic_combine(copies))
@@ -81,7 +81,7 @@ def test_block_combine_into_out_equals_a_fresh_total():
     block = np.clip(rng.normal(0.0, 8.0, (5, 3, 200)), -LLR_MAX, LLR_MAX)
     block[:, :, :4] = [0.0, -0.0, LLR_MAX, -LLR_MAX]
     out = np.full((8, 200), np.nan)
-    got = combine_streams(block, out=out[:5])
+    got = combine_streams(np.moveaxis(block, 1, 0), out=out[:5])
     assert np.shares_memory(got, out)
-    assert out[:5].tobytes() == combine_streams(block).tobytes()
+    assert out[:5].tobytes() == combine_streams(np.moveaxis(block, 1, 0)).tobytes()
     assert not np.signbit(out[:5, :2]).any() and np.isnan(out[5:]).all()

@@ -147,6 +147,12 @@ SPEC = dict(mode="payload_ber", snr_grid=[0.0, 2.0, 4.0], L=16, n_streams=2,
             stream_snr_offsets=[0.0, 1.0], trials=9, payload_bytes=6, rng_seed=3)
 
 
+def spec_for(mode: str) -> SweepSpec:
+    """SPEC in another mode; seed_ber measures one stream."""
+    one = dict(n_streams=1, stream_snr_offsets=[0.0]) if mode == "seed_ber" else {}
+    return SweepSpec(**dict(SPEC, mode=mode, **one))
+
+
 # each grid point draws 9 trials x 2 streams from its own stand-in
 @pytest.mark.parametrize("fail_at", [1, 7, 17])
 def test_a_draw_error_surfaces_from_run_sweep(monkeypatch, fail_at):
@@ -204,14 +210,14 @@ def test_an_error_in_the_callers_loop_leaves_no_thread(monkeypatch):
     for mode in ("payload_ber", "seed_ber"):
         calls = 0
         with pytest.raises(ArithmeticError, match="in the loop body"):
-            run_sweep(SweepSpec(**dict(SPEC, mode=mode)))
+            run_sweep(spec_for(mode))
         assert set(threading.enumerate()) == before
 
 
 def test_run_sweep_leaves_no_thread():
     before = set(threading.enumerate())
     for mode in ("seed_ber", "payload_ber", "packet_per"):
-        run_sweep(SweepSpec(**dict(SPEC, mode=mode)))
+        run_sweep(spec_for(mode))
         assert set(threading.enumerate()) == before
 
 
@@ -232,7 +238,7 @@ def test_the_draw_thread_leaves_the_callers_cpu():
 
 
 def sweep_csvs():
-    return [rows_to_csv(SWEEP_COLUMNS, run_sweep(SweepSpec(**dict(SPEC, mode=mode))))
+    return [rows_to_csv(SWEEP_COLUMNS, run_sweep(spec_for(mode)))
             for mode in ("payload_ber", "seed_ber")]
 
 

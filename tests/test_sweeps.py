@@ -195,10 +195,22 @@ def test_offsets_default_to_zero_per_stream():
      "variants: 'srsx' listed twice"),
     (dict(mode="seed_ber", snr_grid=[0.0], variants=("hd", "hrsx", "hd")),
      "variants: 'hd' listed twice"),
+    (dict(mode="seed_ber", snr_grid=[0.0], n_streams=2), "n_streams"),
+    (dict(mode="seed_ber", snr_grid=[0.0], n_streams=2, stream_snr_offsets=[10.0, 10.0]),
+     "n_streams"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
         SweepSpec(**kwargs).validate()
+
+
+def test_seed_ber_draws_at_the_stream_offset():
+    def counts(snr_db, offset):
+        spec = SweepSpec("seed_ber", [snr_db], stream_snr_offsets=[offset], trials=300,
+                         variants=("hd", "hrsx"), rng_seed=5)
+        return [row[6:8] for row in run_sweep(spec)]
+
+    assert counts(0.0, 3.0) == counts(3.0, 0.0) != counts(0.0, 0.0)
 
 
 def test_from_dict_contract():

@@ -1,7 +1,7 @@
 """Header code and wire-format tests.
 
-binascii.crc_hqx(data, 0xFFFF) computes the same CRC variant and serves as
-the second, independent implementation.
+The package computes the header CRC with binascii.crc_hqx(data, 0xFFFF);
+the table-driven CRC in oracles.py is the independent implementation.
 """
 
 import binascii
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import crc16_ccitt as table_crc16_ccitt
 from ssic.vcframe import (
     BCH_K,
     BCH_MIN_DIST,
@@ -179,7 +180,7 @@ def test_crc_check_value():
 @given(st.binary(min_size=0, max_size=200))
 @settings(max_examples=200, deadline=None)
 def test_crc_matches_independent_implementation(data):
-    assert crc16_ccitt(data) == binascii.crc_hqx(data, 0xFFFF)
+    assert crc16_ccitt(data) == table_crc16_ccitt(data)
 
 
 def test_crc_detects_single_byte_change():
