@@ -31,8 +31,9 @@ supplies a predicate that compares against ground truth and never
 false-accepts.
 
 run_network_point streams each copy to the aggregator as soon as no copy
-still to be sent can arrive before it, so a run holds only the copies
-within the arrival jitter of the newest packet, not every soft word.
+still to be sent can arrive before it, and holds a payload only while a key
+can still name its packet, so beyond the copies in flight a run keeps only
+bool outcome columns (PacketOutcomes), streams + 1 bytes per packet.
 """
 
 from __future__ import annotations
@@ -53,10 +54,8 @@ from .vcframe import (FRAME_OVERHEAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, 
                       decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
                       is_frame_length, payload_from_bits, with_stream_addr)
 
-# The per-copy entry points the aggregator used to call stay importable from
-# this module, under the names ssicbench/spans.py traces, although push no
-# longer calls them: it reads a clean copy's header and payload straight from
-# its bits and sums soft copies with combine_streams into a work row.
+# Importable here under the names ssicbench/spans.py traces, although push no
+# longer calls them: it reads clean copies from their bits and sums soft ones.
 from .combine import ssic_combine  # noqa: F401
 from .vcframe import frame_from_bits  # noqa: F401
 
@@ -277,14 +276,20 @@ class Aggregator:
         self.stats.soft_stored += 1
 
 
-@dataclass
-class PacketRecord:
-    """Ground truth plus per-stream outcomes for one sent packet."""
+@dataclass(frozen=True, eq=False)
+class PacketOutcomes:
+    """A run's outcomes, row i for packet i, whose key is (vci, i mod VCS_MOD).
 
-    key: FrameKey
-    detected: tuple[bool, ...]
-    hard: tuple[bool, ...]
-    ssic_delivered: bool = False
+    detected and hard are (n, streams): each stream's copy was detected, and
+    detected clean.  ssic_delivered is (n,).  len() is n, the packet count.
+    """
+
+    detected: np.ndarray
+    hard: np.ndarray
+    ssic_delivered: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ssic_delivered)
 
 
 @dataclass
@@ -306,21 +311,18 @@ class RunMetrics:
         self.fr = 1.0 - (1.0 - self.plr) * (1.0 - self.per)
 
 
-def run_metrics(records: Sequence[PacketRecord], n_streams: int) -> dict[str, RunMetrics]:
-    """Per-mode metrics out of one shared delivery log.
+def run_metrics(outcomes: PacketOutcomes) -> dict[str, RunMetrics]:
+    """Per-mode metrics out of one run's outcome columns, in the CSV's row order.
 
-    stream<k> counts only stream k's clean copies; dup is first-clean-copy-
-    wins across streams; ssic is the aggregator's actual outcome.
+    stream<k>, for each stream k, counts only its clean copies; dup is
+    first-clean-copy-wins across streams; ssic is the aggregator's outcome.
     """
-    sent = len(records)
-    out: dict[str, RunMetrics] = {}
-    for k in range(n_streams):
-        det = sum(r.detected[k] for r in records)
-        dlv = sum(r.detected[k] and r.hard[k] for r in records)
-        out[f"stream{k + 1}"] = RunMetrics(sent, det, dlv)
-    det_any = sum(any(r.detected) for r in records)
-    out["dup"] = RunMetrics(sent, det_any, sum(any(r.hard) for r in records))
-    out["ssic"] = RunMetrics(sent, det_any, sum(r.ssic_delivered for r in records))
+    detected, hard, sent = outcomes.detected, outcomes.hard, len(outcomes)
+    det, dlv = detected.sum(axis=0).tolist(), (detected & hard).sum(axis=0).tolist()
+    out = {f"stream{k + 1}": RunMetrics(sent, det[k], dlv[k]) for k in range(len(det))}
+    det_any = int(detected.any(axis=1).sum())
+    out["dup"] = RunMetrics(sent, det_any, int(hard.any(axis=1).sum()))
+    out["ssic"] = RunMetrics(sent, det_any, int(outcomes.ssic_delivered.sum()))
     return out
 
 
@@ -328,7 +330,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
                       stream_params: Sequence[ChannelParams], L: int,
                       rng: np.random.Generator, variant: str = "srsx",
                       window_size: int = 1024, arrival_jitter: float = 0.5,
-                      vci: int = 1) -> tuple[list[PacketRecord], AggregatorStats]:
+                      vci: int = 1) -> tuple[PacketOutcomes, AggregatorStats]:
     """Simulate one configured operating point end to end.
 
     Every packet is dispatched on all streams.  A detected copy of packet i
@@ -337,39 +339,42 @@ def run_network_point(n_packets: int, payload_bytes: int,
     sent, every held copy that arrives before time i goes to a fresh
     aggregator; no copy sent later can arrive before them, so the aggregator
     sees the order of one sort of all arrivals.  The heap holds
-    O(streams * ceil(arrival_jitter)) copies at a time, and the aggregator
+    O(streams * ceil(arrival_jitter)) copies at a time, the aggregator
     holds pending copies of at most window_size keys, none of them
-    window_size or more serials behind its newest delivery (see Aggregator);
-    only the sent packets and their small records grow with n_packets.
-    Returns ground-truth packet records (with the aggregator outcome filled
-    in) and the aggregator counters.
+    window_size or more serials behind its newest delivery (see Aggregator),
+    and a ring holds the payloads of the last VCS_MOD // 2 +
+    ceil(arrival_jitter) + 1 packets.  Only the outcome columns grow with
+    n_packets; they are returned with the aggregator counters.
     """
     n_streams = len(stream_params)
     if n_streams < 1:
         raise ValueError("need at least one stream")
+    if n_packets < 0:
+        raise ValueError(f"n_packets: must be >= 0, got {n_packets}")
     if not 0.0 <= arrival_jitter < np.inf:
         raise ValueError(f"arrival_jitter: must be finite and >= 0, got {arrival_jitter}")
     dispatcher = Dispatcher(vci, [0x020000000000 + k for k in range(n_streams)])
-    packets: list[bytes] = []
-    records: list[PacketRecord] = []
+    detected, hard = np.zeros((2, n_packets, n_streams), dtype=bool)
+    delivered = np.zeros(n_packets, dtype=bool)
     held: list[tuple[float, int, int, StreamObservation]] = []
     n_arrivals = 0
 
-    # (vci, vcs) keys repeat every VCS_MOD packets, so a key names a packet
-    # only relative to an arrival: it is the packet within half the serial
-    # space of the packet whose copy arrived.  push_until sets arriving to
-    # that packet's index before each push.  Packets not yet sent match no
-    # key: a payload equals an unsent one only by chance.
-    arriving = 0
+    # Keys repeat every VCS_MOD packets: a key names the packet within half the
+    # serial space of the one whose copy arrived (arriving, set by push_until);
+    # unsent packets match none.  A copy of packet a arrives at t <= fl(a +
+    # arrival_jitter) <= a + ceil(arrival_jitter), and push_until(sent) pushes
+    # it only if a = sent - 1 or t >= sent - 1: a key names one of the last
+    # VCS_MOD // 2 + ceil(arrival_jitter) + 1 packets; ring[j % len(ring)] holds packet j's.
+    ring = [b""] * min(n_packets, VCS_MOD // 2 + int(np.ceil(arrival_jitter)) + 1)
+    arriving = sent = 0
 
     def packet_of(key: FrameKey) -> int | None:
-        sent = records[arriving].key
-        j = arriving + (key.vcs - sent.vcs + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
-        return j if key.vci == sent.vci and 0 <= j < len(packets) else None
+        j = arriving + (key.vcs - arriving + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
+        return j if key.vci == vci and 0 <= j < sent else None
 
     def payload_check(key: FrameKey, payload: bytes) -> bool:
         j = packet_of(key)
-        return j is not None and packets[j] == payload
+        return j is not None and ring[j % len(ring)] == payload
 
     agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
                      payload_check=payload_check)
@@ -381,24 +386,23 @@ def run_network_point(n_packets: int, payload_bytes: int,
             _, _, arriving, obs = heapq.heappop(held)
             result = agg.push(obs)
             if result is not None and payload_check(*result):
-                records[packet_of(result[0])].ssic_delivered = True
+                delivered[packet_of(result[0])] = True
 
     for i in range(n_packets):
         push_until(i)
         packet = rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
-        key, frames = dispatcher.send(packet)
-        packets.append(packet)
+        _, frames = dispatcher.send(packet)
+        ring[i % len(ring)] = packet
+        sent = i + 1
         # the payload is unpacked once per packet; each stream stamps its address
         wire = frame_to_bits(frames[0][1])
-        detected, hard = [], []
         for k, frame in frames:
             obs = transmit(fresh_seed(rng), with_stream_addr(wire, frame.stream_addr), L,
                            stream_params[k], rng, stream_id=k)
-            detected.append(obs.detected)
-            hard.append(obs.detected and obs.crc_pass)
+            detected[i, k] = obs.detected
+            hard[i, k] = obs.detected and obs.crc_pass
             if obs.detected:
                 heapq.heappush(held, (i + arrival_jitter * rng.random(), n_arrivals, i, obs))
                 n_arrivals += 1
-        records.append(PacketRecord(key, tuple(detected), tuple(hard)))
     push_until(None)
-    return records, agg.stats
+    return PacketOutcomes(detected, hard, delivered), agg.stats

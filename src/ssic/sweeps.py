@@ -435,15 +435,11 @@ def run_netsim(spec: SweepSpec) -> list[list]:
     for gi, snr_db in enumerate(spec.snr_grid):
         rng = _point_rng(spec, gi)
         params = [spec.channel_params(snr_db + off) for off in spec.stream_snr_offsets]
-        records, _ = run_network_point(
+        outcomes, _ = run_network_point(
             spec.trials, spec.payload_bytes, params, spec.L, rng,
             variant=spec.variants[0], window_size=spec.window_size,
             arrival_jitter=spec.arrival_jitter)
-        metrics = run_metrics(records, spec.n_streams)
-        mode_order = [f"stream{k + 1}" for k in range(spec.n_streams)] + ["dup", "ssic"]
-        for m in mode_order:
-            r = metrics[m]
-            rows.append([gi, m, r.sent, r.plr, r.per, r.fr])
+        rows += ([gi, m, r.sent, r.plr, r.per, r.fr] for m, r in run_metrics(outcomes).items())
     return rows
 
 

@@ -3,13 +3,22 @@
 Each is the plain form of something the package computes another way: one
 register step at a time, a sign flip by an explicit mask, the AWGN link
 drawing its own noise for a bit sequence, and the header CRC from its
-polynomial.  They live here, apart from the code they check.
+polynomial, and a network point that keeps a record and the payload of
+every packet.  They live here, apart from the code they check.
 """
+
+import heapq
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ssic.channel import awgn_llrs, snr_db_to_sigma2
+from ssic.channel import (ChannelParams, StreamObservation, awgn_llrs, fresh_seed,
+                          snr_db_to_sigma2, transmit)
+from ssic.netstack import (VCS_MOD, Aggregator, AggregatorConfig, AggregatorStats, Dispatcher,
+                           FrameKey, RunMetrics)
 from ssic.scrambler import LFSR_LEN
+from ssic.vcframe import frame_to_bits, with_stream_addr
 
 
 def lfsr_step(state: np.ndarray) -> tuple[int, np.ndarray]:
@@ -68,3 +77,111 @@ def crc16_ccitt(data: bytes) -> int:
     for byte in data:
         crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
     return crc
+
+
+@dataclass
+class PacketRecord:
+    """Ground truth plus per-stream outcomes for one sent packet."""
+
+    key: FrameKey
+    detected: tuple[bool, ...]
+    hard: tuple[bool, ...]
+    ssic_delivered: bool = False
+
+
+def run_metrics(records: Sequence[PacketRecord], n_streams: int) -> dict[str, RunMetrics]:
+    """Per-mode metrics out of one shared delivery log.
+
+    stream<k> counts only stream k's clean copies; dup is first-clean-copy-
+    wins across streams; ssic is the aggregator's actual outcome.
+    """
+    sent = len(records)
+    out: dict[str, RunMetrics] = {}
+    for k in range(n_streams):
+        det = sum(r.detected[k] for r in records)
+        dlv = sum(r.detected[k] and r.hard[k] for r in records)
+        out[f"stream{k + 1}"] = RunMetrics(sent, det, dlv)
+    det_any = sum(any(r.detected) for r in records)
+    out["dup"] = RunMetrics(sent, det_any, sum(any(r.hard) for r in records))
+    out["ssic"] = RunMetrics(sent, det_any, sum(r.ssic_delivered for r in records))
+    return out
+
+
+def run_network_point(n_packets: int, payload_bytes: int,
+                      stream_params: Sequence[ChannelParams], L: int,
+                      rng: np.random.Generator, variant: str = "srsx",
+                      window_size: int = 1024, arrival_jitter: float = 0.5,
+                      vci: int = 1) -> tuple[list[PacketRecord], AggregatorStats]:
+    """Simulate one configured operating point end to end.
+
+    Every packet is dispatched on all streams.  A detected copy of packet i
+    arrives at time i + arrival_jitter * u, u uniform in [0, 1), and waits
+    in a heap keyed on (arrival time, send order).  Just before packet i is
+    sent, every held copy that arrives before time i goes to a fresh
+    aggregator; no copy sent later can arrive before them, so the aggregator
+    sees the order of one sort of all arrivals.  The heap holds
+    O(streams * ceil(arrival_jitter)) copies at a time, and the aggregator
+    holds pending copies of at most window_size keys, none of them
+    window_size or more serials behind its newest delivery (see Aggregator);
+    only the sent packets and their small records grow with n_packets.
+    Returns ground-truth packet records (with the aggregator outcome filled
+    in) and the aggregator counters.
+    """
+    n_streams = len(stream_params)
+    if n_streams < 1:
+        raise ValueError("need at least one stream")
+    if not 0.0 <= arrival_jitter < np.inf:
+        raise ValueError(f"arrival_jitter: must be finite and >= 0, got {arrival_jitter}")
+    dispatcher = Dispatcher(vci, [0x020000000000 + k for k in range(n_streams)])
+    packets: list[bytes] = []
+    records: list[PacketRecord] = []
+    held: list[tuple[float, int, int, StreamObservation]] = []
+    n_arrivals = 0
+
+    # (vci, vcs) keys repeat every VCS_MOD packets, so a key names a packet
+    # only relative to an arrival: it is the packet within half the serial
+    # space of the packet whose copy arrived.  push_until sets arriving to
+    # that packet's index before each push.  Packets not yet sent match no
+    # key: a payload equals an unsent one only by chance.
+    arriving = 0
+
+    def packet_of(key: FrameKey) -> int | None:
+        sent = records[arriving].key
+        j = arriving + (key.vcs - sent.vcs + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
+        return j if key.vci == sent.vci and 0 <= j < len(packets) else None
+
+    def payload_check(key: FrameKey, payload: bytes) -> bool:
+        j = packet_of(key)
+        return j is not None and packets[j] == payload
+
+    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
+                     payload_check=payload_check)
+
+    def push_until(t: float | None) -> None:
+        """Push the held copies that arrive before time t (all of them for None)."""
+        nonlocal arriving
+        while held and (t is None or held[0][0] < t):
+            _, _, arriving, obs = heapq.heappop(held)
+            result = agg.push(obs)
+            if result is not None and payload_check(*result):
+                records[packet_of(result[0])].ssic_delivered = True
+
+    for i in range(n_packets):
+        push_until(i)
+        packet = rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
+        key, frames = dispatcher.send(packet)
+        packets.append(packet)
+        # the payload is unpacked once per packet; each stream stamps its address
+        wire = frame_to_bits(frames[0][1])
+        detected, hard = [], []
+        for k, frame in frames:
+            obs = transmit(fresh_seed(rng), with_stream_addr(wire, frame.stream_addr), L,
+                           stream_params[k], rng, stream_id=k)
+            detected.append(obs.detected)
+            hard.append(obs.detected and obs.crc_pass)
+            if obs.detected:
+                heapq.heappush(held, (i + arrival_jitter * rng.random(), n_arrivals, i, obs))
+                n_arrivals += 1
+        records.append(PacketRecord(key, tuple(detected), tuple(hard)))
+    push_until(None)
+    return records, agg.stats

@@ -6,10 +6,12 @@ as explicit sign flips.
 """
 
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import oracles
 from ssic import netstack
 from ssic.channel import ChannelParams, StreamObservation
 from ssic.combine import StreamSoftCopy, decide, ssic_combine
@@ -19,7 +21,7 @@ from ssic.netstack import (
     AggregatorConfig,
     Dispatcher,
     FrameKey,
-    PacketRecord,
+    PacketOutcomes,
     RunMetrics,
     dispatch,
     run_metrics,
@@ -356,34 +358,39 @@ def test_run_metrics_identity_and_counts():
 
 
 def test_run_metrics_modes_from_records():
-    records = [
-        PacketRecord(FrameKey(1, 0), (True, True), (True, False), ssic_delivered=True),
-        PacketRecord(FrameKey(1, 1), (True, False), (False, False), ssic_delivered=False),
-        PacketRecord(FrameKey(1, 2), (False, True), (False, True), ssic_delivered=True),
-        PacketRecord(FrameKey(1, 3), (False, False), (False, False), ssic_delivered=False),
-    ]
-    out = run_metrics(records, 2)
+    # one row per packet: detected and hard per stream, then ssic_delivered
+    outcomes = PacketOutcomes(
+        detected=np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=bool),
+        hard=np.array([[1, 0], [0, 0], [0, 1], [0, 0]], dtype=bool),
+        ssic_delivered=np.array([1, 0, 1, 0], dtype=bool))
+    out = run_metrics(outcomes)
+    assert list(out) == ["stream1", "stream2", "dup", "ssic"]
     assert out["stream1"].detected == 2 and out["stream1"].delivered == 1
     assert out["stream2"].detected == 2 and out["stream2"].delivered == 1
     assert out["dup"].detected == 3 and out["dup"].delivered == 2
     assert out["ssic"].detected == 3 and out["ssic"].delivered == 2
     assert out["dup"].plr == pytest.approx(0.25)
+    # the stream count is read from the columns, and an empty run counts nothing
+    empty = run_metrics(PacketOutcomes(np.zeros((0, 3), bool), np.zeros((0, 3), bool),
+                                       np.zeros(0, bool)))
+    assert list(empty) == ["stream1", "stream2", "stream3", "dup", "ssic"]
+    assert all(m.sent == m.detected == m.delivered == 0 for m in empty.values())
 
 
 def test_run_network_point_micro():
     params = [ChannelParams(snr_db=8.0), ChannelParams(snr_db=8.0)]
-    recs1, stats1 = run_network_point(60, 200, params, L,
-                                      np.random.default_rng(17), variant="srsx")
-    recs2, _ = run_network_point(60, 200, params, L,
-                                 np.random.default_rng(17), variant="srsx")
-    assert [r.key for r in recs1] == [r.key for r in recs2]
-    assert [r.ssic_delivered for r in recs1] == [r.ssic_delivered for r in recs2]
-    assert stats1.delivered == sum(r.ssic_delivered for r in recs1)
-    for r in recs1:
-        # a clean copy on any stream guarantees aggregator delivery
-        if any(r.hard):
-            assert r.ssic_delivered
-    out = run_metrics(recs1, 2)
+    out1, stats1 = run_network_point(60, 200, params, L,
+                                     np.random.default_rng(17), variant="srsx")
+    out2, _ = run_network_point(60, 200, params, L,
+                                np.random.default_rng(17), variant="srsx")
+    assert len(out1) == 60 and out1.detected.shape == out1.hard.shape == (60, 2)
+    for a, b in zip((out1.detected, out1.hard, out1.ssic_delivered),
+                    (out2.detected, out2.hard, out2.ssic_delivered)):
+        assert a.dtype == bool and np.array_equal(a, b)
+    assert stats1.delivered == out1.ssic_delivered.sum()
+    # a clean copy on any stream guarantees aggregator delivery
+    assert out1.ssic_delivered[out1.hard.any(axis=1)].all()
+    out = run_metrics(out1)
     assert out["ssic"].fr <= out["dup"].fr <= min(out["stream1"].fr,
                                                   out["stream2"].fr)
 
@@ -394,15 +401,62 @@ def test_run_network_point_attributes_packets_past_the_vcs_wrap(monkeypatch, snr
     # each delivery must still count for the packet whose copy arrived
     monkeypatch.setattr(netstack, "VCS_MOD", 256)
     params = [ChannelParams(snr_db=snr_db), ChannelParams(snr_db=snr_db)]
-    records, stats = run_network_point(600, 20, params, L, np.random.default_rng(3),
-                                       window_size=64)
-    assert [r.key.vcs for r in records[254:258]] == [254, 255, 0, 1]
-    assert sum(r.ssic_delivered for r in records) == stats.delivered
+    outcomes, stats = run_network_point(600, 20, params, L, np.random.default_rng(3),
+                                        window_size=64)
+    assert outcomes.ssic_delivered.sum() == stats.delivered
     if snr_db == 30.0:  # every copy arrives clean
-        assert stats.delivered == len(records) == 600
-        assert run_metrics(records, 2)["ssic"].fr == 0.0
+        assert stats.delivered == len(outcomes) == 600
+        assert run_metrics(outcomes)["ssic"].fr == 0.0
     else:
         assert stats.delivered_combined > 0
+
+
+# (n_packets, payload_bytes, SNR dB, detection loss, bursts, arrival jitter, VCS_MOD)
+ORACLE_RUNS = [
+    (150, 64, 8.0, 0.0, False, 0.0, None),
+    (150, 64, 7.0, 0.05, True, 3.0, None),
+    (150, 64, 8.0, 0.0, False, 3.0, None),
+    (150, 64, 7.0, 0.05, True, 0.0, None),
+    (700, 1, 6.0, 0.0, False, 0.5, 256),
+    (700, 2, 5.0, 0.05, True, 3.0, 256),
+    (700, 1, 7.0, 0.02, False, 0.0, 256),
+]
+
+
+@pytest.mark.parametrize("n, nbytes, snr_db, loss, bursts, jitter, vcs_mod", ORACLE_RUNS)
+def test_run_network_point_equals_the_oracle(monkeypatch, n, nbytes, snr_db, loss, bursts,
+                                             jitter, vcs_mod):
+    # the oracle keeps every payload and a record per packet; the columns,
+    # the payload ring and the implied keys must give the same run.  With
+    # 1-2-byte payloads a payload from the wrong ring slot matches by chance
+    # only 1 time in 256 or 65536, so a wrong slot changes the counters.
+    if vcs_mod is not None:
+        monkeypatch.setattr(netstack, "VCS_MOD", vcs_mod)
+        monkeypatch.setattr(oracles, "VCS_MOD", vcs_mod)
+    params = [ChannelParams(snr_db=snr_db + off, detection_loss_prob=loss,
+                            burst_prob=0.3 if bursts else 0.0, burst_llr_atten=0.3)
+              for off in (0.0, 0.5)]
+    kwargs = dict(window_size=64, arrival_jitter=jitter)
+    rng_want, rng_got = np.random.default_rng(11), np.random.default_rng(11)
+    records, want_stats = oracles.run_network_point(n, nbytes, params, L, rng_want, **kwargs)
+    got, got_stats = run_network_point(n, nbytes, params, L, rng_got, **kwargs)
+    mod = vcs_mod or netstack.VCS_MOD
+    assert [r.key for r in records] == [FrameKey(1, i % mod) for i in range(n)]
+    assert np.array_equal(got.detected, [r.detected for r in records])
+    assert np.array_equal(got.hard, [r.hard for r in records])
+    assert np.array_equal(got.ssic_delivered, [r.ssic_delivered for r in records])
+    assert asdict(got_stats) == asdict(want_stats)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    assert run_metrics(got) == oracles.run_metrics(records, 2)
+    assert got_stats.delivered_combined > 0  # payload_check compared against the ring
+
+
+def test_run_network_point_rejects_negative_packets():
+    with pytest.raises(ValueError, match="n_packets"):
+        run_network_point(-1, 10, [ChannelParams(snr_db=8.0)], L, np.random.default_rng(0))
+    outcomes, stats = run_network_point(0, 10, [ChannelParams(snr_db=8.0)] * 2, L,
+                                        np.random.default_rng(0))
+    assert len(outcomes) == 0 and outcomes.detected.shape == (0, 2) and stats.delivered == 0
 
 
 @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -0.5])
@@ -426,3 +480,24 @@ def test_run_network_point_memory_is_bounded():
         tracemalloc.stop()
     assert stats.delivered_combined > 0 and len(records) == 800
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_run_network_point_memory_is_flat_in_packets(monkeypatch):
+    # payloads live in a ring of VCS_MOD // 2 + ceil(arrival_jitter) + 1
+    # packets and outcomes in bool columns, so 4x the packets add only their
+    # column rows (3 B each here), where a payload and a record per packet
+    # added about 1.7 kB
+    monkeypatch.setattr(netstack, "VCS_MOD", 256)
+    params = [ChannelParams(snr_db=30.0)]
+
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            run_network_point(n, 1500, params, L, np.random.default_rng(5), window_size=64)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # warm-up: the lazily built tables are not part of a run's peak
+    small, large = peak(400), peak(1600)
+    assert large - small < 2**20, f"peak {small / 2**20:.2f} -> {large / 2**20:.2f} MB"

@@ -107,7 +107,7 @@ GOLDEN_NETSIM_ORDER_CSV = {
         "1,ssic,200,0,0.005,0.005\n"
     ),
 }
-# per grid point: sha256 prefix of the PacketRecords (see _records_digest)
+# per grid point: sha256 prefix of the outcome columns (see _records_digest)
 # and the AggregatorStats fields
 GOLDEN_NETSIM_ORDER_POINTS = {
     0.0: [
@@ -317,10 +317,15 @@ def test_block_memory_is_bounded(spec, B):
 
 
 
-def _records_digest(records) -> str:
-    text = "\n".join(f"{r.key.vci} {r.key.vcs} {''.join(str(int(d)) for d in r.detected)} "
-                     f"{''.join(str(int(h)) for h in r.hard)} {int(r.ssic_delivered)}"
-                     for r in records)
+def _records_digest(outcomes) -> str:
+    # one line per packet, as the per-packet records were written: the
+    # implied key (vci 1, vcs = i mod 2^16), the detected and hard flags of
+    # each stream, then ssic_delivered
+    k = outcomes.detected.shape[1]
+    rows = np.column_stack([outcomes.detected, outcomes.hard, outcomes.ssic_delivered])
+    text = "\n".join(f"1 {i % 65536} {''.join(map(str, r[:k]))} "
+                     f"{''.join(map(str, r[k:2 * k]))} {r[-1]}"
+                     for i, r in enumerate(rows.astype(int).tolist()))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -332,9 +337,9 @@ def test_golden_netsim_arrival_order(monkeypatch, jitter):
     network_point = sweeps.run_network_point
 
     def capture(*args, **kwargs):
-        records, stats = network_point(*args, **kwargs)
-        points.append((_records_digest(records), asdict(stats)))
-        return records, stats
+        outcomes, stats = network_point(*args, **kwargs)
+        points.append((_records_digest(outcomes), asdict(stats)))
+        return outcomes, stats
 
     monkeypatch.setattr(sweeps, "run_network_point", capture)
     spec = SweepSpec(mode="netsim", snr_grid=[4.0, 7.0], n_streams=3, trials=200,
