@@ -54,10 +54,8 @@ def combine_streams(rows, out: np.ndarray | None = None) -> np.ndarray:
     exactly as ssic_combine and the aggregator sum each one.  The total is
     written into out when it is given, as numpy's out= does.
     """
-    if out is None:
-        out = np.zeros(np.shape(rows[0]))
-    else:
-        out[...] = 0.0
+    out = np.empty(np.shape(rows[0])) if out is None else out
+    out[...] = 0.0
     for r in rows:
         out += r
     return np.clip(out, -LLR_MAX, LLR_MAX, out=out)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .scrambler import (LFSR_LEN, PERIOD, _period_table, fill_by_phase, register_outputs,
                         register_states, seed_from_int)
-from .softbits import LLR_MAX, SoftWord, hard_decide
+from .softbits import LLR_MAX, SoftWord, bit_signs, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
 
@@ -133,7 +133,7 @@ def hd(word_hard: np.ndarray) -> np.ndarray:
 def _sign_table() -> np.ndarray:
     """(128, 127) table: row v = 1 - 2 z over one output period of register
     state v, the +-1 factor that descrambles an LLR at each phase."""
-    t = 1.0 - 2.0 * _period_table()
+    t = bit_signs(_period_table())
     t.flags.writeable = False
     return t
 

@@ -4,18 +4,15 @@ The sender duplicates each packet across all streams (same VCI/VCS/payload,
 per-stream address).  The receiver-side aggregator processes one frame
 arrival at a time:
 
-  1. clean (CRC-pass) frames skip soft processing, but still pass the
-     duplicate check before delivery, so a packet is never delivered twice
-     inside the tracking window; their header is read before the payload,
-     so a duplicate is dropped without unpacking it;
-  2. soft frames are descrambled seed-blind (srsx by default) and their
-     header is recovered by soft block decoding; an unverifiable header
-     drops the copy;
-  3. copies of an already-delivered packet are discarded;
-  4. a soft copy joins any pending copies of the same packet; when at least
-     two copies exist they are combined and the result is delivered if it
-     verifies, otherwise the copy is stored;
-  5. delivery records the key in the bounded dedup window and purges the
+  1. a clean (CRC-pass) frame's header is read from its bits before the
+     payload is unpacked; a soft frame is descrambled seed-blind (srsx by
+     default) and its header recovered by soft block decoding;
+  2. from there both take one path: a copy whose header does not verify is
+     dropped, and so is a copy of an already-delivered packet;
+  3. a clean copy is delivered; a soft copy joins any pending copies of the
+     same packet, and when at least two copies exist they are combined and
+     the result is delivered if it verifies, otherwise the copy is stored;
+  4. delivery records the key in the bounded dedup window and purges the
      pending list for that key.
 
 Delivered and pending keys are held for at most window_size serials: each
@@ -33,7 +30,7 @@ false-accepts.
 run_network_point streams each copy to the aggregator as soon as no copy
 still to be sent can arrive before it, and holds a payload only while a key
 can still name its packet, so beyond the copies in flight a run keeps only
-bool outcome columns (PacketOutcomes), streams + 1 bytes per packet.
+bool outcome columns (PacketOutcomes), 2 * streams + 1 bytes per packet.
 """
 
 from __future__ import annotations
@@ -50,16 +47,15 @@ from .combine import combine_streams, decide
 from .descramble import hrsx, naive_sd, srsx
 from .scrambler import LFSR_LEN
 from .softbits import SoftWord
-from .vcframe import (FRAME_OVERHEAD_BITS, HEADER_CODED_BITS, STREAM_ADDR_BITS, VcFrame,
-                      decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
-                      is_frame_length, payload_from_bits, with_stream_addr)
+from .vcframe import (VcFrame, decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
+                      is_frame_length, payload_from_bits, split_frame, with_stream_addr)
 
-# Importable here under the names ssicbench/spans.py traces, although push no
-# longer calls them: it reads clean copies from their bits and sums soft ones.
+# importable here under the names ssicbench/spans.py traces, though push calls neither
 from .combine import ssic_combine  # noqa: F401
 from .vcframe import frame_from_bits  # noqa: F401
 
 VCS_MOD = 1 << 16
+RUN_VCI = 1  # the virtual channel run_network_point sends on
 SOFT_VARIANTS = ("naive", "hrsx", "srsx")  # the seed-blind descramblers push can run
 
 
@@ -193,14 +189,21 @@ class Aggregator:
             candidates = [*self.pending, *self.delivered]
         for k in candidates:
             if self._stale(k):
-                if self.pending.pop(k, None) is not None:
-                    self.stats.pending_evictions += 1
+                self._evict(k)
                 self.delivered.pop(k, None)
+
+    def _evict(self, key: FrameKey) -> None:
+        """Forget the pending copies of key, if any, as an eviction."""
+        if self.pending.pop(key, None) is not None:
+            self.stats.pending_evictions += 1
 
     def _deliver(self, key: FrameKey, payload: bytes, combined: bool) -> tuple[FrameKey, bytes]:
         self.pending.pop(key, None)
         if not self._stale(key):
             self.delivered[key] = None
+            # staleness alone holds one VCI's keys to window_size, but not the
+            # keys of several VCIs, nor a key half the serial space from the
+            # newest, which vcs_newer orders neither way
             if len(self.delivered) > self.config.window_size:
                 self.delivered.popitem(last=False)
             self._advance(key)
@@ -214,34 +217,24 @@ class Aggregator:
     def push(self, obs: StreamObservation) -> tuple[FrameKey, bytes] | None:
         """Process one frame arrival; returns (key, packet) on delivery.
 
-        A copy whose length no frame can have is dropped as header-invalid,
-        clean or soft.
+        Clean and soft copies take one path once their header is read; a copy
+        whose length no frame can have is dropped as header-invalid.
         """
         if not obs.detected:
             raise ValueError("undetected frames never reach the aggregator")
 
         if obs.crc_pass:
             bits = np.asarray(obs.hard_bits, dtype=np.uint8)
-            header = (header_from_bits(bits) if bits.ndim == 1 and is_frame_length(bits.size)
-                      else None)
-            if header is None:
-                self.stats.header_invalid_drops += 1
-                return None
-            key = FrameKey(header.vci, header.vcs)
-            if key in self.delivered:
-                self.stats.duplicate_drops += 1
-                return None
-            return self._deliver(key, payload_from_bits(bits), combined=False)
-
-        word = obs.soft
-        if word.L != self.config.pilot_len:
-            raise ValueError(f"observation has {word.L} pilots, config expects "
-                             f"{self.config.pilot_len}")
-        if not is_frame_length(word.M):
-            self.stats.header_invalid_drops += 1
-            return None
-        llrs = self._descramble(word)
-        header = decode_header_soft(llrs[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS])
+            header = header_from_bits(bits)
+        else:
+            word = obs.soft
+            if word.L != self.config.pilot_len:
+                raise ValueError(f"observation has {word.L} pilots, config expects "
+                                 f"{self.config.pilot_len}")
+            header = None
+            if is_frame_length(word.M):
+                coded, payload_llrs = split_frame(self._descramble(word))
+                header = decode_header_soft(coded)
         if header is None:
             self.stats.header_invalid_drops += 1
             return None
@@ -249,8 +242,9 @@ class Aggregator:
         if key in self.delivered:
             self.stats.duplicate_drops += 1
             return None
+        if obs.crc_pass:
+            return self._deliver(key, payload_from_bits(bits), combined=False)
 
-        payload_llrs = llrs[FRAME_OVERHEAD_BITS:]
         others = [l for sid, l in self.pending.get(key, {}).items()
                   if l.size == payload_llrs.size and sid != obs.stream_id]
         if others:
@@ -270,15 +264,14 @@ class Aggregator:
         if key not in self.pending:
             self.pending[key] = {}
             if len(self.pending) > self.config.window_size:
-                self.pending.popitem(last=False)
-                self.stats.pending_evictions += 1
+                self._evict(next(iter(self.pending)))
         self.pending[key][stream_id] = payload_llrs.copy()
         self.stats.soft_stored += 1
 
 
 @dataclass(frozen=True, eq=False)
 class PacketOutcomes:
-    """A run's outcomes, row i for packet i, whose key is (vci, i mod VCS_MOD).
+    """A run's outcomes, row i for packet i, whose key is (RUN_VCI, i mod VCS_MOD).
 
     detected and hard are (n, streams): each stream's copy was detected, and
     detected clean.  ssic_delivered is (n,).  len() is n, the packet count.
@@ -328,9 +321,8 @@ def run_metrics(outcomes: PacketOutcomes) -> dict[str, RunMetrics]:
 
 def run_network_point(n_packets: int, payload_bytes: int,
                       stream_params: Sequence[ChannelParams], L: int,
-                      rng: np.random.Generator, variant: str = "srsx",
-                      window_size: int = 1024, arrival_jitter: float = 0.5,
-                      vci: int = 1) -> tuple[PacketOutcomes, AggregatorStats]:
+                      rng: np.random.Generator, variant: str = "srsx", window_size: int = 1024,
+                      arrival_jitter: float = 0.5) -> tuple[PacketOutcomes, AggregatorStats]:
     """Simulate one configured operating point end to end.
 
     Every packet is dispatched on all streams.  A detected copy of packet i
@@ -353,7 +345,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
         raise ValueError(f"n_packets: must be >= 0, got {n_packets}")
     if not 0.0 <= arrival_jitter < np.inf:
         raise ValueError(f"arrival_jitter: must be finite and >= 0, got {arrival_jitter}")
-    dispatcher = Dispatcher(vci, [0x020000000000 + k for k in range(n_streams)])
+    dispatcher = Dispatcher(RUN_VCI, [0x020000000000 + k for k in range(n_streams)])
     detected, hard = np.zeros((2, n_packets, n_streams), dtype=bool)
     delivered = np.zeros(n_packets, dtype=bool)
     held: list[tuple[float, int, int, StreamObservation]] = []
@@ -370,7 +362,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
 
     def packet_of(key: FrameKey) -> int | None:
         j = arriving + (key.vcs - arriving + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
-        return j if key.vci == vci and 0 <= j < sent else None
+        return j if key.vci == RUN_VCI and 0 <= j < sent else None
 
     def payload_check(key: FrameKey, payload: bytes) -> bool:
         j = packet_of(key)

@@ -20,6 +20,11 @@ def clamp_llrs(llrs: np.ndarray) -> np.ndarray:
     return np.clip(llrs, -LLR_MAX, LLR_MAX)
 
 
+def bit_signs(bits) -> np.ndarray:
+    """The +-1 form 1 - 2b of bits as a new float64 array: bit 0 -> +1, bit 1 -> -1."""
+    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+
+
 def hard_decide(llrs) -> np.ndarray:
     """Sign decision: 0 for l >= 0 (ties resolve to 0), else 1."""
     return (np.asarray(llrs) < 0).astype(np.uint8)

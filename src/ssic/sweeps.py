@@ -101,12 +101,13 @@ _FIELD_TYPES = {
 }
 
 
-def _default_variants(mode: str) -> tuple[str, ...]:
-    if mode == "seed_ber":
-        return ("hd", "hrsx")
-    if mode == "netsim":
-        return ("srsx",)
-    return SOFT_VARIANTS
+# a mode's variants when the spec names none; the payload modes run every soft one
+_DEFAULT_VARIANTS = {"seed_ber": ("hd", "hrsx"), "netsim": ("srsx",)}
+
+
+# netsim's link impairments and aggregator settings: the sweeps use none of them
+_NETSIM_ONLY = ("detection_loss_prob", "burst_prob", "burst_len_mean", "burst_llr_atten",
+                "window_size", "arrival_jitter")
 
 
 @dataclass
@@ -134,18 +135,20 @@ class SweepSpec:
         if self.stream_snr_offsets is None and _is_int(self.n_streams):
             self.stream_snr_offsets = [0.0] * self.n_streams
         if self.variants is None:
-            self.variants = _default_variants(self.mode)
+            self.variants = _DEFAULT_VARIANTS.get(self.mode, SOFT_VARIANTS)
         if isinstance(self.variants, list):
             self.variants = tuple(self.variants)
 
     def validate(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
         for f in fields(self):
             want, ok = _FIELD_TYPES[f.type.removesuffix(" | None")]
             value = getattr(self, f.name)
             if not ok(value):
                 raise ValueError(f"{f.name}: expected {want}, got {value!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
+            if f.name in _NETSIM_ONLY and self.mode != "netsim" and value != f.default:
+                raise ValueError(f"{f.name}: only netsim uses it, got {value!r} in {self.mode}")
         if not self.snr_grid or not all(np.isfinite(self.snr_grid)):
             raise ValueError("snr_grid: need a non-empty list of finite values")
         if self.L < LFSR_LEN:
@@ -171,20 +174,17 @@ class SweepSpec:
                 raise ValueError(f"variants: unknown variant {v!r}")
             if self.variants.count(v) > 1:  # the points keep one error count per name
                 raise ValueError(f"variants: {v!r} listed twice")
-        if self.mode in ("payload_ber", "packet_per"):
-            if self.payload_bytes < 1:
-                raise ValueError("payload_bytes: payload modes need at least 1 byte")
-            if self.n_streams > 1 and "hd" in self.variants:
-                raise ValueError(
-                    "variants: hd produces bits, not LLRs, so it cannot be combined; "
-                    "use it only with n_streams=1")
+        if self.mode != "seed_ber" and self.payload_bytes < 1:
+            raise ValueError(f"payload_bytes: {self.mode} needs at least 1 byte")
+        if (self.mode in ("payload_ber", "packet_per") and self.n_streams > 1
+                and "hd" in self.variants):
+            raise ValueError("variants: hd produces bits, not LLRs, so it cannot be combined; "
+                             "use it only with n_streams=1")
         if self.mode == "netsim":
             if len(self.variants) != 1:
                 raise ValueError("variants: netsim uses exactly one variant")
             if self.variants[0] not in SOFT_VARIANTS:
                 raise ValueError("variants: the aggregator needs a soft variant")
-            if self.payload_bytes < 1:
-                raise ValueError("payload_bytes: netsim needs at least 1 byte")
         # the channel and aggregator rules live with their objects.  A link is
         # built for every stream at every grid point; the impairment fields
         # are checked first, at 0 dB, so a failure after that is the SNR's.
@@ -413,16 +413,12 @@ def run_sweep(spec: SweepSpec) -> list[list]:
     for gi, snr_db in enumerate(spec.snr_grid):
         rng = _point_rng(spec, gi)
         if spec.mode == "seed_ber":
-            errors = _run_seed_ber_point(spec, snr_db, rng)
-            for v in spec.variants:
-                rows.append(_sweep_row(spec, snr_db, v, spec.trials, errors[v]))
+            n, errors = spec.trials, _run_seed_ber_point(spec, snr_db, rng)
         else:
             bit_err, pkt_err = _run_payload_point(spec, snr_db, rng)
-            for v in spec.variants:
-                if spec.mode == "payload_ber":
-                    rows.append(_sweep_row(spec, snr_db, v, spec.trials * M, bit_err[v]))
-                else:
-                    rows.append(_sweep_row(spec, snr_db, v, spec.trials, pkt_err[v]))
+            n, errors = ((spec.trials * M, bit_err) if spec.mode == "payload_ber"
+                         else (spec.trials, pkt_err))
+        rows += (_sweep_row(spec, snr_db, v, n, errors[v]) for v in spec.variants)
     return rows
 
 
@@ -444,9 +440,7 @@ def run_netsim(spec: SweepSpec) -> list[list]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+    return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
 def write_csv(columns: list[str], rows: list[list], out) -> None:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scrambler import _recurrence
+from .softbits import bit_signs
 
 BCH_N = 63
 BCH_K = 7
@@ -59,7 +60,7 @@ def _codeword_table() -> np.ndarray:
 
 CODEWORDS = _codeword_table()  # row v = codeword for info value v, MSB-first
 _INFO_OF_CODEWORD = {row.tobytes(): v for v, row in enumerate(CODEWORDS)}  # uint8 bytes -> v
-_SIGNS = (1.0 - 2.0 * CODEWORDS.astype(np.float64))  # bit 0 -> +1, bit 1 -> -1
+_SIGNS = bit_signs(CODEWORDS)  # bit 0 -> +1, bit 1 -> -1
 
 
 def _decode_blocks(y: np.ndarray) -> np.ndarray:
@@ -168,7 +169,7 @@ def decode_header_hard(bits: np.ndarray) -> VcHeader | None:
                  for j in range(0, HEADER_CODED_BITS, BCH_N)]
         if None not in infos:
             return _header_from_infos(infos)
-    return decode_header_soft(1.0 - 2.0 * np.asarray(b, dtype=np.float64))
+    return decode_header_soft(bit_signs(b))
 
 
 @dataclass
@@ -195,12 +196,11 @@ def encapsulate(packet: bytes, vci: int, vcs: int, stream_addr: int) -> VcFrame:
     return VcFrame(stream_addr, encode_header(vci, vcs), bytes(packet))
 
 
-_ADDR_BYTES = STREAM_ADDR_BITS // 8
 _PAD = np.zeros(FRAME_PAD_BITS, dtype=np.uint8)
 
 
 def _addr_bits(stream_addr: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(stream_addr.to_bytes(_ADDR_BYTES, "big"),
+    return np.unpackbits(np.frombuffer(stream_addr.to_bytes(STREAM_ADDR_BITS // 8, "big"),
                                        dtype=np.uint8))
 
 
@@ -228,21 +228,30 @@ def is_frame_length(n_bits: int) -> bool:
     return 0 <= payload_bits <= 8 * MTU_PAYLOAD and payload_bits % 8 == 0
 
 
+def split_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Views of the coded header and the payload in a frame's wire bits or in
+    their LLRs, or None when no frame has x's shape."""
+    if x.ndim != 1 or not is_frame_length(x.size):
+        return None
+    return x[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS], x[FRAME_OVERHEAD_BITS:]
+
+
 def header_from_bits(bits: np.ndarray) -> VcHeader | None:
-    """The header of a frame's wire bits, read without touching the payload."""
-    return decode_header_hard(bits[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS])
+    """The header of a frame's wire bits, read without touching the payload;
+    None when it does not decode or no frame has bits' shape."""
+    parts = split_frame(bits)
+    return None if parts is None else decode_header_hard(parts[0])
 
 
 def payload_from_bits(bits: np.ndarray) -> bytes:
-    """The packet bytes of a frame's wire bits."""
-    return np.packbits(bits[FRAME_OVERHEAD_BITS:]).tobytes()
+    """The packet bytes of wire bits that have a frame's shape."""
+    return np.packbits(split_frame(bits)[1]).tobytes()
 
 
 def frame_from_bits(bits: np.ndarray) -> VcFrame:
     b = np.asarray(bits, dtype=np.uint8)
-    if b.ndim != 1 or not is_frame_length(b.size):
+    parts = split_frame(b)
+    if parts is None:
         raise ValueError("malformed frame bits")
     addr = int.from_bytes(np.packbits(b[:STREAM_ADDR_BITS]).tobytes(), "big")
-    coded = b[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS]
-    return VcFrame(addr, coded.copy(), payload_from_bits(b))
-
+    return VcFrame(addr, parts[0].copy(), np.packbits(parts[1]).tobytes())

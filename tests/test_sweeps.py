@@ -198,6 +198,12 @@ def test_offsets_default_to_zero_per_stream():
     (dict(mode="seed_ber", snr_grid=[0.0], n_streams=2), "n_streams"),
     (dict(mode="seed_ber", snr_grid=[0.0], n_streams=2, stream_snr_offsets=[10.0, 10.0]),
      "n_streams"),
+    # valid netsim settings, which the sweep modes would silently ignore
+    *[(dict(mode=mode, snr_grid=[4.0], **{name: value}), f"{name}: only netsim")
+      for mode in ("seed_ber", "payload_ber", "packet_per")
+      for name, value in [("detection_loss_prob", 0.9), ("burst_prob", 1.0),
+                          ("burst_len_mean", 10.0), ("burst_llr_atten", 0.01),
+                          ("window_size", 3), ("arrival_jitter", 9.0)]],
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
