@@ -97,20 +97,21 @@ class StreamObservation:
                 raise ValueError("detected frame without CRC needs soft values")
 
 
-def awgn_llrs(tx_bits: np.ndarray, noise: np.ndarray, sigma2,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """Matched-filter LLRs 2y/sigma^2 of BPSK bits received with additive noise.
+def awgn_llrs(tx_bits: np.ndarray, z: np.ndarray, sigma2) -> np.ndarray:
+    """Matched-filter LLRs 2(sigma z + 1 - 2b)/sigma^2 of BPSK bits b over AWGN.
 
-    Computed in place: the float noise array becomes the LLRs and is
-    returned.  Elementwise, so it serves a block of words as well as one:
-    sigma2 broadcasts against the bits.  The +-1 symbols 1 - 2 tx_bits are
-    formed in scratch, a float array shaped like noise, when it is given.
+    z holds standard normal draws, one per bit, and becomes the LLRs in
+    place.  Elementwise, so it serves a block of words as well as one:
+    sigma2 broadcasts against the bits.  The symbols 1 - 2b are exact small
+    integers, formed as int8: no float temporary of z's size is made
+    unless sigma2 has that size.
     """
-    symbols = np.multiply(tx_bits, 2.0, out=scratch)
-    noise += np.subtract(1.0, symbols, out=symbols)
-    noise *= 2.0
-    noise /= sigma2
-    return noise
+    np.multiply(z, np.sqrt(sigma2), out=z)
+    symbols = np.multiply(tx_bits, -2, dtype=np.int8)
+    z += np.add(symbols, 1, out=symbols)
+    z *= 2.0
+    z /= sigma2
+    return z
 
 
 def fresh_seed(rng: np.random.Generator) -> np.ndarray:
@@ -118,20 +119,19 @@ def fresh_seed(rng: np.random.Generator) -> np.ndarray:
     return seed_from_int(int(rng.integers(1, 128)))
 
 
-def scrambled_llrs(seed_ints, payload_bits: np.ndarray, L: int, noise: np.ndarray,
-                   sigma2, scratch: np.ndarray | None = None) -> np.ndarray:
+def scrambled_llrs(seed_ints, payload_bits: np.ndarray, L: int, z: np.ndarray,
+                   sigma2) -> np.ndarray:
     """Clamped LLRs of a block of scrambled words, each L pilots + M payload bits.
 
     Word w is L zero bits followed by payload_bits[w], scrambled by seed
-    integer seed_ints[w] (1..127), sent as BPSK with noise[w] (L+M samples)
-    added at noise variance sigma2[w].  payload_bits and sigma2 broadcast
-    against seed_ints, whose shape the result takes, plus a last axis of
-    L+M LLRs.  The LLRs are written over the noise array; scratch, a float
-    array shaped like noise, holds the +-1 symbols when it is given.
+    integer seed_ints[w] (1..127), sent as BPSK at noise variance sigma2[w]
+    with z[w], L+M standard normal draws, as its noise (see awgn_llrs).
+    payload_bits and sigma2 broadcast against seed_ints, whose shape the
+    result takes, plus a last axis of L+M LLRs, written over z.
     """
-    tx = register_outputs(seed_ints, noise.shape[-1])
+    tx = register_outputs(seed_ints, z.shape[-1])
     tx[..., L:] ^= payload_bits
-    llrs = awgn_llrs(tx, noise, np.asarray(sigma2)[..., None], scratch)
+    llrs = awgn_llrs(tx, z, np.asarray(sigma2)[..., None])
     return np.clip(llrs, -LLR_MAX, LLR_MAX, out=llrs)
 
 
@@ -152,8 +152,8 @@ def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
     s = _checked_seed(seed)
     payload = _checked_payload(payload_bits)
     sigma2 = snr_db_to_sigma2(snr_db)
-    noise = rng.normal(0.0, np.sqrt(sigma2), L + payload.size)
-    llrs = scrambled_llrs(seed_to_int(s), payload, L, noise, sigma2)
+    z = rng.standard_normal(L + payload.size)
+    llrs = scrambled_llrs(seed_to_int(s), payload, L, z, sigma2)
     return SoftWord(pilots=llrs[:L], payload=llrs[L:])
 
 
@@ -183,14 +183,16 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     the result: missed entirely, clean (idealized CRC pass, hard bits), or
     soft (full LLR word for later combining).
 
-    The scaled noise sigma z and the sent word go through awgn_llrs, and
-    the split is decided from the signs of the LLRs, the receiver's hard
-    decisions.  sigma^2 is a scalar unless a burst window was drawn.
+    The standard normal draws z and the sent word go through awgn_llrs,
+    and the split is decided from the signs of the LLRs, the receiver's
+    hard decisions.  sigma^2 is a scalar unless a burst window was drawn.
 
     With a scalar sigma^2, a frame whose standard normal draws from the
     last 7 pilots on all have |z| <= clean_noise_bound(sigma^2) keeps the
-    sign of every symbol there, whatever was sent: it is clean, and neither
-    the scrambled word nor an LLR is formed.  The draws are the same either way.
+    sign of every symbol there, whatever was sent: the bound is about the
+    product fl(sqrt(sigma^2) z) that awgn_llrs forms.  Such a frame is clean,
+    and neither the scrambled word nor an LLR is formed.  The draws are the
+    same either way.
     """
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
@@ -206,16 +208,15 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
         length = int(rng.geometric(1.0 / params.burst_len_mean))
         sigma2 = np.full(n, sigma2)
         sigma2[start:start + length] /= params.burst_llr_atten
-    noise = rng.standard_normal(n)
+    z = rng.standard_normal(n)
     if not burst:
-        tail, t = noise[L - LFSR_LEN:], clean_noise_bound(sigma2)
+        tail, t = z[L - LFSR_LEN:], clean_noise_bound(sigma2)
         if tail.max() <= t and tail.min() >= -t:
             return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
                                      hard_bits=payload.copy())
 
     tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
-    noise *= np.sqrt(sigma2)
-    llrs = awgn_llrs(tx, noise, sigma2)
+    llrs = awgn_llrs(tx, z, sigma2)
 
     # hard decisions from the last 7 pilots on; when they all equal what was
     # sent, the preloaded register is the true one and descrambling

@@ -13,9 +13,9 @@ noise.  They run on a draw-ahead thread, a one-worker executor: once the
 caller has the result() of one block's draw, it submits the next block's
 into the other of two preallocated slots, so the thread is at most one
 block ahead.  It calls nothing but the point's rng, which nothing else
-touches meanwhile.  The rest runs in the caller, once per block: the noise
-scaling, the channel LLRs, one seed-posterior product for all words, the
-mask mix, and the stream sum, added in stream order as ssic_combine adds.
+touches meanwhile.  The rest runs in the caller, once per block: the channel
+LLRs, one seed-posterior product for all words, the mask mix, and the
+stream sum, added in stream order as ssic_combine adds.
 So neither the block size nor the overlap changes the CSV.
 
 Two row schemas:
@@ -72,10 +72,10 @@ NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
 # and one result() back; 2**17 holds 14, and a packet_per chunk takes about
 # a fifth less CPU.  At 2**18 a block array is about 1.9 MB against a 2 MB
 # L2, and a packet_per chunk took half as much CPU again as at 2**15 and
-# ran no faster.  A grid point holds two slots, the descrambled rows, a work
-# array and the stream total: 4.9 MB at packet_per's shape, which
-# tests/test_sweeps.py bounds so that peak RSS stays within a few MB of the
-# smaller blocks'.
+# ran no faster.  A grid point holds two slots, the descrambled rows, srsx's
+# scratch when it runs and the stream total: 4.9 MB at packet_per's shape,
+# which tests/test_sweeps.py bounds so that peak RSS stays within a few MB of
+# the smaller blocks'.
 BLOCK_FLOATS = 1 << 17
 
 
@@ -289,14 +289,15 @@ def _leave_cpu(cpus: set[int] | None) -> None:
 
 
 def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
-                  stream_snr_db: list[float], work: np.ndarray | None = None):
+                  stream_snr_db: list[float]):
     """Trials in blocks of B, each with K streams: yields (payload, seeds, llrs).
 
     payload is (b, M) bits, seeds (b, K) seed integers, llrs (b, K, L+M)
     clamped LLRs, b <= B.  The draws are made trial by trial in the order
     of a one-word-at-a-time loop: the payload (when M > 0), then per stream
-    its seed and its L+M noise samples.  Only the deterministic work after
-    the draws runs over the block, so B never changes a result.
+    its seed and its L+M standard normal draws, which awgn_llrs scales.
+    Only the deterministic work after the draws runs over the block, so B
+    never changes a result.
 
     The draws run on a one-worker executor, the draw-ahead thread, and
     alternate between two preallocated slots of (payload, seeds, noise).
@@ -304,21 +305,16 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
     next block's into the other slot and then works on this one: the thread
     is never more than one block ahead, and result() raises here an
     exception the thread met.  A yielded block lives in its slot, the LLRs
-    written over the noise, so it stays valid until the next block is
+    written over the draws, so it stays valid until the next block is
     requested.  The thread is joined when the generator finishes, raises or
     is closed; an error in a draw whose block was never requested is
     dropped with it.  While the generator runs, nothing else may use rng.
-    The channel's +-1 symbols are formed in work, a flat float array of at
-    least B*K*(L+M) entries that the caller may use between blocks.
     """
     K = len(stream_snr_db)
     sigma2 = np.array([snr_db_to_sigma2(s) for s in stream_snr_db])
-    sigma = np.sqrt(sigma2)
     B = _block_trials(trials, K, L, M)
     slots = [(np.zeros((B, M), dtype=np.uint8), np.zeros((B, K), dtype=np.intp),
               np.zeros((B, K, L + M))) for _ in range(2)]
-    if work is None:
-        work = np.empty(B * K * (L + M))
 
     def block(s: int, first: int) -> list[np.ndarray]:
         """The rows of slot s that hold the block of trials from first on."""
@@ -331,12 +327,8 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
             s = i % 2
             if first + B < trials:
                 drawn = drawer.submit(_draw_block, rng, *block(1 - s, first + B))
-            payload, seeds, noise = block(s, first)
-            # rng.normal(0, sigma, n) is exactly sigma times the same standard draws
-            noise *= sigma[:, None]
-            yield (payload, seeds,
-                   scrambled_llrs(seeds, payload[:, None, :], L, noise, sigma2,
-                                  work[:noise.size].reshape(noise.shape)))
+            payload, seeds, z = block(s, first)
+            yield payload, seeds, scrambled_llrs(seeds, payload[:, None, :], L, z, sigma2)
 
 
 def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator) -> dict[str, int]:
@@ -360,11 +352,10 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
                        ) -> tuple[dict[str, int], dict[str, int]]:
     """Bit and packet error counts per variant, on shared noise.
 
-    The descrambled rows, a work array and the stream total are allocated
-    once here and written by every block of trials (a short last block uses
-    their leading rows), so the loop allocates nothing of a block's size.
-    The work array holds the channel's +-1 symbols while a block is drawn
-    and srsx's two scratch blocks after.
+    The descrambled rows, srsx's (2, B*K, M) scratch when srsx runs and
+    the stream total are allocated once here and written by every block of
+    trials (a short last block uses their leading rows), so the loop
+    allocates nothing of a block's size.
     """
     L, K = spec.L, spec.n_streams
     M = spec.payload_bytes * 8
@@ -374,8 +365,8 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
     stream_snr_db = [snr_db + off for off in spec.stream_snr_offsets]
     B = _block_trials(spec.trials, K, L, M)
     descrambled, total = np.empty((B * K, M)), np.empty((B, M))
-    work = np.empty(B * K * max(2 * M, L + M))
-    blocks = _trial_blocks(rng, spec.trials, L, M, stream_snr_db, work)
+    scratch = np.empty((2, B * K, M)) if "srsx" in spec.variants else None
+    blocks = _trial_blocks(rng, spec.trials, L, M, stream_snr_db)
     with contextlib.closing(blocks):
         for payload, _, llrs in blocks:
             b = payload.shape[0]
@@ -393,8 +384,7 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
                     elif v == "hrsx":
                         hrsx_rows(lw, words, L, out=out)
                     else:
-                        srsx_rows(lw, words, L, out=out,
-                                  scratch=work[:2 * out.size].reshape(2, b * K, M))
+                        srsx_rows(lw, words, L, out=out, scratch=scratch[:, :b * K])
                     bits = decide(combine_streams(out.reshape(b, K, M).swapaxes(0, 1),
                                                   out=total[:b]))
                 wrong = (bits != payload).sum(axis=1)

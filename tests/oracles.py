@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ssic.channel import (ChannelParams, StreamObservation, awgn_llrs, fresh_seed,
-                          snr_db_to_sigma2, transmit)
+from ssic.channel import (ChannelParams, StreamObservation, fresh_seed, snr_db_to_sigma2,
+                          transmit)
 from ssic.netstack import (VCS_MOD, Aggregator, AggregatorConfig, AggregatorStats, Dispatcher,
                            FrameKey, RunMetrics)
 from ssic.scrambler import LFSR_LEN
@@ -47,10 +47,10 @@ def flip_by_mask(llrs: np.ndarray, mask_bits: np.ndarray) -> np.ndarray:
 
 
 def bpsk_awgn_llrs(bits: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
-    """Raw (unclamped) LLRs for a bit sequence over the AWGN link."""
+    """Raw (unclamped) LLRs 2y/sigma^2 for a bit sequence over the AWGN link."""
     b = np.asarray(bits, dtype=np.uint8)
     sigma2 = snr_db_to_sigma2(snr_db)
-    return awgn_llrs(b, rng.normal(0.0, np.sqrt(sigma2), b.size), sigma2)
+    return 2.0 * ((1.0 - 2.0 * b) + rng.normal(0.0, np.sqrt(sigma2), b.size)) / sigma2
 
 
 _CRC16_POLY = 0x1021

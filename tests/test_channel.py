@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -97,9 +99,8 @@ def test_block_llrs_equal_soft_copy_rows():
     seeds = rng.integers(1, 128, (3, 2))
     payload = rng.integers(0, 2, (3, M), dtype=np.uint8)
     draws = np.random.default_rng(9)
-    noise = np.array([[draws.normal(0.0, np.sqrt(s2), L + M) for s2 in sigma2]
-                      for _ in range(3)])
-    block = scrambled_llrs(seeds, payload[:, None, :], L, noise, sigma2)
+    z = np.array([[draws.standard_normal(L + M) for _ in sigma2] for _ in range(3)])
+    block = scrambled_llrs(seeds, payload[:, None, :], L, z, sigma2)
     again = np.random.default_rng(9)
     for t in range(3):
         for k in range(2):
@@ -107,14 +108,36 @@ def test_block_llrs_equal_soft_copy_rows():
             assert np.array_equal(block[t, k], np.concatenate([w.pilots, w.payload]))
     with pytest.raises(ValueError):
         soft_copy(np.zeros(7, dtype=np.uint8), payload[0], L, 1.0, again)
-    # the +-1 symbols formed in a caller's scratch block give the same bytes
-    scratch = np.full_like(noise, np.nan)
-    again = np.random.default_rng(9)
-    noise = np.array([[again.normal(0.0, np.sqrt(s2), L + M) for s2 in sigma2]
-                      for _ in range(3)])
-    in_scratch = scrambled_llrs(seeds, payload[:, None, :], L, noise, sigma2, scratch)
-    assert in_scratch.tobytes() == block.tobytes()
-    assert np.isin(scratch, (-1.0, 1.0)).all()
+
+
+@pytest.mark.parametrize("bit_dtype", [np.uint8, bool])
+@pytest.mark.parametrize("snr_db", [-4.0, 0.0, 6.0, 12.0, 40.0, 3076.5])
+def test_awgn_llrs_equal_the_float_formula(snr_db, bit_dtype):
+    # the int8 symbols give the bytes of ((sqrt(sigma^2) z) + (1.0 - 2.0 b)) * 2.0
+    # / sigma^2 in float64, for a scalar, a (K, 1) per-stream and a
+    # per-position sigma^2, with +-0.0 draws on both symbols
+    rng = np.random.default_rng(12)
+    K, n = 4, 50_000
+    bits = rng.integers(0, 2, (K, n)).astype(bit_dtype)
+    z = rng.standard_normal((K, n))
+    z[:, :4], bits[:, :4] = [0.0, -0.0, 0.0, -0.0], [0, 0, 1, 1]
+    s2 = snr_db_to_sigma2(snr_db)
+    burst = np.full(n, s2)
+    burst[100:900] /= 0.25
+    for sigma2 in (s2, s2 * np.array([[1.0], [2.0], [3.0], [4.0]]), burst):
+        want = ((np.sqrt(sigma2) * z) + (1.0 - 2.0 * bits.astype(np.float64))) * 2.0 / sigma2
+        got = z.copy()
+        tracemalloc.start()
+        try:
+            awgn_llrs(bits, got, sigma2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        # the int8 symbols take z.nbytes / 8: no float temporary of z's size,
+        # except the root of a per-position sigma^2, which has a word's size
+        if sigma2 is not burst:
+            assert peak < z.nbytes / 4, f"peak {peak:,} bytes for z of {z.nbytes:,}"
 
 
 def test_transmit_detection_loss():

@@ -14,17 +14,14 @@ from ssic.channel import scrambled_llrs, snr_db_to_sigma2
 from ssic.sweeps import SWEEP_COLUMNS, SweepSpec, _block_trials, rows_to_csv, run_sweep
 
 
-def serial_trial_blocks(rng, trials, L, M, stream_snr_db, work=None):
+def serial_trial_blocks(rng, trials, L, M, stream_snr_db):
     """sweeps._trial_blocks as it was before its draws moved to a thread."""
     K = len(stream_snr_db)
     sigma2 = np.array([snr_db_to_sigma2(s) for s in stream_snr_db])
-    sigma = np.sqrt(sigma2)
     B = _block_trials(trials, K, L, M)
     payload = np.zeros((B, M), dtype=np.uint8)
     seeds = np.zeros((B, K), dtype=np.intp)
     noise = np.zeros((B, K, L + M))
-    if work is None:
-        work = np.empty(noise.size)
     for first in range(0, trials, B):
         b = min(B, trials - first)
         for t in range(b):
@@ -33,11 +30,8 @@ def serial_trial_blocks(rng, trials, L, M, stream_snr_db, work=None):
             for k in range(K):
                 seeds[t, k] = rng.integers(1, 128)
                 rng.standard_normal(out=noise[t, k])
-        # rng.normal(0, sigma, n) is exactly sigma times the same standard draws
-        noise[:b] *= sigma[:, None]
         yield (payload[:b], seeds[:b],
-               scrambled_llrs(seeds[:b], payload[:b, None, :], L, noise[:b], sigma2,
-                              work[:noise[:b].size].reshape(b, K, L + M)))
+               scrambled_llrs(seeds[:b], payload[:b, None, :], L, noise[:b], sigma2))
 
 
 class DrawError(Exception):

@@ -285,18 +285,19 @@ def test_payload_point_does_not_churn_pages():
     assert per_trial < 40, f"{per_trial:.1f} minor faults per trial"
 
 
-def _block_bytes(B: int, K: int, L: int, M: int) -> int:
+def _block_bytes(B: int, K: int, L: int, M: int, srsx: bool) -> int:
     """What a payload grid point allocates for blocks of B trials x K streams:
     two slots of payload bits (uint8), seeds (intp) and noise (float64), then
-    the descrambled rows, the work array (srsx's two scratch blocks) and the
+    the descrambled rows, srsx's two scratch blocks when srsx runs and the
     stream total, all float64."""
     slot = B * M + B * K * 8 + B * K * (L + M) * 8
-    return 2 * slot + B * K * M * 8 + B * K * max(2 * M, L + M) * 8 + B * M * 8
+    return 2 * slot + B * K * M * 8 + srsx * 2 * B * K * M * 8 + B * M * 8
 
 
 # B is the trials per block at BLOCK_FLOATS = 2**17: 2**17 // (K * (L + M + 127)).
 # per_short: 2 * 953,792 + 917,504 + 1,835,008 + 229,376 = 4,889,472 bytes;
-# ber_long:  2 * 793,088 + 768,000 + 1,536,000 + 192,000 = 4,082,176 bytes.
+# ber_long:  2 * 793,088 + 768,000 + 1,536,000 + 192,000 = 4,082,176 bytes;
+# ber_long without srsx: 2 * 793,088 + 768,000 + 192,000 = 2,546,176 bytes.
 # The headroom, 1 MB, covers what the kernels allocate per call (seed weights,
 # per-phase mask tables, bit decisions): 0.2-0.4 MB when this was written.
 # Doubling BLOCK_FLOATS doubles the peak, about +5 MB on a 58 MB process.
@@ -306,12 +307,16 @@ def _block_bytes(B: int, K: int, L: int, M: int) -> int:
     (dict(mode="payload_ber", snr_grid=[2.0], n_streams=4,
           stream_snr_offsets=[0.0, 0.5, 1.0, 1.5], trials=100, payload_bytes=1500,
           variants=("naive", "hrsx", "srsx")), 2),
-], ids=["per_short", "ber_long"])
+    (dict(mode="payload_ber", snr_grid=[2.0], n_streams=4,
+          stream_snr_offsets=[0.0, 0.5, 1.0, 1.5], trials=100, payload_bytes=1500,
+          variants=("naive", "hrsx")), 2),
+], ids=["per_short", "ber_long", "ber_long_no_srsx"])
 def test_block_memory_is_bounded(spec, B):
     import tracemalloc
 
     spec = SweepSpec(L=16, rng_seed=1, **spec)
-    bound = _block_bytes(B, spec.n_streams, spec.L, spec.payload_bytes * 8) + (1 << 20)
+    bound = _block_bytes(B, spec.n_streams, spec.L, spec.payload_bytes * 8,
+                         "srsx" in spec.variants) + (1 << 20)
     run_sweep(spec)  # warm-up: lazy tables
     tracemalloc.start()
     try:
