@@ -1,4 +1,4 @@
-"""Multi-stream delivery: dispatch, soft-copy aggregation, and run metrics.
+"""Multi-stream delivery: sending, soft-copy aggregation, and run metrics.
 
 The sender duplicates each packet across all streams (same VCI/VCS/payload,
 per-stream address).  The receiver-side aggregator processes one frame
@@ -18,7 +18,7 @@ arrival at a time:
 Delivered and pending keys are held for at most window_size serials: each
 lives in a FIFO of window_size keys, and a key is also forgotten once it is
 window_size or more serials behind the newest delivered serial of its VCI,
-compared by serial-number arithmetic (RFC 1982, vcs_newer).  So a copy left
+compared by serial-number arithmetic (RFC 1982, vcs_delta).  So a copy left
 pending never meets the copies of a later packet that reuses its key after
 the 16-bit serial wraps, and a copy arriving that far behind is not held.
 A key forgotten by the dedup window can in principle be re-delivered much
@@ -66,28 +66,13 @@ class FrameKey(NamedTuple):
     vcs: int
 
 
-def vcs_newer(a: int, b: int) -> bool:
-    """True when serial number a is strictly newer than b, mod 2^16.
+def vcs_delta(a: int, b: int) -> int:
+    """Signed serial distance a - b, mod 2^16, in [-2^15, 2^15).
 
-    Standard serial-number arithmetic: the half-range rule keeps ordering
-    sane across the 65535 -> 0 wrap.
+    Serial-number arithmetic (RFC 1982): a is newer than b when the distance
+    is positive; exactly half the serial space counts as behind.
     """
-    d = (a - b) % VCS_MOD
-    return 0 < d < VCS_MOD // 2
-
-
-def dispatch(packet: bytes, vci: int, next_vcs: int,
-             stream_addrs: Sequence[int]) -> list[tuple[int, VcFrame]]:
-    """One frame per stream for a single packet; only stream_addr differs.
-
-    The header is encoded once: every frame shares that (read-only) coded
-    header and the payload.
-    """
-    if not stream_addrs:
-        raise ValueError("need at least one stream")
-    frame = encapsulate(packet, vci, next_vcs, stream_addrs[0])
-    frame.header_coded.flags.writeable = False
-    return [(k, replace(frame, stream_addr=addr)) for k, addr in enumerate(stream_addrs)]
+    return (a - b + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
 
 
 class Dispatcher:
@@ -98,15 +83,20 @@ class Dispatcher:
     """
 
     def __init__(self, vci: int, stream_addrs: Sequence[int], first_vcs: int = 0):
+        if not stream_addrs:
+            raise ValueError("need at least one stream")
         self.vci = vci
         self.stream_addrs = list(stream_addrs)
         self.next_vcs = first_vcs % VCS_MOD
 
     def send(self, packet: bytes) -> tuple[FrameKey, list[tuple[int, VcFrame]]]:
+        """The packet's key and one (stream index, frame) per stream."""
         key = FrameKey(self.vci, self.next_vcs)
-        frames = dispatch(packet, self.vci, self.next_vcs, self.stream_addrs)
+        frame = encapsulate(packet, self.vci, self.next_vcs, self.stream_addrs[0])
+        frame.header_coded.flags.writeable = False
         self.next_vcs = (self.next_vcs + 1) % VCS_MOD
-        return key, frames
+        return key, [(k, replace(frame, stream_addr=addr))
+                     for k, addr in enumerate(self.stream_addrs)]
 
 
 @dataclass
@@ -170,16 +160,15 @@ class Aggregator:
     def _stale(self, key: FrameKey) -> bool:
         """True when key is window_size or more serials behind its VCI's newest delivery."""
         newest = self.newest.get(key.vci)
-        return (newest is not None and vcs_newer(newest, key.vcs)
-                and (newest - key.vcs) % VCS_MOD >= self.config.window_size)
+        return newest is not None and vcs_delta(newest, key.vcs) >= self.config.window_size
 
     def _advance(self, key: FrameKey) -> None:
         """Make a newer delivered key its VCI's newest; forget the keys it leaves stale."""
         last = self.newest.get(key.vci)
-        if last is not None and not vcs_newer(key.vcs, last):
+        step = VCS_MOD if last is None else vcs_delta(key.vcs, last)
+        if step <= 0:
             return
         self.newest[key.vci] = key.vcs
-        step = VCS_MOD if last is None else (key.vcs - last) % VCS_MOD
         if step <= len(self.pending) + len(self.delivered):
             # no held key is stale before a delivery moves the edge, and a move
             # of step serials makes stale only the step serials it passes
@@ -202,8 +191,9 @@ class Aggregator:
         if not self._stale(key):
             self.delivered[key] = None
             # staleness alone holds one VCI's keys to window_size, but not the
-            # keys of several VCIs, nor a key half the serial space from the
-            # newest, which vcs_newer orders neither way
+            # keys of several VCIs, nor a key exactly half the serial space
+            # from the newest: vcs_delta puts each of the two behind the other,
+            # so that key neither moves the edge nor goes stale
             if len(self.delivered) > self.config.window_size:
                 self.delivered.popitem(last=False)
             self._advance(key)
@@ -325,12 +315,12 @@ def run_network_point(n_packets: int, payload_bytes: int,
                       arrival_jitter: float = 0.5) -> tuple[PacketOutcomes, AggregatorStats]:
     """Simulate one configured operating point end to end.
 
-    Every packet is dispatched on all streams.  A detected copy of packet i
+    Every packet is sent on all streams.  A detected copy of packet i
     arrives at time i + arrival_jitter * u, u uniform in [0, 1), and waits
-    in a heap keyed on (arrival time, send order).  Just before packet i is
-    sent, every held copy that arrives before time i goes to a fresh
-    aggregator; no copy sent later can arrive before them, so the aggregator
-    sees the order of one sort of all arrivals.  The heap holds
+    in a heap keyed on (arrival time, i, stream), so ties go in send order.
+    Just before packet i is sent, every held copy that arrives before time i
+    goes to a fresh aggregator; no copy sent later can arrive before them, so
+    the aggregator sees the order of one sort of all arrivals.  The heap holds
     O(streams * ceil(arrival_jitter)) copies at a time, the aggregator
     holds pending copies of at most window_size keys, none of them
     window_size or more serials behind its newest delivery (see Aggregator),
@@ -339,8 +329,6 @@ def run_network_point(n_packets: int, payload_bytes: int,
     n_packets; they are returned with the aggregator counters.
     """
     n_streams = len(stream_params)
-    if n_streams < 1:
-        raise ValueError("need at least one stream")
     if n_packets < 0:
         raise ValueError(f"n_packets: must be >= 0, got {n_packets}")
     if not 0.0 <= arrival_jitter < np.inf:
@@ -348,8 +336,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
     dispatcher = Dispatcher(RUN_VCI, [0x020000000000 + k for k in range(n_streams)])
     detected, hard = np.zeros((2, n_packets, n_streams), dtype=bool)
     delivered = np.zeros(n_packets, dtype=bool)
-    held: list[tuple[float, int, int, StreamObservation]] = []
-    n_arrivals = 0
+    held: list[tuple[float, int, int, StreamObservation]] = []  # (t, i, k, obs)
 
     # Keys repeat every VCS_MOD packets: a key names the packet within half the
     # serial space of the one whose copy arrived (arriving, set by push_until);
@@ -361,7 +348,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
     arriving = sent = 0
 
     def packet_of(key: FrameKey) -> int | None:
-        j = arriving + (key.vcs - arriving + VCS_MOD // 2) % VCS_MOD - VCS_MOD // 2
+        j = arriving + vcs_delta(key.vcs, arriving)
         return j if key.vci == RUN_VCI and 0 <= j < sent else None
 
     def payload_check(key: FrameKey, payload: bytes) -> bool:
@@ -375,7 +362,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
         """Push the held copies that arrive before time t (all of them for None)."""
         nonlocal arriving
         while held and (t is None or held[0][0] < t):
-            _, _, arriving, obs = heapq.heappop(held)
+            _, arriving, _, obs = heapq.heappop(held)
             result = agg.push(obs)
             if result is not None and payload_check(*result):
                 delivered[packet_of(result[0])] = True
@@ -392,9 +379,8 @@ def run_network_point(n_packets: int, payload_bytes: int,
             obs = transmit(fresh_seed(rng), with_stream_addr(wire, frame.stream_addr), L,
                            stream_params[k], rng, stream_id=k)
             detected[i, k] = obs.detected
-            hard[i, k] = obs.detected and obs.crc_pass
+            hard[i, k] = obs.crc_pass
             if obs.detected:
-                heapq.heappush(held, (i + arrival_jitter * rng.random(), n_arrivals, i, obs))
-                n_arrivals += 1
+                heapq.heappush(held, (i + arrival_jitter * rng.random(), i, k, obs))
     push_until(None)
     return PacketOutcomes(detected, hard, delivered), agg.stats

@@ -139,16 +139,12 @@ def scramble(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _mask_matrix(L: int) -> np.ndarray:
-    # column j: the outputs of unit state 1 << j, by linearity
-    a = register_outputs(_BIT_WEIGHTS, L).T
-    a.flags.writeable = False
-    return a
-
-
 def mask_matrix(L: int) -> np.ndarray:
     """(L, 7) GF(2) matrix A with scramble(seed, zeros(L)) == A @ seed mod 2:
     the pilots, an all-zero L-bit prefix, as combinations of the seed bits."""
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
-    return _mask_matrix(L)
+    # column j: the outputs of unit state 1 << j, by linearity
+    a = register_outputs(_BIT_WEIGHTS, L).T
+    a.flags.writeable = False
+    return a

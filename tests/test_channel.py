@@ -384,6 +384,14 @@ def test_transmit_rejects_bad_seeds():
         transmit(np.ones(6, dtype=np.uint8), payload, 16, params, rng)
 
 
+def test_soft_copy_and_transmit_reject_a_2d_payload():
+    rng, bits = np.random.default_rng(10), np.zeros((2, 8), dtype=np.uint8)
+    with pytest.raises(ValueError, match="payload_bits must be one-dimensional"):
+        soft_copy(seed_from_int(5), bits, 16, 5.0, rng)
+    with pytest.raises(ValueError, match="payload_bits must be one-dimensional"):
+        transmit(seed_from_int(5), bits, 16, ChannelParams(snr_db=5.0), rng)
+
+
 def test_burst_window_causes_hard_errors_at_high_snr():
     # without the burst this SNR is error-free; with it some frames must break
     rng = np.random.default_rng(7)

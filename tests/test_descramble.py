@@ -97,6 +97,8 @@ def test_posterior_concentrates_on_true_seed_with_clean_pilots():
 def test_posterior_validates_shapes():
     with pytest.raises(ValueError):
         seed_posterior(np.zeros(6))  # fewer pilots than the register has bits
+    with pytest.raises(ValueError, match="one-dimensional"):
+        seed_posterior(np.zeros((2, 16)))  # a block goes to seed_log_weights
 
 
 @pytest.mark.parametrize("L", [7, 16, 127])
@@ -170,6 +172,8 @@ def test_hd_zero_preload_passes_through():
     assert np.array_equal(hd(bits), bits[7:])
     with pytest.raises(ValueError):
         hd(np.zeros(6, dtype=np.uint8))
+    with pytest.raises(ValueError, match="preload"):
+        hd(np.zeros((2, 11), dtype=np.uint8))  # a block goes to hd_rows
 
 
 def test_naive_sd_equals_hd_on_hard_decisions():

@@ -23,10 +23,9 @@ from ssic.netstack import (
     FrameKey,
     PacketOutcomes,
     RunMetrics,
-    dispatch,
     run_metrics,
     run_network_point,
-    vcs_newer,
+    vcs_delta,
 )
 from ssic.scrambler import scramble, seed_from_int
 from ssic.softbits import LLR_MAX, SoftWord
@@ -71,16 +70,17 @@ P1, P2, P3 = b"alpha", b"bravo-bravo", b"charlie!"
 
 
 def test_vcs_newer_wraparound():
-    assert vcs_newer(1, 0)
-    assert not vcs_newer(0, 1)
-    assert not vcs_newer(5, 5)
-    assert vcs_newer(0, 65535)  # wrapped past the top
-    assert vcs_newer(32767, 0)
-    assert not vcs_newer(32768, 0)  # exactly half the range is "older"
+    assert vcs_delta(1, 0) > 0
+    assert vcs_delta(0, 1) < 0
+    assert vcs_delta(5, 5) == 0
+    assert vcs_delta(0, 65535) > 0  # wrapped past the top
+    assert vcs_delta(32767, 0) > 0
+    assert vcs_delta(32768, 0) < 0  # exactly half the range is "older"
 
 
 def test_dispatch_and_dispatcher():
-    frames = dispatch(P1, vci=4, next_vcs=99, stream_addrs=[10, 11, 12])
+    key, frames = Dispatcher(vci=4, stream_addrs=[10, 11, 12], first_vcs=99).send(P1)
+    assert key == FrameKey(4, 99)
     assert [k for k, _ in frames] == [0, 1, 2]
     assert all(f.payload == P1 for _, f in frames)
     assert [f.stream_addr for _, f in frames] == [10, 11, 12]
@@ -96,7 +96,8 @@ def test_dispatch_and_dispatcher():
 
 def test_dispatched_frames_differ_only_in_the_address():
     addrs = [0, 0x020000000001, (1 << 48) - 1]
-    frames = [f for _, f in dispatch(P3, vci=0xFFFF, next_vcs=0x8000, stream_addrs=addrs)]
+    _, sent = Dispatcher(vci=0xFFFF, stream_addrs=addrs, first_vcs=0x8000).send(P3)
+    frames = [f for _, f in sent]
     bits = [frame_to_bits(f) for f in frames]
     alone = frame_to_bits(encapsulate(P3, 0xFFFF, 0x8000, addrs[0]))
     for addr, f, b in zip(addrs, frames, bits):
@@ -111,7 +112,8 @@ def test_stamped_addresses_equal_each_streams_frame_bits(first):
     """run_network_point unpacks a packet once and stamps each stream's
     address into a copy: the bits must be those of that stream's frame."""
     addrs = [first, 0, 0x020000000001, (1 << 48) - 1]
-    frames = [f for _, f in dispatch(b"\x00\xa5" * 700, vci=3, next_vcs=9, stream_addrs=addrs)]
+    _, sent = Dispatcher(vci=3, stream_addrs=addrs, first_vcs=9).send(b"\x00\xa5" * 700)
+    frames = [f for _, f in sent]
     wire = frame_to_bits(frames[0])
     for f in frames:
         stamped = with_stream_addr(wire, f.stream_addr)
@@ -457,6 +459,13 @@ def test_run_network_point_rejects_negative_packets():
     outcomes, stats = run_network_point(0, 10, [ChannelParams(snr_db=8.0)] * 2, L,
                                         np.random.default_rng(0))
     assert len(outcomes) == 0 and outcomes.detected.shape == (0, 2) and stats.delivered == 0
+
+
+def test_dispatcher_and_run_network_point_need_a_stream():
+    with pytest.raises(ValueError, match="need at least one stream"):
+        Dispatcher(vci=1, stream_addrs=[])
+    with pytest.raises(ValueError, match="need at least one stream"):
+        run_network_point(2, 10, [], L, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -0.5])

@@ -210,6 +210,12 @@ def test_mask_matrix_full_rank():
     assert rank == 7
 
 
+def test_mask_matrix_rejects_short_pilots_every_time():
+    for _ in range(2):  # the cache keeps no raise
+        with pytest.raises(ValueError, match="L must be at least 7, got 6"):
+            mask_matrix(6)
+
+
 def test_mask_matrix_is_readonly_and_cached():
     a = mask_matrix(16)
     assert not a.flags.writeable

@@ -204,6 +204,17 @@ def test_offsets_default_to_zero_per_stream():
       for name, value in [("detection_loss_prob", 0.9), ("burst_prob", 1.0),
                           ("burst_len_mean", 10.0), ("burst_llr_atten", 0.01),
                           ("window_size", 3), ("arrival_jitter", 9.0)]],
+    # the range rules of those fields, reached only in netsim
+    *[(dict(mode="netsim", snr_grid=[0.0], **{name: value}), rule)
+      for name, value, rule in [
+          ("arrival_jitter", -1.0, "arrival_jitter: must be finite and >= 0"),
+          ("arrival_jitter", float("nan"), "arrival_jitter: must be finite and >= 0"),
+          ("arrival_jitter", float("inf"), "arrival_jitter: must be finite and >= 0"),
+          ("window_size", 0, "window_size: must be in"),
+          ("burst_llr_atten", 2.0, "burst_llr_atten out of"),
+          ("burst_len_mean", 0.0, "burst_len_mean must be finite and >= 1"),
+          ("burst_len_mean", float("nan"), "burst_len_mean must be finite and >= 1"),
+          ("burst_len_mean", float("inf"), "burst_len_mean must be finite and >= 1")]],
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):

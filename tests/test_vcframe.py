@@ -392,6 +392,8 @@ def test_frame_validation():
         encapsulate(b"x" * (MTU_PAYLOAD + 1), 0, 0, 0)
     with pytest.raises(ValueError):
         VcFrame(1 << 48, np.zeros(441, dtype=np.uint8), b"")
+    with pytest.raises(ValueError, match=f"header_coded must be {HEADER_CODED_BITS} bits"):
+        VcFrame(0, np.zeros(HEADER_CODED_BITS - 1, dtype=np.uint8), b"")
     with pytest.raises(ValueError):
         frame_from_bits(np.zeros(495, dtype=np.uint8))  # under overhead
     with pytest.raises(ValueError):
