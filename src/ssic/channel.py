@@ -32,10 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import (LFSR_LEN, _checked_seed, register_outputs, scramble, seed_from_int,
-                        seed_to_int)
+from .scrambler import LFSR_LEN, _checked_seed, register_outputs, seed_from_int, seed_to_int
 from .softbits import LLR_MAX, SoftWord
 from .descramble import hd
+
+# importable here under the name ssicbench/spans.py traces, though transmit
+# forms the word from the register outputs directly
+from .scrambler import scramble  # noqa: F401
 
 
 def snr_db_to_sigma2(snr_db: float) -> float:
@@ -215,7 +218,9 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
             return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
                                      hard_bits=payload.copy())
 
-    tx = scramble(seed, np.concatenate([np.zeros(L, dtype=np.uint8), payload]))
+    # the scrambled word: L zero pilots, then the payload, XORed with the mask
+    tx = register_outputs(seed_to_int(seed), n)
+    tx[L:] ^= payload
     llrs = awgn_llrs(tx, z, sigma2)
 
     # hard decisions from the last 7 pilots on; when they all equal what was

@@ -51,12 +51,12 @@ def combine_streams(rows, out: np.ndarray | None = None) -> np.ndarray:
 
     rows is any sequence of them, a list or a (K, ..., M) array.  They are
     added into a zero total in order 0..K-1, so a block of packets sums
-    exactly as ssic_combine and the aggregator sum each one.  The total is
-    written into out when it is given, as numpy's out= does.
+    exactly as ssic_combine and the aggregator sum each one; the total
+    starts as row 0 + 0.0, the same float as 0.0 + row 0 (-0.0 included).
+    It is written into out when it is given, as numpy's out= does.
     """
-    out = np.empty(np.shape(rows[0])) if out is None else out
-    out[...] = 0.0
-    for r in rows:
+    out = np.add(rows[0], 0.0, out=np.empty(np.shape(rows[0])) if out is None else out)
+    for r in rows[1:]:
         out += r
     return np.clip(out, -LLR_MAX, LLR_MAX, out=out)
 

@@ -22,7 +22,8 @@ hrsx and srsx compute it from the word's own pilots.
 The three LLR receivers then differ only in what they know about each mask
 bit.  naive_sd and hrsx know it for certain and flip the payload LLR's sign
 where it is 1; srsx knows its probability q and mixes it in by the boxplus
-rule, which reduces to the same flip where q is 0 or 1.
+rule, which reduces to the same flip where q is 0 or 1, and to
+0 - log(e^y) where q is below 2^-82 (srsx_rows).
 
 The mask has period 127, so the row kernels keep what they know of it per
 phase: +-1 signs or q as (n, 127) tables, copied into (n, M) blocks a
@@ -46,6 +47,8 @@ from .scrambler import (LFSR_LEN, PERIOD, _period_table, fill_by_phase, register
 from .softbits import LLR_MAX, SoftWord, bit_signs, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
+# srsx's mix at a soft phase with q below this is 0 - log(e^y) exactly (srsx_rows)
+_COLLAPSE_Q = 2.0 ** -82
 
 
 def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
@@ -184,30 +187,47 @@ def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
     which only loses magnitude, up to an ulp of rounding that the clip keeps
     inside LLR_MAX.  SoftWord clamps |y| <= LLR_MAX, so e^y cannot overflow.
 
+    Where 0 < q < 2^-82 the mix collapses, since |y| <= LLR_MAX = 20:
+    1 - q rounds to 1, q e^y < 2^-82 e^20 < 2^-53 vanishes beside it, and q
+    is below half an ulp of e^y >= e^-20 > 2^-29, so the two sums round to
+    exactly 1 and e^y.  A block whose soft phases all have such a q takes
+    0 - log(e^y), the same float, with no per-phase table.
+
     q has period 127, so it is kept and tested per phase, (n, 127): a block
     with no soft phase is only flipped, and one with some hard phases takes
-    the flip there.  The result is written into out, an (n, M) float block,
-    and the mix works in scratch, a (2, n, M) one; either is allocated when
-    not given.
+    the flip there, which is the payload itself where no q is 0.  The
+    result is written into out, an (n, M) float block, and the mix works in
+    scratch, a (2, n, M) one; either is allocated when not given.
     """
     q = mask_zero_by_phase(np.exp(log_weights))
-    soft = (q > 0.0) & (q < 1.0)
-    if not soft.any():
+    below_one = q < 1.0
+    soft = (q > 0.0) & below_one
+    n_soft = np.count_nonzero(soft)
+    if not n_soft:
         return _flip(payload, 2.0 * q - 1.0, L, out)
     out = np.empty(payload.shape) if out is None else out
     num, by_phase = np.empty((2,) + payload.shape) if scratch is None else scratch
     e = np.exp(payload, out=out)
-    np.multiply(fill_by_phase(num, q, L), e, out=num)
-    num += fill_by_phase(by_phase, 1.0 - q, L)
-    e *= by_phase  # e becomes the denominator
-    e += fill_by_phase(by_phase, q, L)
-    np.log(num, out=num)
-    np.log(e, out=e)
-    mixed = np.subtract(num, e, out=out)
+    if np.count_nonzero((q >= _COLLAPSE_Q) & below_one):
+        np.multiply(fill_by_phase(num, q, L), e, out=num)
+        num += fill_by_phase(by_phase, 1.0 - q, L)
+        e *= by_phase  # e becomes the denominator
+        e += fill_by_phase(by_phase, q, L)
+        np.log(num, out=num)
+        np.log(e, out=e)
+        mixed = np.subtract(num, e, out=out)
+    else:
+        mixed = np.subtract(0.0, np.log(e, out=e), out=out)
     np.clip(mixed, -LLR_MAX, LLR_MAX, out=mixed)
-    if not soft.all():
+    if n_soft < soft.size:
         hard = fill_by_phase(np.empty(payload.shape, dtype=bool), ~soft, L)
-        np.putmask(mixed, hard, _flip(payload, 2.0 * q - 1.0, L, num))
+        # with no q at 0, every hard q is 1 and 1.0 * y is y bit for bit; but
+        # putmask would copy strided rows to a new block, so those are flipped
+        if np.count_nonzero(q) == q.size and payload.flags.c_contiguous:
+            flipped = payload
+        else:
+            flipped = _flip(payload, 2.0 * q - 1.0, L, num)
+        np.putmask(mixed, hard, flipped)
     return mixed
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -95,7 +95,7 @@ class Dispatcher:
         frame = encapsulate(packet, self.vci, self.next_vcs, self.stream_addrs[0])
         frame.header_coded.flags.writeable = False
         self.next_vcs = (self.next_vcs + 1) % VCS_MOD
-        return key, [(k, replace(frame, stream_addr=addr))
+        return key, [(k, VcFrame(addr, frame.header_coded, frame.payload))
                      for k, addr in enumerate(self.stream_addrs)]
 
 

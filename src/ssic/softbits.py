@@ -27,7 +27,7 @@ def bit_signs(bits) -> np.ndarray:
 
 def hard_decide(llrs) -> np.ndarray:
     """Sign decision: 0 for l >= 0 (ties resolve to 0), else 1."""
-    return (np.asarray(llrs) < 0).astype(np.uint8)
+    return np.less(llrs, 0).view(np.uint8)
 
 
 @dataclass

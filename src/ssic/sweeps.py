@@ -131,9 +131,12 @@ class SweepSpec:
     arrival_jitter: float = 0.5
 
     def __post_init__(self):
-        # defaults only: validate() names a field of the wrong type
-        if self.stream_snr_offsets is None and _is_int(self.n_streams):
-            self.stream_snr_offsets = [0.0] * self.n_streams
+        # defaults only: validate() names a field of the wrong type.  The
+        # offsets' default is n_streams long, so it waits for _check_size()
+        if self.stream_snr_offsets is None:
+            with contextlib.suppress(ValueError, TypeError):
+                self._check_size()
+                self.stream_snr_offsets = [0.0] * self.n_streams
         if self.variants is None:
             self.variants = _DEFAULT_VARIANTS.get(self.mode, SOFT_VARIANTS)
         if isinstance(self.variants, list):
@@ -145,18 +148,17 @@ class SweepSpec:
         for f in fields(self):
             want, ok = _FIELD_TYPES[f.type.removesuffix(" | None")]
             value = getattr(self, f.name)
-            if not ok(value):
+            if not (ok(value) or value is None and f.type.endswith(" | None")):
                 raise ValueError(f"{f.name}: expected {want}, got {value!r}")
             if f.name in _NETSIM_ONLY and self.mode != "netsim" and value != f.default:
                 raise ValueError(f"{f.name}: only netsim uses it, got {value!r} in {self.mode}")
+            if f.name == "payload_bytes" and self.mode == "seed_ber" and value != f.default:
+                raise ValueError(f"payload_bytes: seed_ber sends no payload, got {value!r}")
         if not self.snr_grid or not all(np.isfinite(self.snr_grid)):
             raise ValueError("snr_grid: need a non-empty list of finite values")
-        if self.L < LFSR_LEN:
-            raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
-        if self.n_streams < 1:
-            raise ValueError(f"n_streams: must be >= 1, got {self.n_streams}")
-        if self.mode == "seed_ber" and self.n_streams != 1:
-            raise ValueError(f"n_streams: seed_ber measures one stream, got {self.n_streams}")
+        self._check_size()
+        if self.stream_snr_offsets is None:
+            self.stream_snr_offsets = [0.0] * self.n_streams
         if (len(self.stream_snr_offsets) != self.n_streams
                 or not all(np.isfinite(self.stream_snr_offsets))):
             raise ValueError(
@@ -164,9 +166,6 @@ class SweepSpec:
                 f"got {self.stream_snr_offsets}")
         if self.trials < 1:
             raise ValueError(f"trials: must be >= 1, got {self.trials}")
-        if self.payload_bytes < 0 or self.payload_bytes > MTU_PAYLOAD:
-            raise ValueError(
-                f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {self.payload_bytes}")
         if not self.variants:
             raise ValueError("variants: need at least one")
         for v in self.variants:
@@ -174,8 +173,6 @@ class SweepSpec:
                 raise ValueError(f"variants: unknown variant {v!r}")
             if self.variants.count(v) > 1:  # the points keep one error count per name
                 raise ValueError(f"variants: {v!r} listed twice")
-        if self.mode != "seed_ber" and self.payload_bytes < 1:
-            raise ValueError(f"payload_bytes: {self.mode} needs at least 1 byte")
         if (self.mode in ("payload_ber", "packet_per") and self.n_streams > 1
                 and "hd" in self.variants):
             raise ValueError("variants: hd produces bits, not LLRs, so it cannot be combined; "
@@ -202,6 +199,35 @@ class SweepSpec:
                 f"arrival_jitter: must be finite and >= 0, got {self.arrival_jitter}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed: must be >= 0, got {self.rng_seed}")
+
+    def _check_size(self) -> None:
+        """The rules on L, n_streams and payload_bytes, which fix the size of
+        one trial: nothing n_streams long is made before they pass.
+
+        A sweep trial is K words of L + M LLRs and 127 seed weights (M = 0
+        in seed_ber), and a block of trials holds at most BLOCK_FLOATS floats
+        (_block_trials), so one trial must fit in it.
+        """
+        if self.L < LFSR_LEN:
+            raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
+        if self.n_streams < 1:
+            raise ValueError(f"n_streams: must be >= 1, got {self.n_streams}")
+        if self.mode == "seed_ber" and self.n_streams != 1:
+            raise ValueError(f"n_streams: seed_ber measures one stream, got {self.n_streams}")
+        if self.payload_bytes < 0 or self.payload_bytes > MTU_PAYLOAD:
+            raise ValueError(
+                f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {self.payload_bytes}")
+        if self.mode != "seed_ber" and self.payload_bytes < 1:
+            raise ValueError(f"payload_bytes: {self.mode} needs at least 1 byte")
+        if self.mode == "netsim":
+            return
+        word = self.L + (0 if self.mode == "seed_ber" else 8 * self.payload_bytes) + N_SEEDS
+        if word > BLOCK_FLOATS:
+            raise ValueError(f"L: a word of L + 8 * payload_bytes + {N_SEEDS} = {word} floats "
+                             f"exceeds the block of BLOCK_FLOATS = {BLOCK_FLOATS}")
+        if self.n_streams * word > BLOCK_FLOATS:
+            raise ValueError(f"n_streams: a trial of {self.n_streams} words of {word} floats "
+                             f"exceeds the block of BLOCK_FLOATS = {BLOCK_FLOATS}")
 
     def channel_params(self, snr_db: float) -> ChannelParams:
         """One stream's link at snr_db, with the spec's impairments."""

@@ -23,6 +23,7 @@ against every codeword.
 from __future__ import annotations
 
 import binascii
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,9 +200,13 @@ def encapsulate(packet: bytes, vci: int, vcs: int, stream_addr: int) -> VcFrame:
 _PAD = np.zeros(FRAME_PAD_BITS, dtype=np.uint8)
 
 
+@functools.lru_cache(maxsize=64)
 def _addr_bits(stream_addr: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(stream_addr.to_bytes(STREAM_ADDR_BITS // 8, "big"),
+    """The 48 address bits, MSB first, as a read-only array."""
+    bits = np.unpackbits(np.frombuffer(stream_addr.to_bytes(STREAM_ADDR_BITS // 8, "big"),
                                        dtype=np.uint8))
+    bits.flags.writeable = False
+    return bits
 
 
 def frame_to_bits(frame: VcFrame) -> np.ndarray:

@@ -17,7 +17,7 @@ from ssic.channel import (
     transmit,
 )
 from ssic.descramble import hd
-from ssic.scrambler import scramble, seed_from_int, seed_to_int
+from ssic.scrambler import register_outputs, scramble, seed_from_int, seed_to_int
 from ssic.softbits import LLR_MAX, hard_decide
 
 from oracles import bpsk_awgn_llrs
@@ -329,9 +329,9 @@ def test_clean_screen_is_exact_at_its_edges(monkeypatch, case, burst, screened, 
         z[flip] = -10.0 * t * (1.0 - 2.0 * tx[flip])
     script = dict(uniforms=[0.5, 0.0], ints=[n // 3], lengths=[60])
 
-    scrambles = []
-    monkeypatch.setattr(channel, "scramble",
-                        lambda *a: scrambles.append(1) or scramble(*a))
+    scrambles = []  # calls of what forms the scrambled word
+    monkeypatch.setattr(channel, "register_outputs",
+                        lambda *a: scrambles.append(1) or register_outputs(*a))
     rng, ref_rng = ScriptedRng(z, **script), ScriptedRng(z, **script)
     obs = transmit(seed, payload, L, params, rng)
     ref = _oracle_transmit(seed, payload, L, params, ref_rng)

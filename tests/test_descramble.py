@@ -429,8 +429,49 @@ def oracle_log_weights(rng, kind, n, L):
                     pilots = flip_by_mask(np.full(L, LLR_MAX), pilot_bits(v, L))
                     lw[i] = seed_log_weights(pilots[None])[0]
             return lw
+    if kind == "edges":
+        return np.vstack([edge_log_weights(rng, int(rng.integers(3))) for _ in range(n)])
     kinds = ("hard", "soft", "partly")
     return np.vstack([oracle_log_weights(rng, kinds[i % 3], 1, L) for i in range(n)])
+
+
+COLLAPSE_Q = 2.0 ** -82  # below it, srsx's mix is 0 - log(e^y) exactly
+
+
+def edge_log_weights(rng, runner_up: int, at_bound: bool = True) -> np.ndarray:
+    """(1, 127) log-posterior of a clean MAP seed whose runners-up put q at
+    srsx's collapse bound: exactly 0 and 1 at some phases, in (0, 2^-82)
+    at others, the double just below 2^-82 among them, and exactly 2^-82
+    (at_bound) where two tiny weights add up to it.
+
+    runner_up 1 and 2 give one more seed 1e-15 of the mass, as when one
+    clean pilot is weakened, which puts q in (2^-82, 1) too: with 2 the MAP
+    seed keeps the rest, so that q is also 1 - 1e-15 at some phases; with
+    1 it keeps all of it, so that every soft q is small.
+
+    Seeds a, b and d get weights with w_a < 2^-82, w_a + w_b == 2^-82 and
+    w_a + w_d == its predecessor, each rounded once; the phases where only
+    those seeds output 0 have those q.  Seeds are drawn until every class
+    occurs.
+    """
+    below = np.nextafter(COLLAPSE_Q, 0.0)
+    w_a = np.exp(np.log(COLLAPSE_Q) - 1e-3)
+    log_w = [np.log(w_a), np.log(COLLAPSE_Q - w_a), np.log(below - w_a)]
+    while True:
+        m, a, b, d, c = rng.choice(N_SEEDS, 5, replace=False)
+        lw = np.full((1, N_SEEDS), -np.inf)
+        lw[0, [a, b, d]] = log_w
+        if not at_bound:
+            lw[0, b] = -np.inf
+        lw[0, m] = np.log1p(-1e-15) if runner_up == 2 else 0.0
+        if runner_up:
+            lw[0, c] = np.log(1e-15)
+        q = mask_zero_by_phase(np.exp(lw))
+        tiny, above = (q > 0.0) & (q < COLLAPSE_Q), (q > COLLAPSE_Q) & (q < 1.0)
+        if (np.isin(q, (0.0, 1.0)).any() and tiny.any() and (q == below).any()
+                and (q == COLLAPSE_Q).any() == at_bound and above.any() == bool(runner_up)
+                and ((q > 0.5) & (q < 1.0)).any() == (runner_up == 2)):
+            return lw
 
 
 def oracle_payload(rng, n, M):
@@ -447,7 +488,7 @@ def same_bytes(a, b):
 
 
 @pytest.mark.parametrize("L", [7, 16, 126, 127, 200])
-@pytest.mark.parametrize("kind", ["hard", "soft", "partly", "mixed"])
+@pytest.mark.parametrize("kind", ["hard", "soft", "partly", "mixed", "edges"])
 def test_out_kernels_equal_oracles_byte_for_byte(L, kind):
     rng = np.random.default_rng(L * 10 + len(kind))
     for M in (1, 50, 126, 127, 254, 381, 1000):
@@ -475,7 +516,65 @@ def test_oracle_cases_cover_exact_and_soft_mask_probabilities():
     assert ((q["partly"] > 0.0) & (q["partly"] < 1.0)).any()
 
 
-@pytest.mark.parametrize("kind", ["hard", "soft", "partly", "mixed"])
+def test_edge_rows_hold_every_class_of_q():
+    rng = np.random.default_rng(42)
+    q = mask_zero_by_phase(np.exp(oracle_log_weights(rng, "edges", 6, 16)))
+    for row in q:
+        assert np.isin(row, (0.0, 1.0)).any()
+        assert ((row > 0.0) & (row < COLLAPSE_Q)).any()
+        assert ((row >= COLLAPSE_Q) & (row < 1.0)).any()
+    assert (q == COLLAPSE_Q).any() and (q == np.nextafter(COLLAPSE_Q, 0.0)).any()
+    assert ((q > COLLAPSE_Q) & (q < 1.0)).any()
+
+
+@pytest.mark.parametrize("q", [np.nextafter(COLLAPSE_Q, 0.0), 2.0 ** -83, 1e-30, 5e-324])
+def test_the_mix_rounds_to_its_collapse_below_the_bound(q):
+    """For 0 < q < 2^-82 and |y| <= LLR_MAX, srsx's two sums, as it rounds
+    them, are exactly 1 and e^y, so log(num) - log(den) is 0 - log(e^y)."""
+    y = np.concatenate([[0.0, -0.0, LLR_MAX, -LLR_MAX],
+                        np.random.default_rng(43).uniform(-LLR_MAX, LLR_MAX, 1000)])
+    e = np.exp(y)
+    assert (q * e + (1.0 - q) == 1.0).all()
+    assert (e * (1.0 - q) + q == e).all()
+
+
+def test_the_collapse_bound_is_tight():
+    # at q = 2^-82 the denominator of e^-20 rounds up: its mantissa is odd
+    e = np.exp(-LLR_MAX)
+    assert e * (1.0 - COLLAPSE_Q) + COLLAPSE_Q != e
+
+
+@pytest.mark.parametrize("at_bound", [False, True])
+def test_srsx_equals_the_oracle_on_either_side_of_the_bound(at_bound):
+    """A block whose soft q are all below 2^-82 takes the collapsed mix, one
+    with q == 2^-82 the full one; both equal the oracle byte for byte."""
+    rng = np.random.default_rng(44)
+    L, M = 16, 1000
+    lw = np.vstack([edge_log_weights(rng, 0, at_bound) for _ in range(4)])
+    payload = oracle_payload(rng, 4, M)
+    payload[:, ::3] = -LLR_MAX  # e^-20's binade, where 2^-82 is half an ulp
+    want = mix_mask_oracle(payload, mask_q(np.exp(lw), L, M))
+    assert same_bytes(srsx_rows(lw, payload, L), want)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_srsx_equals_the_oracle_where_every_hard_q_is_1(strided):
+    """Clean pilots leave q at exactly 1 or tiny, never at 0: a contiguous
+    payload is put in place as it is at the hard phases."""
+    rng = np.random.default_rng(45)
+    L, M, n = 16, 700, 3
+    pilots = [flip_by_mask(np.full(L, LLR_MAX), pilot_bits(v, L)) for v in (5, 77, 120)]
+    lw = seed_log_weights(np.array(pilots))
+    q = mask_zero_by_phase(np.exp(lw))
+    assert (q > 0.0).all() and (q == 1.0).any() and (q < 1.0).any()
+    payload = oracle_payload(rng, n, M)
+    if strided:
+        payload = np.concatenate([np.zeros((n, L)), payload], axis=1)[:, L:]
+    want = mix_mask_oracle(payload, mask_q(np.exp(lw), L, M))
+    assert same_bytes(srsx_rows(lw, payload, L), want)
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "partly", "mixed", "edges"])
 def test_out_kernels_write_a_short_last_block_in_place(kind):
     """A short block written into the leading rows of the full-size buffers
     equals the oracle, and the rows past it are left alone."""

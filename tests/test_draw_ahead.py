@@ -142,8 +142,9 @@ SPEC = dict(mode="payload_ber", snr_grid=[0.0, 2.0, 4.0], L=16, n_streams=2,
 
 
 def spec_for(mode: str) -> SweepSpec:
-    """SPEC in another mode; seed_ber measures one stream."""
-    one = dict(n_streams=1, stream_snr_offsets=[0.0]) if mode == "seed_ber" else {}
+    """SPEC in another mode; seed_ber measures one stream and sends no payload."""
+    one = (dict(n_streams=1, stream_snr_offsets=[0.0], payload_bytes=1500)
+           if mode == "seed_ber" else {})
     return SweepSpec(**dict(SPEC, mode=mode, **one))
 
 

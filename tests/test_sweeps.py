@@ -1,8 +1,11 @@
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,10 +218,100 @@ def test_offsets_default_to_zero_per_stream():
           ("burst_len_mean", 0.0, "burst_len_mean must be finite and >= 1"),
           ("burst_len_mean", float("nan"), "burst_len_mean must be finite and >= 1"),
           ("burst_len_mean", float("inf"), "burst_len_mean must be finite and >= 1")]],
+    # one trial must fit in a block of BLOCK_FLOATS = 2**17 floats
+    (dict(mode="seed_ber", snr_grid=[0.0], L=10**12), "L: a word of"),
+    (dict(mode="packet_per", snr_grid=[0.0], L=(1 << 17) - 127 - 8 + 1, payload_bytes=1),
+     "L: a word of"),
+    (dict(mode="payload_ber", snr_grid=[0.0], n_streams=11), "n_streams: a trial of"),
+    (dict(mode="packet_per", snr_grid=[0.0], n_streams=10**7), "n_streams: a trial of"),
+    (dict(mode="packet_per", snr_grid=[0.0], n_streams=10**7, stream_snr_offsets=[0.0]),
+     "n_streams: a trial of"),
+    (dict(mode="seed_ber", snr_grid=[0.0], n_streams=10**7), "n_streams"),
+    # seed_ber sends no payload, so a payload_bytes it would ignore is refused
+    (dict(mode="seed_ber", snr_grid=[0.0], payload_bytes=6), "payload_bytes: seed_ber"),
+    (dict(mode="seed_ber", snr_grid=[0.0], payload_bytes=0), "payload_bytes: seed_ber"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
         SweepSpec(**kwargs).validate()
+
+
+@pytest.mark.parametrize("mode", ["seed_ber", "payload_ber", "packet_per"])
+def test_a_huge_stream_count_fails_before_anything_its_size_is_made(mode):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n_streams"):
+            SweepSpec(mode, [0.0], n_streams=10**7).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak:,} bytes"
+
+
+def test_a_trial_that_fills_a_block_is_accepted():
+    SweepSpec("payload_ber", [0.0], n_streams=10, stream_snr_offsets=[0.0] * 10).validate()
+    SweepSpec("packet_per", [0.0], L=(1 << 17) - 127 - 8, payload_bytes=1).validate()
+    SweepSpec("seed_ber", [0.0], L=(1 << 17) - 127).validate()
+    assert SweepSpec("packet_per", [0.0], n_streams=10).stream_snr_offsets == [0.0] * 10
+
+
+def _bench_workloads():
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "ssicbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_ssicbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cli_argvs(path: Path) -> list[list[str]]:
+    """The ssic sweep and netsim commands in a file that are meant to succeed
+    (no "|| status=$?"), continuation lines joined; the CI loop's "$L" is
+    read as 127, its largest value."""
+    argvs = []
+    for line in path.read_text().replace("\\\n", " ").splitlines():
+        m = re.search(r"(?:^|\s)(?:ssic|python -m ssic\.cli) ((?:sweep|netsim) .*)", line)
+        if m and "status=$?" not in line:
+            argvs.append(shlex.split(m.group(1).replace('"$L"', "127")))
+    return argvs
+
+
+# the criteria's specs in tests/test_acceptance.py, as they are written there
+CRITERION_SPECS = [
+    dict(mode="payload_ber", snr_grid=[-1.0, 0.0, 2.0, 6.0], L=16, n_streams=4,
+         stream_snr_offsets=[0.0, 0.5, 1.0, 1.5], trials=1600, payload_bytes=1500,
+         variants=("naive", "hrsx", "srsx"), rng_seed=20260819),
+    *[dict(mode="packet_per", snr_grid=[2.0, 4.0, 6.0, 8.0, 10.0, 12.0], L=16, n_streams=ns,
+           trials=3000, payload_bytes=256, variants=("srsx",), rng_seed=7) for ns in (4, 1)],
+    dict(mode="netsim", snr_grid=[10.2], L=16, n_streams=2, trials=10000, payload_bytes=1500,
+         variants=("srsx",), detection_loss_prob=2e-4, rng_seed=3),
+    dict(mode="payload_ber", snr_grid=[1.0, 3.0], n_streams=2, stream_snr_offsets=[0.0, 1.0],
+         trials=200, payload_bytes=300, rng_seed=11),
+    dict(mode="netsim", snr_grid=[8.5], n_streams=2, trials=300, payload_bytes=200,
+         rng_seed=2),
+]
+
+
+def test_the_shipped_specs_still_validate():
+    """The size rules refuse none of the benchmark workloads, the criteria's
+    specs, or the CLI commands in the README and in CI."""
+    from ssic.cli import _spec_from_args, build_parser
+
+    workloads = _bench_workloads()
+    for name in workloads.WORKLOADS:
+        SweepSpec(**workloads.chunk_fields(name, 1)).validate()
+        SweepSpec(**workloads.reference_fields(name)).validate()
+    for fields in CRITERION_SPECS:
+        SweepSpec(**fields).validate()
+    root = Path(__file__).resolve().parent.parent
+    argvs = [argv for path in (root / "README.md", root / ".github/workflows/tests.yml")
+             for argv in _cli_argvs(path)]
+    assert len(argvs) >= 13, argvs  # 6 in the README, 7 in CI
+    for argv in argvs:
+        _spec_from_args(build_parser().parse_args(argv))
 
 
 def test_seed_ber_draws_at_the_stream_offset():
@@ -378,8 +471,10 @@ def test_golden_netsim_arrival_order(monkeypatch, jitter):
     dict(mode="seed_ber", variants=("hd", "naive", "hrsx", "srsx")),
 ])
 def test_csv_does_not_depend_on_the_block_size(monkeypatch, spec):
-    spec = SweepSpec(snr_grid=[-1.0, 2.0, 5.0], L=16, trials=7, payload_bytes=5,
-                     rng_seed=8, **spec)
+    # seed_ber sends no payload, so it takes only the default payload_bytes
+    payload = {} if spec["mode"] == "seed_ber" else dict(payload_bytes=5)
+    spec = SweepSpec(snr_grid=[-1.0, 2.0, 5.0], L=16, trials=7, rng_seed=8, **payload,
+                     **spec)
     want = rows_to_csv(SWEEP_COLUMNS, run_sweep(spec))
     M = 0 if spec.mode == "seed_ber" else spec.payload_bytes * 8
     k = 1 if spec.mode == "seed_ber" else spec.n_streams
