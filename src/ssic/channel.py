@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scrambler import LFSR_LEN, _checked_seed, register_outputs, seed_from_int, seed_to_int
-from .softbits import LLR_MAX, SoftWord
+from .softbits import LLR_MAX, SoftWord, hard_decide
 from .descramble import hd
 
 # importable here under the name ssicbench/spans.py traces, though transmit
@@ -228,7 +228,7 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     # reproduces the payload.  When only the 7 pilot decisions are right, it
     # reproduces the payload with its decision errors: soft.  So hd runs only
     # for a frame with a wrong pilot decision there.
-    hard = (llrs[L - LFSR_LEN:] < 0).view(np.uint8)
+    hard = hard_decide(llrs[L - LFSR_LEN:])
     sent = tx[L - LFSR_LEN:]
     if hard.tobytes() == sent.tobytes():
         return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,

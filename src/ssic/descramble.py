@@ -19,21 +19,23 @@ posterior needs only the pilot LLRs.  A posterior is an array of
 normalized log-weights, entry i for seed integer i+1: (n, 127) for a block
 of words (seed_log_weights), (127,) for one word (seed_posterior).
 hrsx and srsx compute it from the word's own pilots.
-The three LLR receivers then differ only in what they know about each mask
-bit.  naive_sd and hrsx know it for certain and flip the payload LLR's sign
-where it is 1; srsx knows its probability q and mixes it in by the boxplus
-rule, which reduces to the same flip where q is 0 or 1, and to
-0 - log(e^y) where q is below 2^-82 (srsx_rows).
+The three LLR receivers share one mask rule, mix_rows, and differ only in
+q, the probability that each mask bit is 0, and the phase they start from.
+naive_sd and hrsx know the register state for certain, so their q is its
+row of the zero-probability table, 0 or 1 at every phase; srsx's q is that
+table weighted by the seed posterior.  mix_rows mixes each payload LLR
+with q by the boxplus rule, which is the exact sign flip where q is 0 or
+1, and 0 - log(e^y) where q is below 2^-82.
 
-The mask has period 127, so the row kernels keep what they know of it per
-phase: +-1 signs or q as (n, 127) tables, copied into (n, M) blocks a
-period at a time (scrambler.fill_by_phase).  srsx tests q for softness on
-those 127 phases, not on every payload position.  The kernels write into
-caller-owned blocks (out=, and a (2, n, M) scratch for srsx), so a sweep
-reuses the same memory block after block; without them they allocate.
+The mask has period 127, so q is an (n, 127) table, copied into (n, M)
+blocks a period at a time (scrambler.fill_by_phase).  mix_rows tests q for
+softness on those 127 phases, not on every payload position.  The kernels
+write into caller-owned blocks (out=, and a (2, n, M) scratch for the
+mix), so a sweep reuses the same memory block after block; without them
+they allocate.
 
-The pilot codebook and the per-phase tables are all read off the
-scrambler's period table.
+The pilot codebook and q are both read off one table, _zero_prob(), which
+is the scrambler's period table as P(mask bit = 0).
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ import numpy as np
 
 from .scrambler import (LFSR_LEN, PERIOD, _period_table, fill_by_phase, register_outputs,
                         register_states, seed_from_int)
-from .softbits import LLR_MAX, SoftWord, bit_signs, hard_decide
+from .softbits import LLR_MAX, SoftWord, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
-# srsx's mix at a soft phase with q below this is 0 - log(e^y) exactly (srsx_rows)
+# the mix at a soft phase with q below this is 0 - log(e^y) exactly (mix_rows)
 _COLLAPSE_Q = 2.0 ** -82
 
 
@@ -70,10 +72,10 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _pilot_codebook(L: int) -> np.ndarray:
-    """(L, 127) +-1 pilot patterns of all seeds: column i is the sign table's
-    row i+1 over phases 0..L-1.  C-contiguous, so y @ S sums in the same
-    order whatever built it."""
-    S = fill_by_phase(np.empty((N_SEEDS, L)), _sign_table()[1:], 0).T.copy()
+    """(L, 127) +-1 pilot patterns of all seeds: column i is 2q - 1 of the
+    zero-probability table's row i+1 over phases 0..L-1.  C-contiguous, so
+    y @ S sums in the same order whatever built it."""
+    S = fill_by_phase(np.empty((N_SEEDS, L)), 2.0 * _zero_prob()[1:] - 1.0, 0).T.copy()
     S.flags.writeable = False
     return S
 
@@ -95,10 +97,10 @@ def z_sequence_table() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _one_minus_z() -> np.ndarray:
-    """1 - z_sequence_table() as floats, (1 + sign) / 2 of the sign table:
-    entry (i, j) is 1 where seed i+1 outputs 0 at phase j."""
-    t = 0.5 * (1.0 + _sign_table()[1:])
+def _zero_prob() -> np.ndarray:
+    """(128, 127) read-only table 1 - _period_table() as floats: row v is
+    P(mask bit = 0) at each phase when the register state is known to be v."""
+    t = 1.0 - _period_table()
     t.flags.writeable = False
     return t
 
@@ -107,7 +109,7 @@ def mask_zero_by_phase(weights: np.ndarray) -> np.ndarray:
     """P(scrambling bit = 0) at each of the 127 phases: (n, 127) seed
     weights -> (n, 127).  Entry j is the probability at register output j
     mod 127."""
-    return np.clip(weights @ _one_minus_z(), 0.0, 1.0)
+    return np.clip(weights @ _zero_prob()[1:], 0.0, 1.0)
 
 
 def hd_rows(word_hard: np.ndarray) -> np.ndarray:
@@ -132,58 +134,16 @@ def hd(word_hard: np.ndarray) -> np.ndarray:
     return hd_rows(b[None])[0]
 
 
-@functools.lru_cache(maxsize=1)
-def _sign_table() -> np.ndarray:
-    """(128, 127) table: row v = 1 - 2 z over one output period of register
-    state v, the +-1 factor that descrambles an LLR at each phase."""
-    t = bit_signs(_period_table())
-    t.flags.writeable = False
-    return t
+def mix_rows(q: np.ndarray, payload: np.ndarray, start: int,
+             out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """Descramble (n, M) payload LLRs by mask bits that are 0 with
+    probability q, an (n, 127) table read by phase from start.
 
-
-def _flip(payload: np.ndarray, signs: np.ndarray, start: int,
-          out: np.ndarray | None) -> np.ndarray:
-    """payload times the (n, 127) +-1 sign rows by phase from start, into out.
-
-    -1.0 * y is -y bit for bit (so is 1.0 * y, -0.0 included): the exact
-    sign flip.
-    """
-    out = fill_by_phase(np.empty(payload.shape) if out is None else out, signs, start)
-    return np.multiply(payload, out, out=out)
-
-
-def naive_rows(pilots: np.ndarray, payload: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """naive_sd for n words: (n, L) pilot and (n, M) payload LLRs -> (n, M).
-
-    The result is written into out when it is given, as numpy's out= does.
-    """
-    states = register_states(hard_decide(pilots[:, -LFSR_LEN:]))
-    return _flip(payload, _sign_table()[states], 0, out)
-
-
-def hrsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
-              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """hrsx for n words given their (n, 127) seed log-posteriors.
-
-    Returns the (n, M) descrambled LLRs (written into out when given) and
-    the n MAP seed indices (seed integer - 1; ties break toward the
-    smallest seed).  The MAP seed's delta posterior makes its output bits
-    from phase L the mask.
-    """
-    idx = np.argmax(log_weights, axis=1)
-    return _flip(payload, _sign_table()[idx + 1], L, out), idx
-
-
-def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
-              out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
-    """srsx for n words given their (n, 127) seed log-posteriors.
-
-    Descrambles payload LLRs by mask bits that are 0 with probability q.
     P(x=0) = q P(y=0) + (1-q) P(y=1), the boxplus of the payload LLR with
     the mask LLR.  Where q is 0 or 1 this is the exact sign flip
-    payload * (2q - 1); elsewhere it is log(q e^y + 1-q) - log(q + (1-q) e^y),
+    payload * (2q - 1), since -1.0 * y is -y bit for bit (so is 1.0 * y,
+    -0.0 included); elsewhere it is log(q e^y + 1-q) - log(q + (1-q) e^y),
     which only loses magnitude, up to an ulp of rounding that the clip keeps
     inside LLR_MAX.  SoftWord clamps |y| <= LLR_MAX, so e^y cannot overflow.
 
@@ -193,42 +153,76 @@ def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
     exactly 1 and e^y.  A block whose soft phases all have such a q takes
     0 - log(e^y), the same float, with no per-phase table.
 
-    q has period 127, so it is kept and tested per phase, (n, 127): a block
-    with no soft phase is only flipped, and one with some hard phases takes
-    the flip there, which is the payload itself where no q is 0.  The
-    result is written into out, an (n, M) float block, and the mix works in
-    scratch, a (2, n, M) one; either is allocated when not given.
+    q is tested per phase: a block with no soft phase is only flipped, and
+    one with some hard phases takes the flip there, which is the payload
+    itself where no q is 0.  The result is written into out, an (n, M)
+    float block, and the mix works in scratch, a (2, n, M) one; either is
+    allocated when not given.
     """
-    q = mask_zero_by_phase(np.exp(log_weights))
     below_one = q < 1.0
     soft = (q > 0.0) & below_one
     n_soft = np.count_nonzero(soft)
-    if not n_soft:
-        return _flip(payload, 2.0 * q - 1.0, L, out)
     out = np.empty(payload.shape) if out is None else out
-    num, by_phase = np.empty((2,) + payload.shape) if scratch is None else scratch
-    e = np.exp(payload, out=out)
-    if np.count_nonzero((q >= _COLLAPSE_Q) & below_one):
-        np.multiply(fill_by_phase(num, q, L), e, out=num)
-        num += fill_by_phase(by_phase, 1.0 - q, L)
-        e *= by_phase  # e becomes the denominator
-        e += fill_by_phase(by_phase, q, L)
-        np.log(num, out=num)
-        np.log(e, out=e)
-        mixed = np.subtract(num, e, out=out)
-    else:
-        mixed = np.subtract(0.0, np.log(e, out=e), out=out)
-    np.clip(mixed, -LLR_MAX, LLR_MAX, out=mixed)
-    if n_soft < soft.size:
-        hard = fill_by_phase(np.empty(payload.shape, dtype=bool), ~soft, L)
+    flipped = out
+    if n_soft:
+        num, by_phase = np.empty((2,) + payload.shape) if scratch is None else scratch
+        e = np.exp(payload, out=out)
+        if np.count_nonzero((q >= _COLLAPSE_Q) & below_one):
+            np.multiply(fill_by_phase(num, q, start), e, out=num)
+            num += fill_by_phase(by_phase, 1.0 - q, start)
+            e *= by_phase  # e becomes the denominator
+            e += fill_by_phase(by_phase, q, start)
+            np.log(num, out=num)
+            np.log(e, out=e)
+            np.subtract(num, e, out=out)
+        else:
+            np.subtract(0.0, np.log(e, out=e), out=out)
+        np.clip(out, -LLR_MAX, LLR_MAX, out=out)
+        if n_soft == soft.size:
+            return out
+        hard = fill_by_phase(np.empty(payload.shape, dtype=bool), ~soft, start)
         # with no q at 0, every hard q is 1 and 1.0 * y is y bit for bit; but
         # putmask would copy strided rows to a new block, so those are flipped
-        if np.count_nonzero(q) == q.size and payload.flags.c_contiguous:
-            flipped = payload
-        else:
-            flipped = _flip(payload, 2.0 * q - 1.0, L, num)
-        np.putmask(mixed, hard, flipped)
-    return mixed
+        no_zero = np.count_nonzero(q) == q.size and payload.flags.c_contiguous
+        flipped = payload if no_zero else num
+    if flipped is not payload:
+        np.multiply(payload, fill_by_phase(flipped, 2.0 * q - 1.0, start), out=flipped)
+    if n_soft:
+        np.putmask(out, hard, flipped)
+    return out
+
+
+def naive_rows(pilots: np.ndarray, payload: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """naive_sd for n words: (n, L) pilot and (n, M) payload LLRs -> (n, M).
+
+    The register state read off the last 7 pilot decisions fixes q from
+    phase 0.  The result is written into out when it is given, as numpy's
+    out= does.
+    """
+    states = register_states(hard_decide(pilots[:, -LFSR_LEN:]))
+    return mix_rows(_zero_prob()[states], payload, 0, out)
+
+
+def hrsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
+              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """hrsx for n words given their (n, 127) seed log-posteriors.
+
+    Returns the (n, M) descrambled LLRs (written into out when given) and
+    the n MAP seed indices (seed integer - 1; ties break toward the
+    smallest seed).  The MAP seed's delta posterior fixes q from phase L.
+    """
+    idx = np.argmax(log_weights, axis=1)
+    return mix_rows(_zero_prob()[idx + 1], payload, L, out), idx
+
+
+def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
+              out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """srsx for n words given their (n, 127) seed log-posteriors: q is the
+    mask-bit posterior from phase L (mix_rows, which writes into out and
+    works in scratch)."""
+    return mix_rows(mask_zero_by_phase(np.exp(log_weights)), payload, L, out, scratch)
 
 
 def _row(block: np.ndarray | None) -> np.ndarray | None:

@@ -204,9 +204,10 @@ class SweepSpec:
         """The rules on L, n_streams and payload_bytes, which fix the size of
         one trial: nothing n_streams long is made before they pass.
 
-        A sweep trial is K words of L + M LLRs and 127 seed weights (M = 0
-        in seed_ber), and a block of trials holds at most BLOCK_FLOATS floats
-        (_block_trials), so one trial must fit in it.
+        A trial is K words of L + M LLRs and 127 seed weights (M = 0 in
+        seed_ber).  A sweep's block of trials holds at most BLOCK_FLOATS
+        floats (_block_trials), so one trial must fit in it; a netsim packet,
+        one word per stream, is held to the same bound.
         """
         if self.L < LFSR_LEN:
             raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
@@ -219,8 +220,6 @@ class SweepSpec:
                 f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {self.payload_bytes}")
         if self.mode != "seed_ber" and self.payload_bytes < 1:
             raise ValueError(f"payload_bytes: {self.mode} needs at least 1 byte")
-        if self.mode == "netsim":
-            return
         word = self.L + (0 if self.mode == "seed_ber" else 8 * self.payload_bytes) + N_SEEDS
         if word > BLOCK_FLOATS:
             raise ValueError(f"L: a word of L + 8 * payload_bytes + {N_SEEDS} = {word} floats "

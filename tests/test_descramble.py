@@ -503,6 +503,10 @@ def test_out_kernels_equal_oracles_byte_for_byte(L, kind):
             assert same_bytes(llrs, flip_oracle(payload, idx + 1, L))
             states = hard_decide(pilots[:, -7:]).astype(np.intp) @ (1 << np.arange(7))
             assert same_bytes(naive_rows(pilots, payload), flip_oracle(payload, states, 0))
+            # last 7 decisions all 0, -0.0 ties included, preload register
+            # state 0, which outputs only zeros: the payload comes out as it is
+            pilots[:, -7:] = np.where(pilots[:, -7:] < 0.0, -0.0, pilots[:, -7:])
+            assert same_bytes(naive_rows(pilots, payload), payload)
 
 
 def test_oracle_cases_cover_exact_and_soft_mask_probabilities():

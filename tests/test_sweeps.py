@@ -230,13 +230,17 @@ def test_offsets_default_to_zero_per_stream():
     # seed_ber sends no payload, so a payload_bytes it would ignore is refused
     (dict(mode="seed_ber", snr_grid=[0.0], payload_bytes=6), "payload_bytes: seed_ber"),
     (dict(mode="seed_ber", snr_grid=[0.0], payload_bytes=0), "payload_bytes: seed_ber"),
+    # a netsim packet, one word per stream, is held to a sweep trial's bound
+    (dict(mode="netsim", snr_grid=[0.0], n_streams=11, payload_bytes=1500),
+     "n_streams: a trial of"),
+    (dict(mode="netsim", snr_grid=[0.0], n_streams=10**6), "n_streams: a trial of"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
         SweepSpec(**kwargs).validate()
 
 
-@pytest.mark.parametrize("mode", ["seed_ber", "payload_ber", "packet_per"])
+@pytest.mark.parametrize("mode", ["seed_ber", "payload_ber", "packet_per", "netsim"])
 def test_a_huge_stream_count_fails_before_anything_its_size_is_made(mode):
     import tracemalloc
 
@@ -254,6 +258,7 @@ def test_a_trial_that_fills_a_block_is_accepted():
     SweepSpec("payload_ber", [0.0], n_streams=10, stream_snr_offsets=[0.0] * 10).validate()
     SweepSpec("packet_per", [0.0], L=(1 << 17) - 127 - 8, payload_bytes=1).validate()
     SweepSpec("seed_ber", [0.0], L=(1 << 17) - 127).validate()
+    SweepSpec("netsim", [0.0], n_streams=10, payload_bytes=1500).validate()
     assert SweepSpec("packet_per", [0.0], n_streams=10).stream_snr_offsets == [0.0] * 10
 
 
