@@ -1,8 +1,10 @@
 """Multi-stream delivery: sending, soft-copy aggregation, and run metrics.
 
 The sender duplicates each packet across all streams (same VCI/VCS/payload,
-per-stream address).  The receiver-side aggregator processes one frame
-arrival at a time:
+per-stream address), and each stream's frame is unpacked to wire bits on its
+own.  Streams need not share a pilot length: every soft copy is descrambled at
+its own word's L.  The receiver-side aggregator processes one frame arrival at
+a time:
 
   1. a clean (CRC-pass) frame's header is read from its bits before the
      payload is unpacked; a soft frame is descrambled seed-blind (srsx by
@@ -45,10 +47,9 @@ import numpy as np
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
 from .combine import combine_streams, decide
 from .descramble import hrsx, naive_sd, srsx
-from .scrambler import LFSR_LEN
 from .softbits import SoftWord
 from .vcframe import (VcFrame, decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
-                      is_frame_length, payload_from_bits, split_frame, with_stream_addr)
+                      is_frame_length, payload_from_bits, split_frame)
 
 # importable here under the names ssicbench/spans.py traces, though push calls neither
 from .combine import ssic_combine  # noqa: F401
@@ -102,14 +103,11 @@ class Dispatcher:
 @dataclass
 class AggregatorConfig:
     variant: str = "srsx"  # seed-blind descrambler for soft copies
-    pilot_len: int = 16
     window_size: int = 1024
 
     def __post_init__(self):
         if self.variant not in SOFT_VARIANTS:
             raise ValueError(f"unknown soft descrambling variant: {self.variant}")
-        if self.pilot_len < LFSR_LEN:
-            raise ValueError(f"pilot_len must be >= {LFSR_LEN}")
         if not 1 <= self.window_size < VCS_MOD // 2:
             # a window holding half the serial space could hold two packets
             # with the same (vci, vcs) key
@@ -217,13 +215,9 @@ class Aggregator:
             bits = np.asarray(obs.hard_bits, dtype=np.uint8)
             header = header_from_bits(bits)
         else:
-            word = obs.soft
-            if word.L != self.config.pilot_len:
-                raise ValueError(f"observation has {word.L} pilots, config expects "
-                                 f"{self.config.pilot_len}")
             header = None
-            if is_frame_length(word.M):
-                coded, payload_llrs = split_frame(self._descramble(word))
+            if is_frame_length(obs.soft.M):
+                coded, payload_llrs = split_frame(self._descramble(obs.soft))
                 header = decode_header_soft(coded)
         if header is None:
             self.stats.header_invalid_drops += 1
@@ -355,7 +349,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
         j = packet_of(key)
         return j is not None and ring[j % len(ring)] == payload
 
-    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
+    agg = Aggregator(AggregatorConfig(variant=variant, window_size=window_size),
                      payload_check=payload_check)
 
     def push_until(t: float | None) -> None:
@@ -364,7 +358,9 @@ def run_network_point(n_packets: int, payload_bytes: int,
         while held and (t is None or held[0][0] < t):
             _, arriving, _, obs = heapq.heappop(held)
             result = agg.push(obs)
-            if result is not None and payload_check(*result):
+            # a delivery is a clean copy of packet arriving or a combined
+            # payload that just passed payload_check, so its key names it
+            if result is not None:
                 delivered[packet_of(result[0])] = True
 
     for i in range(n_packets):
@@ -373,11 +369,10 @@ def run_network_point(n_packets: int, payload_bytes: int,
         _, frames = dispatcher.send(packet)
         ring[i % len(ring)] = packet
         sent = i + 1
-        # the payload is unpacked once per packet; each stream stamps its address
-        wire = frame_to_bits(frames[0][1])
+        # each stream's frame is unpacked on its own
         for k, frame in frames:
-            obs = transmit(fresh_seed(rng), with_stream_addr(wire, frame.stream_addr), L,
-                           stream_params[k], rng, stream_id=k)
+            obs = transmit(fresh_seed(rng), frame_to_bits(frame), L, stream_params[k], rng,
+                           stream_id=k)
             detected[i, k] = obs.detected
             hard[i, k] = obs.crc_pass
             if obs.detected:

@@ -401,8 +401,7 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
             lw = seed_log_weights(pilots) if need_post else None
             for v in spec.variants:
                 if v == "hd":  # n_streams == 1, checked by validate()
-                    bits = hd_rows(hard_decide(np.concatenate([pilots[:, -LFSR_LEN:], words],
-                                                              axis=1)))
+                    bits = hd_rows(hard_decide(rows[:, L - LFSR_LEN:]))
                 else:
                     if v == "naive":
                         naive_rows(pilots, words, out=out)

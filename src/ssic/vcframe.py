@@ -215,17 +215,6 @@ def frame_to_bits(frame: VcFrame) -> np.ndarray:
     return np.concatenate([_addr_bits(frame.stream_addr), frame.header_coded, _PAD, pay])
 
 
-def with_stream_addr(bits: np.ndarray, stream_addr: int) -> np.ndarray:
-    """A copy of a frame's wire bits carrying stream_addr instead.
-
-    The frames of one packet differ only in the address, so this gives each
-    stream's bits from one frame_to_bits call.
-    """
-    out = bits.copy()
-    out[:STREAM_ADDR_BITS] = _addr_bits(stream_addr)
-    return out
-
-
 def is_frame_length(n_bits: int) -> bool:
     """True when a frame can be n_bits long: the overhead plus a whole
     number of payload bytes, at most MTU_PAYLOAD of them."""

@@ -4,7 +4,8 @@ Each is the plain form of something the package computes another way: one
 register step at a time, a sign flip by an explicit mask, the AWGN link
 drawing its own noise for a bit sequence, and the header CRC from its
 polynomial, and a network point that keeps a record and the payload of
-every packet.  They live here, apart from the code they check.
+every packet and stamps each stream's address into one unpacked frame.
+They live here, apart from the code they check.
 """
 
 import heapq
@@ -18,7 +19,18 @@ from ssic.channel import (ChannelParams, StreamObservation, fresh_seed, snr_db_t
 from ssic.netstack import (VCS_MOD, Aggregator, AggregatorConfig, AggregatorStats, Dispatcher,
                            FrameKey, RunMetrics)
 from ssic.scrambler import LFSR_LEN
-from ssic.vcframe import frame_to_bits, with_stream_addr
+from ssic.vcframe import STREAM_ADDR_BITS, _addr_bits, frame_to_bits
+
+
+def with_stream_addr(bits: np.ndarray, stream_addr: int) -> np.ndarray:
+    """A copy of a frame's wire bits carrying stream_addr instead.
+
+    The frames of one packet differ only in the address, so this gives each
+    stream's bits from one frame_to_bits call.
+    """
+    out = bits.copy()
+    out[:STREAM_ADDR_BITS] = _addr_bits(stream_addr)
+    return out
 
 
 def lfsr_step(state: np.ndarray) -> tuple[int, np.ndarray]:
@@ -154,7 +166,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
         j = packet_of(key)
         return j is not None and packets[j] == payload
 
-    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
+    agg = Aggregator(AggregatorConfig(variant=variant, window_size=window_size),
                      payload_check=payload_check)
 
     def push_until(t: float | None) -> None:

@@ -96,7 +96,7 @@ OFFSETS = st.one_of(st.integers(-3, 3), st.integers(-10, 10),
                          max_size=40))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_aggregator_invariants_hold_after_every_push(window_size, start, variant, arrivals):
-    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size),
+    agg = Aggregator(AggregatorConfig(variant=variant, window_size=window_size),
                      payload_check=lambda k, p: p == packet_of(k))
 
     def stale(key: FrameKey) -> bool:

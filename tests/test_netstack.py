@@ -29,7 +29,7 @@ from ssic.netstack import (
 )
 from ssic.scrambler import scramble, seed_from_int
 from ssic.softbits import LLR_MAX, SoftWord
-from ssic.vcframe import decode_header_hard, encapsulate, frame_to_bits, with_stream_addr
+from ssic.vcframe import decode_header_hard, encapsulate, frame_to_bits
 
 L = 16
 MAG = 6.0
@@ -59,7 +59,7 @@ def soft_obs(key: FrameKey, packet: bytes, sid: int,
 
 
 def make_agg(truth: dict, variant: str = "srsx", window_size: int = 64) -> Aggregator:
-    cfg = AggregatorConfig(variant=variant, pilot_len=L, window_size=window_size)
+    cfg = AggregatorConfig(variant=variant, window_size=window_size)
     return Aggregator(cfg, payload_check=lambda k, p: truth.get(k) == p)
 
 
@@ -109,14 +109,15 @@ def test_dispatched_frames_differ_only_in_the_address():
 
 @pytest.mark.parametrize("first", [0, 0x020000000001, (1 << 48) - 1])
 def test_stamped_addresses_equal_each_streams_frame_bits(first):
-    """run_network_point unpacks a packet once and stamps each stream's
-    address into a copy: the bits must be those of that stream's frame."""
+    """The oracle network point unpacks a packet once and stamps each
+    stream's address into a copy: the bits must be those of that stream's
+    frame, which run_network_point unpacks on its own."""
     addrs = [first, 0, 0x020000000001, (1 << 48) - 1]
     _, sent = Dispatcher(vci=3, stream_addrs=addrs, first_vcs=9).send(b"\x00\xa5" * 700)
     frames = [f for _, f in sent]
     wire = frame_to_bits(frames[0])
     for f in frames:
-        stamped = with_stream_addr(wire, f.stream_addr)
+        stamped = oracles.with_stream_addr(wire, f.stream_addr)
         assert stamped.dtype == np.uint8 and stamped.tobytes() == frame_to_bits(f).tobytes()
     assert wire.tobytes() == frame_to_bits(frames[0]).tobytes()  # stamping copies
 
@@ -200,13 +201,12 @@ def test_malformed_soft_payload_length_dropped(monkeypatch):
     bad = soft_obs(K1, P1, 0, wire_bits=np.zeros(499, dtype=np.uint8))
     assert agg.push(bad) is None
     assert agg.stats.header_invalid_drops == 1
-    # a wrong pilot count is a configuration error, raised before the length check
+    # a copy is descrambled at its own pilot count, so 15 pilots reach the length rule
     short = StreamObservation(stream_id=0, detected=True, crc_pass=False,
                               soft=SoftWord(pilots=bad.soft.pilots[1:],
                                             payload=bad.soft.payload))
-    with pytest.raises(ValueError, match="pilots"):
-        agg.push(short)
-    assert agg.stats.header_invalid_drops == 1
+    assert agg.push(short) is None
+    assert agg.stats.header_invalid_drops == 2
 
 
 @pytest.mark.parametrize("n_bits", [500, 495, 496 + 8 * 1501])
@@ -254,7 +254,7 @@ def test_combined_decisions_equal_ssic_combine(variant):
     assert (0.2 + 0.1) + -0.30000000000000004 == 0.0 > (0.2 + -0.30000000000000004) + 0.1
 
     seen = []
-    agg = Aggregator(AggregatorConfig(variant=variant, pilot_len=L, window_size=64),
+    agg = Aggregator(AggregatorConfig(variant=variant, window_size=64),
                      payload_check=lambda k, p: seen.append(p) or False)
     descramble = {"naive": naive_sd, "hrsx": lambda w: hrsx(w)[0], "srsx": srsx}[variant]
     arrivals = [(0, a), (1, b), (0, a2), (2, c)]  # stream 0's second copy replaces its first
@@ -330,8 +330,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AggregatorConfig(variant="hd")
     with pytest.raises(ValueError):
-        AggregatorConfig(pilot_len=6)
-    with pytest.raises(ValueError):
         AggregatorConfig(window_size=0)
     with pytest.raises(ValueError):
         AggregatorConfig(window_size=32768)
@@ -344,6 +342,24 @@ def test_aggregator_variants_all_decode_clean_copies():
         agg = make_agg({K1: P1}, variant=variant)
         assert agg.push(soft_obs(K1, P1, 0)) is None
         assert agg.push(soft_obs(K1, P1, 1)) == (K1, P1), variant
+
+
+@pytest.mark.parametrize("variant", ["naive", "hrsx", "srsx"])
+def test_copies_with_different_pilot_lengths_combine(variant):
+    """Streams may run over different networks: each soft copy is descrambled
+    at its own word's pilot count, and the copies' payloads still combine."""
+    agg = make_agg({K1: P1}, variant=variant)
+    obs = []
+    for sid, (n_pilots, seed_int) in enumerate([(7, 93), (127, 5)]):
+        wire = frame_to_bits(encapsulate(P1, K1.vci, K1.vcs, 0x020000000000 + sid))
+        tx = scramble(seed_from_int(seed_int),
+                      np.concatenate([np.zeros(n_pilots, dtype=np.uint8), wire]))
+        llrs = (1.0 - 2.0 * tx) * MAG
+        word = SoftWord(pilots=llrs[:n_pilots], payload=llrs[n_pilots:])
+        obs.append(StreamObservation(stream_id=sid, detected=True, crc_pass=False, soft=word))
+    assert agg.push(obs[0]) is None
+    assert agg.push(obs[1]) == (K1, P1)
+    assert agg.stats.delivered_combined == 1
 
 
 # ------------------------------------------------------------------- metrics
@@ -451,6 +467,27 @@ def test_run_network_point_equals_the_oracle(monkeypatch, n, nbytes, snr_db, los
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
     assert run_metrics(got) == oracles.run_metrics(records, 2)
     assert got_stats.delivered_combined > 0  # payload_check compared against the ring
+
+
+@pytest.mark.parametrize("pilots", [7, 127])
+def test_run_network_point_equals_the_oracle_at_other_pilot_lengths(pilots):
+    # the shortest and the longest pilot sequence, with bursts and jitter
+    n, nbytes = 150, 64
+    params = [ChannelParams(snr_db=7.0 + off, detection_loss_prob=0.05, burst_prob=0.3,
+                            burst_llr_atten=0.3) for off in (0.0, 0.5)]
+    kwargs = dict(window_size=64, arrival_jitter=3.0)
+    rng_want, rng_got = np.random.default_rng(11), np.random.default_rng(11)
+    records, want_stats = oracles.run_network_point(n, nbytes, params, pilots, rng_want,
+                                                    **kwargs)
+    got, got_stats = run_network_point(n, nbytes, params, pilots, rng_got, **kwargs)
+    assert [r.key for r in records] == [FrameKey(1, i) for i in range(n)]
+    assert np.array_equal(got.detected, [r.detected for r in records])
+    assert np.array_equal(got.hard, [r.hard for r in records])
+    assert np.array_equal(got.ssic_delivered, [r.ssic_delivered for r in records])
+    assert asdict(got_stats) == asdict(want_stats)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    assert run_metrics(got) == oracles.run_metrics(records, 2)
+    assert got_stats.delivered_combined > 0
 
 
 def test_run_network_point_rejects_negative_packets():
