@@ -20,9 +20,10 @@ The frame-level CRC is idealized: it passes exactly when hard-decision
 descrambling (register preloaded from the last 7 pilot decisions)
 reproduces the transmitted payload.  It never false-accepts.  transmit
 forms the LLRs with awgn_llrs, as every path here does, and decides this
-clean/soft split from their signs; only a soft frame hands them upward.
-Most frames at a useful SNR are passed as clean from the size of their
-noise alone, before the word is scrambled (see transmit).
+clean/soft split from their signs.  Its StreamObservation holds what the
+receiver got: a clean frame's bits, a soft frame's LLR word, or neither
+for a missed frame.  Most frames at a useful SNR are passed as clean from
+the size of their noise alone, before the word is scrambled (see transmit).
 """
 
 from __future__ import annotations
@@ -74,30 +75,36 @@ class ChannelParams:
             raise ValueError(f"burst_prob out of [0,1]: {self.burst_prob}")
         if not 0.0 < self.burst_llr_atten <= 1.0:
             raise ValueError(f"burst_llr_atten out of (0,1]: {self.burst_llr_atten}")
+        if self.burst_prob > 0.0 and not np.isfinite(sigma2 / float(self.burst_llr_atten)):
+            raise ValueError(f"burst_llr_atten: the in-window noise variance at {self.snr_db} dB "
+                             f"divided by {self.burst_llr_atten} is not finite")
         if not 1.0 <= self.burst_len_mean < np.inf:
             raise ValueError(f"burst_len_mean must be finite and >= 1: {self.burst_len_mean}")
 
 
 @dataclass
 class StreamObservation:
-    """What one stream's receiver hands upward for a single frame."""
+    """What one stream's receiver hands upward for a single frame.
+
+    The frame's payload bits when it passed the CRC, its LLR word when it
+    was detected but not decoded, or neither when it was missed.
+    """
 
     stream_id: int
-    detected: bool
-    crc_pass: bool = False
     hard_bits: np.ndarray | None = None
     soft: SoftWord | None = None
 
     def __post_init__(self):
-        if not self.detected:
-            if self.crc_pass or self.hard_bits is not None or self.soft is not None:
-                raise ValueError("undetected frames carry no data")
-        elif self.crc_pass:
-            if self.hard_bits is None:
-                raise ValueError("crc_pass requires hard_bits")
-        else:
-            if self.soft is None:
-                raise ValueError("detected frame without CRC needs soft values")
+        if self.hard_bits is not None and self.soft is not None:
+            raise ValueError("a frame is either decoded or soft, not both")
+
+    @property
+    def detected(self) -> bool:
+        return self.hard_bits is not None or self.soft is not None
+
+    @property
+    def crc_pass(self) -> bool:
+        return self.hard_bits is not None
 
 
 def awgn_llrs(tx_bits: np.ndarray, z: np.ndarray, sigma2) -> np.ndarray:
@@ -199,12 +206,13 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     """
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
-    if rng.random() < params.detection_loss_prob:
-        return StreamObservation(stream_id=stream_id, detected=False)
-
     seed, payload = _checked_seed(seed), _checked_payload(payload_bits)
+    if rng.random() < params.detection_loss_prob:
+        return StreamObservation(stream_id)
+
     n = L + payload.size
     sigma2 = snr_db_to_sigma2(params.snr_db)
+    t = clean_noise_bound(sigma2)
     burst = params.burst_prob > 0.0 and rng.random() < params.burst_prob
     if burst:
         start = int(rng.integers(0, n))
@@ -212,32 +220,22 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
         sigma2 = np.full(n, sigma2)
         sigma2[start:start + length] /= params.burst_llr_atten
     z = rng.standard_normal(n)
-    if not burst:
-        tail, t = z[L - LFSR_LEN:], clean_noise_bound(sigma2)
-        if tail.max() <= t and tail.min() >= -t:
-            return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
-                                     hard_bits=payload.copy())
-
-    # the scrambled word: L zero pilots, then the payload, XORed with the mask
-    tx = register_outputs(seed_to_int(seed), n)
-    tx[L:] ^= payload
-    llrs = awgn_llrs(tx, z, sigma2)
-
-    # hard decisions from the last 7 pilots on; when they all equal what was
-    # sent, the preloaded register is the true one and descrambling
-    # reproduces the payload.  When only the 7 pilot decisions are right, it
-    # reproduces the payload with its decision errors: soft.  So hd runs only
-    # for a frame with a wrong pilot decision there.
-    hard = hard_decide(llrs[L - LFSR_LEN:])
-    sent = tx[L - LFSR_LEN:]
-    if hard.tobytes() == sent.tobytes():
-        return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
-                                 hard_bits=payload.copy())
-    if hard[:LFSR_LEN].tobytes() != sent[:LFSR_LEN].tobytes():
-        descrambled = hd(hard)
-        if (descrambled == payload).all():
-            return StreamObservation(stream_id=stream_id, detected=True, crc_pass=True,
-                                     hard_bits=descrambled)
-    # left unclamped: SoftWord clamps what it stores
-    return StreamObservation(stream_id=stream_id, detected=True, crc_pass=False,
-                             soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))
+    tail = z[L - LFSR_LEN:]
+    if burst or tail.max() > t or tail.min() < -t:
+        # the scrambled word: L zero pilots, then the payload, XORed with the mask
+        tx = register_outputs(seed_to_int(seed), n)
+        tx[L:] ^= payload
+        llrs = awgn_llrs(tx, z, sigma2)
+        # hard decisions from the last 7 pilots on; when they all equal what
+        # was sent, the preloaded register is the true one and descrambling
+        # reproduces the payload.  When only the 7 pilot decisions are right,
+        # it reproduces the payload with its decision errors: soft.  So hd
+        # runs only for a frame with a wrong pilot decision there.
+        hard = hard_decide(llrs[L - LFSR_LEN:])
+        sent = tx[L - LFSR_LEN:]
+        if hard.tobytes() != sent.tobytes() and (
+                hard[:LFSR_LEN].tobytes() == sent[:LFSR_LEN].tobytes()
+                or not (hd(hard) == payload).all()):
+            # left unclamped: SoftWord clamps what it stores
+            return StreamObservation(stream_id, soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))
+    return StreamObservation(stream_id, hard_bits=payload.copy())

@@ -132,12 +132,13 @@ class SweepSpec:
 
     def __post_init__(self):
         # defaults only: validate() names a field of the wrong type.  The
-        # offsets' default is n_streams long, so it waits for _check_size()
+        # offsets' default is n_streams long, so it waits for _check_size(),
+        # and the variants' default is looked up by mode, so it waits for a str
         if self.stream_snr_offsets is None:
             with contextlib.suppress(ValueError, TypeError):
                 self._check_size()
                 self.stream_snr_offsets = [0.0] * self.n_streams
-        if self.variants is None:
+        if self.variants is None and isinstance(self.mode, str):
             self.variants = _DEFAULT_VARIANTS.get(self.mode, SOFT_VARIANTS)
         if isinstance(self.variants, list):
             self.variants = tuple(self.variants)

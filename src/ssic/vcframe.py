@@ -74,15 +74,6 @@ def _decode_blocks(y: np.ndarray) -> np.ndarray:
     return np.argmax(y @ _SIGNS.T, axis=1)
 
 
-def bch_decode_soft(llrs: np.ndarray) -> np.ndarray:
-    """Exact ML decoding of one block from 63 LLRs."""
-    y = np.asarray(llrs, dtype=np.float64)
-    if y.shape != (BCH_N,):
-        raise ValueError(f"need {BCH_N} LLRs")
-    v = int(_decode_blocks(y[None, :])[0])
-    return ((v >> np.arange(BCH_K - 1, -1, -1)) & 1).astype(np.uint8)
-
-
 def crc16_ccitt(data: bytes) -> int:
     """CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection.
 

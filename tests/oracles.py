@@ -3,8 +3,9 @@
 Each is the plain form of something the package computes another way: one
 register step at a time, a sign flip by an explicit mask, the AWGN link
 drawing its own noise for a bit sequence, and the header CRC from its
-polynomial, and a network point that keeps a record and the payload of
-every packet and stamps each stream's address into one unpacked frame.
+polynomial, one header block decoded alone, and a network point that
+keeps a record and the payload of every packet and stamps each stream's
+address into one unpacked frame.
 They live here, apart from the code they check.
 """
 
@@ -19,7 +20,16 @@ from ssic.channel import (ChannelParams, StreamObservation, fresh_seed, snr_db_t
 from ssic.netstack import (VCS_MOD, Aggregator, AggregatorConfig, AggregatorStats, Dispatcher,
                            FrameKey, RunMetrics)
 from ssic.scrambler import LFSR_LEN
-from ssic.vcframe import STREAM_ADDR_BITS, _addr_bits, frame_to_bits
+from ssic.vcframe import BCH_K, BCH_N, STREAM_ADDR_BITS, _addr_bits, _decode_blocks, frame_to_bits
+
+
+def bch_decode_soft(llrs: np.ndarray) -> np.ndarray:
+    """Exact ML decoding of one block from 63 LLRs."""
+    y = np.asarray(llrs, dtype=np.float64)
+    if y.shape != (BCH_N,):
+        raise ValueError(f"need {BCH_N} LLRs")
+    v = int(_decode_blocks(y[None, :])[0])
+    return ((v >> np.arange(BCH_K - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 def with_stream_addr(bits: np.ndarray, stream_addr: int) -> np.ndarray:

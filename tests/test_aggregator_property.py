@@ -69,9 +69,8 @@ def arrival(kind: str, key: FrameKey, sid: int) -> StreamObservation:
     if kind.startswith("bad_length"):
         bits = bits[:-4]  # no whole number of payload bytes
     if kind.endswith("clean"):
-        return StreamObservation(stream_id=sid, detected=True, crc_pass=True, hard_bits=bits)
-    return StreamObservation(stream_id=sid, detected=True, crc_pass=False,
-                             soft=soft_word(bits, sid, kind == "soft_never"))
+        return StreamObservation(stream_id=sid, hard_bits=bits)
+    return StreamObservation(stream_id=sid, soft=soft_word(bits, sid, kind == "soft_never"))
 
 
 def behind(newest: int | None, vcs: int) -> int | None:

@@ -18,7 +18,7 @@ from ssic.channel import (
 )
 from ssic.descramble import hd
 from ssic.scrambler import register_outputs, scramble, seed_from_int, seed_to_int
-from ssic.softbits import LLR_MAX, hard_decide
+from ssic.softbits import LLR_MAX, SoftWord, hard_decide
 
 from oracles import bpsk_awgn_llrs
 
@@ -60,17 +60,21 @@ def test_channel_params_validation():
         ChannelParams(snr_db=0.0, burst_llr_atten=1.1)
     with pytest.raises(ValueError):
         ChannelParams(snr_db=0.0, burst_len_mean=0.5)
+    # sigma^2 / burst_llr_atten, the in-window noise variance, overflows
+    with pytest.raises(ValueError, match="burst_llr_atten"):
+        ChannelParams(snr_db=0.0, burst_prob=1.0, burst_llr_atten=1e-320)
 
 
 def test_observation_invariants():
+    bits, word = np.zeros(8, dtype=np.uint8), SoftWord(pilots=np.ones(16), payload=np.ones(8))
     with pytest.raises(ValueError):
-        StreamObservation(stream_id=0, detected=False, crc_pass=True)
-    with pytest.raises(ValueError):
-        StreamObservation(stream_id=0, detected=True, crc_pass=True)
-    with pytest.raises(ValueError):
-        StreamObservation(stream_id=0, detected=True, crc_pass=False)
-    ok = StreamObservation(stream_id=0, detected=False)
-    assert not ok.crc_pass
+        StreamObservation(stream_id=0, hard_bits=bits, soft=word)
+    missed = StreamObservation(stream_id=0)
+    assert not missed.detected and not missed.crc_pass
+    soft = StreamObservation(stream_id=0, soft=word)
+    assert soft.detected and not soft.crc_pass
+    clean = StreamObservation(stream_id=0, hard_bits=bits)
+    assert clean.detected and clean.crc_pass
 
 
 def test_fresh_seed_range_and_coverage():
@@ -382,6 +386,15 @@ def test_transmit_rejects_bad_seeds():
         transmit(np.zeros(7, dtype=np.uint8), payload, 16, params, rng)
     with pytest.raises(ValueError):
         transmit(np.ones(6, dtype=np.uint8), payload, 16, params, rng)
+
+
+def test_transmit_checks_its_input_before_the_detection_draw():
+    # a frame the detection draw misses is still refused for a bad seed or payload
+    rng, params = np.random.default_rng(10), ChannelParams(snr_db=5.0, detection_loss_prob=1.0)
+    with pytest.raises(ValueError, match="seed must be nonzero"):
+        transmit(np.zeros(7, dtype=np.uint8), np.zeros(8, dtype=np.uint8), 16, params, rng)
+    with pytest.raises(ValueError, match="payload_bits must be one-dimensional"):
+        transmit(seed_from_int(5), np.zeros((2, 8), dtype=np.uint8), 16, params, rng)
 
 
 def test_soft_copy_and_transmit_reject_a_2d_payload():

@@ -37,8 +37,7 @@ MAG = 6.0
 
 def hard_obs(key: FrameKey, packet: bytes, sid: int) -> StreamObservation:
     frame = encapsulate(packet, key.vci, key.vcs, 0x020000000000 + sid)
-    return StreamObservation(stream_id=sid, detected=True, crc_pass=True,
-                             hard_bits=frame_to_bits(frame))
+    return StreamObservation(stream_id=sid, hard_bits=frame_to_bits(frame))
 
 
 def soft_obs(key: FrameKey, packet: bytes, sid: int,
@@ -55,7 +54,7 @@ def soft_obs(key: FrameKey, packet: bytes, sid: int,
         for pos in corrupt:
             llrs[L + 496 + pos] *= -1.0
     word = SoftWord(pilots=llrs[:L], payload=llrs[L:])
-    return StreamObservation(stream_id=sid, detected=True, crc_pass=False, soft=word)
+    return StreamObservation(stream_id=sid, soft=word)
 
 
 def make_agg(truth: dict, variant: str = "srsx", window_size: int = 64) -> Aggregator:
@@ -191,7 +190,7 @@ def test_hard_copy_clears_pending():
 def test_undetected_frames_are_rejected():
     agg = make_agg({})
     with pytest.raises(ValueError):
-        agg.push(StreamObservation(stream_id=0, detected=False))
+        agg.push(StreamObservation(stream_id=0))
 
 
 def test_malformed_soft_payload_length_dropped(monkeypatch):
@@ -202,9 +201,8 @@ def test_malformed_soft_payload_length_dropped(monkeypatch):
     assert agg.push(bad) is None
     assert agg.stats.header_invalid_drops == 1
     # a copy is descrambled at its own pilot count, so 15 pilots reach the length rule
-    short = StreamObservation(stream_id=0, detected=True, crc_pass=False,
-                              soft=SoftWord(pilots=bad.soft.pilots[1:],
-                                            payload=bad.soft.payload))
+    short = StreamObservation(stream_id=0, soft=SoftWord(pilots=bad.soft.pilots[1:],
+                                                         payload=bad.soft.payload))
     assert agg.push(short) is None
     assert agg.stats.header_invalid_drops == 2
 
@@ -216,7 +214,7 @@ def test_malformed_clean_copy_dropped(n_bits):
     agg = make_agg({K1: P1})
     bits = np.zeros(n_bits, dtype=np.uint8)
     bits[:min(n_bits, 496 + 8 * len(P1))] = hard_obs(K1, P1, 0).hard_bits[:n_bits]
-    obs = StreamObservation(stream_id=0, detected=True, crc_pass=True, hard_bits=bits)
+    obs = StreamObservation(stream_id=0, hard_bits=bits)
     assert agg.push(obs) is None
     assert agg.stats.header_invalid_drops == 1 and agg.stats.delivered == 0
     assert agg.push(hard_obs(K1, P1, 1)) == (K1, P1)
@@ -232,8 +230,7 @@ def soft_obs_descrambling_to(key: FrameKey, sid: int,
     llrs = signs * MAG
     mask_signs = signs[L + 496:] * (1.0 - 2.0 * wire[496:])  # 1 - 2 * mask bit
     llrs[L + 496:] = payload_llrs * mask_signs
-    return StreamObservation(stream_id=sid, detected=True, crc_pass=False,
-                             soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))
+    return StreamObservation(stream_id=sid, soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))
 
 
 @pytest.mark.parametrize("variant", ["naive", "hrsx", "srsx"])
@@ -281,7 +278,7 @@ def test_garbage_header_dropped():
     agg = make_agg({K1: P1})
     rng = np.random.default_rng(0)
     word = SoftWord(pilots=rng.normal(0, 3, L), payload=rng.normal(0, 3, 496 + 40))
-    obs = StreamObservation(stream_id=0, detected=True, crc_pass=False, soft=word)
+    obs = StreamObservation(stream_id=0, soft=word)
     assert agg.push(obs) is None
     assert agg.stats.header_invalid_drops == 1
 
@@ -356,7 +353,7 @@ def test_copies_with_different_pilot_lengths_combine(variant):
                       np.concatenate([np.zeros(n_pilots, dtype=np.uint8), wire]))
         llrs = (1.0 - 2.0 * tx) * MAG
         word = SoftWord(pilots=llrs[:n_pilots], payload=llrs[n_pilots:])
-        obs.append(StreamObservation(stream_id=sid, detected=True, crc_pass=False, soft=word))
+        obs.append(StreamObservation(stream_id=sid, soft=word))
     assert agg.push(obs[0]) is None
     assert agg.push(obs[1]) == (K1, P1)
     assert agg.stats.delivered_combined == 1

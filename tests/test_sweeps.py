@@ -234,6 +234,14 @@ def test_offsets_default_to_zero_per_stream():
     (dict(mode="netsim", snr_grid=[0.0], n_streams=11, payload_bytes=1500),
      "n_streams: a trial of"),
     (dict(mode="netsim", snr_grid=[0.0], n_streams=10**6), "n_streams: a trial of"),
+    # a mode of the wrong type, which the default variants are not looked up for
+    (dict(mode=[], snr_grid=[0.0]), "mode"),
+    (dict(mode={"a": 1}, snr_grid=[0.0]), "mode"),
+    # an in-window noise variance sigma^2 / burst_llr_atten that overflows
+    (dict(mode="netsim", snr_grid=[0.0], burst_prob=1.0, burst_llr_atten=1e-320),
+     "burst_llr_atten"),
+    (dict(mode="netsim", snr_grid=[-3000.0], burst_prob=1.0, burst_llr_atten=1e-20),
+     "snr_grid"),
 ])
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):

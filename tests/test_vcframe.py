@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bch_decode_soft
 from oracles import crc16_ccitt as table_crc16_ccitt
 from ssic.vcframe import (
     BCH_K,
@@ -24,7 +25,6 @@ from ssic.vcframe import (
     STREAM_ADDR_BITS,
     VcFrame,
     VcHeader,
-    bch_decode_soft,
     crc16_ccitt,
     decode_header_hard,
     decode_header_soft,
