@@ -85,9 +85,7 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         d["mode"] = "netsim"
         if getattr(args, "variant", None) is not None:
             d["variants"] = [args.variant]
-    spec = SweepSpec.from_dict(d)
-    spec.validate()
-    return spec
+    return SweepSpec.from_dict(d)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -60,10 +60,15 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
     register outputs, with +-1 pattern s_r; each pilot contributes
     log expit(+-y), which is y*s/2 up to a term shared by every seed.  So
     each row is the log-softmax of 0.5 * y @ S over the (L, 127) codebook S.
+    The patterns repeat every 127 phases, so where L > 127 the pilots of
+    each phase are summed first and S is (127, 127), whatever L is.
     """
     y = np.asarray(pilots, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] < LFSR_LEN:
         raise ValueError(f"need (n, L) pilot LLRs with L >= {LFSR_LEN}, got {y.shape}")
+    if y.shape[1] > N_SEEDS:  # pad to whole periods, then sum them phase by phase
+        y = np.pad(y, ((0, 0), (0, -y.shape[1] % N_SEEDS)))
+        y = y.reshape(len(y), -1, N_SEEDS).sum(axis=1)
     lw = 0.5 * (y @ _pilot_codebook(y.shape[1]))
     lw -= lw.max(axis=1, keepdims=True)
     lw -= np.log(np.exp(lw).sum(axis=1, keepdims=True))
@@ -72,9 +77,9 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _pilot_codebook(L: int) -> np.ndarray:
-    """(L, 127) +-1 pilot patterns of all seeds: column i is 2q - 1 of the
-    zero-probability table's row i+1 over phases 0..L-1.  C-contiguous, so
-    y @ S sums in the same order whatever built it."""
+    """(L, 127) +-1 pilot patterns of all seeds, L <= 127: column i is 2q - 1
+    of the zero-probability table's row i+1 over phases 0..L-1.  C-contiguous,
+    so y @ S sums in the same order whatever built it."""
     S = fill_by_phase(np.empty((N_SEEDS, L)), 2.0 * _zero_prob()[1:] - 1.0, 0).T.copy()
     S.flags.writeable = False
     return S

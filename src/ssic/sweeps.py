@@ -34,8 +34,10 @@ import contextlib
 import csv
 import io
 import json
+import math
 import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -84,7 +86,9 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    # an int beyond a double's range would overflow where the value is used
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and not (_is_int(v) and abs(v) > sys.float_info.max))
 
 
 # SweepSpec annotation (a string, under the __future__ import) -> what a
@@ -112,7 +116,9 @@ _NETSIM_ONLY = ("detection_loss_prob", "burst_prob", "burst_len_mean", "burst_ll
 
 @dataclass
 class SweepSpec:
-    """Everything a sweep run depends on.  validate() names the bad field."""
+    """Everything a sweep run depends on, checked when it is made.  validate()
+    fills the defaults, applies every rule and names the bad field; the runs
+    call it again, since a field may be changed after the spec is made."""
 
     mode: str
     snr_grid: list[float]
@@ -131,19 +137,11 @@ class SweepSpec:
     arrival_jitter: float = 0.5
 
     def __post_init__(self):
-        # defaults only: validate() names a field of the wrong type.  The
-        # offsets' default is n_streams long, so it waits for _check_size(),
-        # and the variants' default is looked up by mode, so it waits for a str
-        if self.stream_snr_offsets is None:
-            with contextlib.suppress(ValueError, TypeError):
-                self._check_size()
-                self.stream_snr_offsets = [0.0] * self.n_streams
-        if self.variants is None and isinstance(self.mode, str):
-            self.variants = _DEFAULT_VARIANTS.get(self.mode, SOFT_VARIANTS)
-        if isinstance(self.variants, list):
-            self.variants = tuple(self.variants)
+        self.validate()
 
     def validate(self) -> None:
+        if isinstance(self.variants, list):
+            self.variants = tuple(self.variants)
         if self.mode not in MODES:
             raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
         for f in fields(self):
@@ -155,13 +153,38 @@ class SweepSpec:
                 raise ValueError(f"{f.name}: only netsim uses it, got {value!r} in {self.mode}")
             if f.name == "payload_bytes" and self.mode == "seed_ber" and value != f.default:
                 raise ValueError(f"payload_bytes: seed_ber sends no payload, got {value!r}")
-        if not self.snr_grid or not all(np.isfinite(self.snr_grid)):
+        if self.variants is None:
+            self.variants = _DEFAULT_VARIANTS.get(self.mode, SOFT_VARIANTS)
+        if not self.snr_grid or not all(map(math.isfinite, self.snr_grid)):
             raise ValueError("snr_grid: need a non-empty list of finite values")
-        self._check_size()
+        # L, n_streams and payload_bytes fix the size of one trial, so their
+        # rules pass before anything n_streams long is made.  A trial is K
+        # words of L + M LLRs and 127 seed weights (M = 0 in seed_ber); a
+        # sweep's block of trials holds at most BLOCK_FLOATS floats
+        # (_block_trials), so one trial must fit in it, and a netsim packet,
+        # one word per stream, is held to the same bound.
+        if self.L < LFSR_LEN:
+            raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
+        if self.n_streams < 1:
+            raise ValueError(f"n_streams: must be >= 1, got {self.n_streams}")
+        if self.mode == "seed_ber" and self.n_streams != 1:
+            raise ValueError(f"n_streams: seed_ber measures one stream, got {self.n_streams}")
+        if self.payload_bytes < 0 or self.payload_bytes > MTU_PAYLOAD:
+            raise ValueError(
+                f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {self.payload_bytes}")
+        if self.mode != "seed_ber" and self.payload_bytes < 1:
+            raise ValueError(f"payload_bytes: {self.mode} needs at least 1 byte")
+        word = self.L + (0 if self.mode == "seed_ber" else 8 * self.payload_bytes) + N_SEEDS
+        if word > BLOCK_FLOATS:
+            raise ValueError(f"L: a word of L + 8 * payload_bytes + {N_SEEDS} = {word} floats "
+                             f"exceeds the block of BLOCK_FLOATS = {BLOCK_FLOATS}")
+        if self.n_streams * word > BLOCK_FLOATS:
+            raise ValueError(f"n_streams: a trial of {self.n_streams} words of {word} floats "
+                             f"exceeds the block of BLOCK_FLOATS = {BLOCK_FLOATS}")
         if self.stream_snr_offsets is None:
             self.stream_snr_offsets = [0.0] * self.n_streams
         if (len(self.stream_snr_offsets) != self.n_streams
-                or not all(np.isfinite(self.stream_snr_offsets))):
+                or not all(map(math.isfinite, self.stream_snr_offsets))):
             raise ValueError(
                 f"stream_snr_offsets: need {self.n_streams} finite entries, "
                 f"got {self.stream_snr_offsets}")
@@ -200,34 +223,6 @@ class SweepSpec:
                 f"arrival_jitter: must be finite and >= 0, got {self.arrival_jitter}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed: must be >= 0, got {self.rng_seed}")
-
-    def _check_size(self) -> None:
-        """The rules on L, n_streams and payload_bytes, which fix the size of
-        one trial: nothing n_streams long is made before they pass.
-
-        A trial is K words of L + M LLRs and 127 seed weights (M = 0 in
-        seed_ber).  A sweep's block of trials holds at most BLOCK_FLOATS
-        floats (_block_trials), so one trial must fit in it; a netsim packet,
-        one word per stream, is held to the same bound.
-        """
-        if self.L < LFSR_LEN:
-            raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
-        if self.n_streams < 1:
-            raise ValueError(f"n_streams: must be >= 1, got {self.n_streams}")
-        if self.mode == "seed_ber" and self.n_streams != 1:
-            raise ValueError(f"n_streams: seed_ber measures one stream, got {self.n_streams}")
-        if self.payload_bytes < 0 or self.payload_bytes > MTU_PAYLOAD:
-            raise ValueError(
-                f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {self.payload_bytes}")
-        if self.mode != "seed_ber" and self.payload_bytes < 1:
-            raise ValueError(f"payload_bytes: {self.mode} needs at least 1 byte")
-        word = self.L + (0 if self.mode == "seed_ber" else 8 * self.payload_bytes) + N_SEEDS
-        if word > BLOCK_FLOATS:
-            raise ValueError(f"L: a word of L + 8 * payload_bytes + {N_SEEDS} = {word} floats "
-                             f"exceeds the block of BLOCK_FLOATS = {BLOCK_FLOATS}")
-        if self.n_streams * word > BLOCK_FLOATS:
-            raise ValueError(f"n_streams: a trial of {self.n_streams} words of {word} floats "
-                             f"exceeds the block of BLOCK_FLOATS = {BLOCK_FLOATS}")
 
     def channel_params(self, snr_db: float) -> ChannelParams:
         """One stream's link at snr_db, with the spec's impairments."""

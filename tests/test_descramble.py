@@ -110,6 +110,33 @@ def test_pilot_codebook_equals_mask_matrix_construction(L):
     assert S.flags.c_contiguous and not S.flags.writeable
 
 
+@pytest.mark.parametrize("L", [128, 200, 300, 4096])
+def test_pilots_beyond_a_period_are_summed_by_phase(L):
+    # against the explicit (L, 127) product, which the phase sums regroup
+    rng = np.random.default_rng(L)
+    pilots, _, _ = noisy_block(rng, 6, L, 0)
+    seeds = np.array([seed_from_int(v) for v in range(1, 128)])
+    lw = 0.5 * (pilots @ (1.0 - 2.0 * ((mask_matrix(L) @ seeds.T) % 2)))
+    lw -= lw.max(axis=1, keepdims=True)
+    lw -= np.log(np.exp(lw).sum(axis=1, keepdims=True))
+    got = seed_log_weights(pilots)
+    assert np.abs(got - lw).max() <= 1e-12 * np.abs(lw).max()
+    assert (got.argmax(axis=1) == lw.argmax(axis=1)).all()
+
+
+def test_seed_posterior_memory_does_not_grow_with_L():
+    import tracemalloc
+
+    pilots = np.zeros((1, 130945))  # the longest pilot block seed_ber accepts
+    tracemalloc.start()
+    try:
+        seed_log_weights(pilots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak {peak:,} bytes"
+
+
 def test_seed_posterior_delta_uniform_and_ties():
     # hrsx_rows takes each row's MAP seed; an exact tie resolves to the smallest
     pair = np.full(N_SEEDS, -np.inf)

@@ -4,11 +4,14 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import asdict
+import warnings
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ssic import sweeps
 from ssic.cli import main
@@ -148,7 +151,8 @@ def test_offsets_default_to_zero_per_stream():
     assert spec.stream_snr_offsets == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("kwargs,field", [
+# every spec that is refused, with the field its message names
+REFUSED_SPECS = [
     (dict(mode="nope", snr_grid=[0.0]), "mode"),
     (dict(mode="seed_ber", snr_grid=[]), "snr_grid"),
     (dict(mode="seed_ber", snr_grid=[float("nan")]), "snr_grid"),
@@ -242,10 +246,25 @@ def test_offsets_default_to_zero_per_stream():
      "burst_llr_atten"),
     (dict(mode="netsim", snr_grid=[-3000.0], burst_prob=1.0, burst_llr_atten=1e-20),
      "snr_grid"),
-])
+]
+
+
+@pytest.mark.parametrize("kwargs,field", REFUSED_SPECS)
 def test_validate_names_the_field(kwargs, field):
     with pytest.raises(ValueError, match=field):
         SweepSpec(**kwargs).validate()
+
+
+@pytest.mark.parametrize("kwargs,field", REFUSED_SPECS)
+def test_a_refused_spec_is_never_made(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        SweepSpec(**kwargs)
+
+
+def test_a_changed_field_is_checked_by_replace():
+    spec = SweepSpec("packet_per", [0.0], n_streams=2, trials=5)
+    with pytest.raises(ValueError, match="trials:"):
+        replace(spec, trials=0)
 
 
 @pytest.mark.parametrize("mode", ["seed_ber", "payload_ber", "packet_per", "netsim"])
@@ -270,6 +289,103 @@ def test_a_trial_that_fills_a_block_is_accepted():
     assert SweepSpec("packet_per", [0.0], n_streams=10).stream_snr_offsets == [0.0] * 10
 
 
+# What a 1-trial grid point of an accepted spec may allocate: a trial holds
+# at most BLOCK_FLOATS floats, and the point holds two draw slots, the
+# descrambled rows, srsx's two scratch blocks and the stream total; two more
+# blocks cover the kernels' temporaries.  8 blocks of float64: 8 MiB.
+SPEC_BUDGET_BYTES = 8 * 8 * sweeps.BLOCK_FLOATS
+
+_SPEC_FIELDS = [f.name for f in fields(SweepSpec)]
+_SIZES = st.sampled_from([0, 1, 2, 7, 10, 11, 16, 127, 128, 1500, 1501, 4096, 130945, 130946,
+                          10**12])
+# a value for each field that is often accepted, so that specs get run
+_NEAR_VALID = {
+    "mode": st.sampled_from(sweeps.MODES),
+    "snr_grid": st.lists(st.floats(-5.0, 40.0), min_size=1, max_size=3),
+    "L": _SIZES | st.integers(0, 200),
+    "n_streams": _SIZES | st.integers(0, 12),
+    "stream_snr_offsets": st.lists(st.floats(-10.0, 10.0), max_size=4),
+    "trials": _SIZES,
+    "payload_bytes": _SIZES | st.integers(0, 1501),
+    "variants": st.lists(st.sampled_from(sweeps.VARIANTS + ("bogus",)), max_size=3),
+    "rng_seed": _SIZES | st.just(-1),
+    "detection_loss_prob": st.floats(0.0, 1.0),
+    "burst_prob": st.floats(0.0, 1.0),
+    "burst_len_mean": st.floats(0.5, 1e3),
+    "burst_llr_atten": st.floats(0.0, 1.0),
+    "window_size": _SIZES | st.integers(0, 40000),
+    "arrival_jitter": st.floats(-1.0, 10.0),
+}
+# any JSON value: null, bool, int, float (NaN and infinities too, which
+# json.loads reads), string, list and object, numbers up to 10**12 in size
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**12, 10**12) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _spec_dicts(draw):
+    """A JSON config: mode, snr_grid and up to 4 more fields, near valid,
+    then half the time one field of any JSON value."""
+    d = {name: draw(_NEAR_VALID[name]) for name in ("mode", "snr_grid")}
+    for name in draw(st.sets(st.sampled_from(_SPEC_FIELDS[2:]), max_size=4)):
+        d[name] = draw(_NEAR_VALID[name])
+    if draw(st.booleans()):
+        d[draw(st.sampled_from(_SPEC_FIELDS))] = draw(_JSON)
+    return d
+
+
+@given(_spec_dicts())
+# the largest trial of each mode
+@example({"mode": "seed_ber", "snr_grid": [0], "L": (1 << 17) - 127})
+@example({"mode": "packet_per", "snr_grid": [0], "L": (1 << 17) - 127 - 8,
+          "payload_bytes": 1})
+@example({"mode": "payload_ber", "snr_grid": [0], "n_streams": 10})
+@example({"mode": "netsim", "snr_grid": [0], "n_streams": 10})
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_config_is_refused_naming_a_field_or_runs_within_the_budget(d):
+    import tracemalloc
+
+    try:
+        spec = SweepSpec.from_dict(d)
+    except ValueError as e:
+        assert re.match(r"\w+", str(e))[0] in _SPEC_FIELDS, str(e)
+        return
+    one = replace(spec, snr_grid=spec.snr_grid[:1], trials=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tracemalloc.start()
+        try:
+            (run_netsim if one.mode == "netsim" else run_sweep)(one)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < SPEC_BUDGET_BYTES, f"peak {peak:,} bytes for {one}"
+
+
+# JSON ints past int64 or a double, where a number is wanted: the lists
+# raised TypeError in np.isfinite, and the netsim fields OverflowError in a run
+@pytest.mark.parametrize("d, field", [
+    (dict(mode="payload_ber", snr_grid=[2**64]), "snr_grid"),
+    (dict(mode="payload_ber", snr_grid=[10**400]), "snr_grid"),
+    (dict(mode="payload_ber", snr_grid=[0], stream_snr_offsets=[2**64]),
+     "stream_snr_offsets entry"),
+    (dict(mode="payload_ber", snr_grid=[0], stream_snr_offsets=[10**400]),
+     "stream_snr_offsets"),
+    (dict(mode="netsim", snr_grid=[0], burst_prob=0.5, burst_len_mean=10**400),
+     "burst_len_mean"),
+    (dict(mode="netsim", snr_grid=[0], arrival_jitter=10**400), "arrival_jitter"),
+])
+def test_an_int_past_a_double_is_refused_naming_the_field(tmp_path, d, field):
+    with pytest.raises(ValueError, match=field):
+        SweepSpec.from_dict(d)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(d))
+    assert main(["netsim" if d["mode"] == "netsim" else "sweep", "--config", str(path)]) == 2
+
+
 def _bench_workloads():
     import importlib.util
 
@@ -283,11 +399,12 @@ def _bench_workloads():
 def _cli_argvs(path: Path) -> list[list[str]]:
     """The ssic sweep and netsim commands in a file that are meant to succeed
     (no "|| status=$?"), continuation lines joined; the CI loop's "$L" is
-    read as 127, its largest value."""
+    read as 127, its largest value.  A command that reads a --config file,
+    which the CI step writes first, is left out."""
     argvs = []
     for line in path.read_text().replace("\\\n", " ").splitlines():
         m = re.search(r"(?:^|\s)(?:ssic|python -m ssic\.cli) ((?:sweep|netsim) .*)", line)
-        if m and "status=$?" not in line:
+        if m and "status=$?" not in line and "--config" not in line:
             argvs.append(shlex.split(m.group(1).replace('"$L"', "127")))
     return argvs
 
@@ -322,7 +439,7 @@ def test_the_shipped_specs_still_validate():
     root = Path(__file__).resolve().parent.parent
     argvs = [argv for path in (root / "README.md", root / ".github/workflows/tests.yml")
              for argv in _cli_argvs(path)]
-    assert len(argvs) >= 13, argvs  # 6 in the README, 7 in CI
+    assert len(argvs) >= 13, argvs  # 6 in the README, 10 in CI
     for argv in argvs:
         _spec_from_args(build_parser().parse_args(argv))
 
