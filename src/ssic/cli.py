@@ -85,6 +85,9 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
         d["mode"] = "netsim"
         if getattr(args, "variant", None) is not None:
             d["variants"] = [args.variant]
+    elif d.get("mode") == "netsim":
+        # a config may name netsim, which --mode refuses: run it with `ssic netsim`
+        raise ValueError("mode: ssic sweep does not run netsim; use ssic netsim")
     return SweepSpec.from_dict(d)
 
 

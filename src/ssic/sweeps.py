@@ -36,7 +36,6 @@ import io
 import json
 import math
 import numbers
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -278,37 +277,6 @@ def _draw_block(rng: np.random.Generator, payload: np.ndarray, seeds: np.ndarray
             rng.standard_normal(out=noise[t, k])
 
 
-def _other_cpus() -> set[int] | None:
-    """The calling thread's allowed CPUs less the one it is running on.
-
-    None where the affinity cannot be set or the CPU cannot be read (it is
-    field 39 of /proc/thread-self/stat), or where no other CPU is allowed.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    try:
-        with open("/proc/thread-self/stat") as f:
-            # after the ")" that closes field 2, field 39 is at index 36
-            cpu = int(f.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-    return os.sched_getaffinity(0) - {cpu} or None
-
-
-def _leave_cpu(cpus: set[int] | None) -> None:
-    """The draw-ahead thread's initializer: move off the caller's CPU.
-
-    A new thread stays on the CPU of the thread that made it where the
-    cpuset does not balance load (sched_load_balance = 0), and then only
-    takes turns with the caller.  So this thread, never the caller, moves to
-    cpus (_other_cpus() read on the caller) when there are any.  Pinning
-    changes no draw, so a pin the OS refuses leaves the thread unpinned.
-    """
-    if cpus:
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(0, cpus)
-
-
 def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
                   stream_snr_db: list[float]):
     """Trials in blocks of B, each with K streams: yields (payload, seeds, llrs).
@@ -341,7 +309,7 @@ def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
         """The rows of slot s that hold the block of trials from first on."""
         return [a[:min(B, trials - first)] for a in slots[s]]
 
-    with ThreadPoolExecutor(1, "ssic-draw-ahead", _leave_cpu, (_other_cpus(),)) as drawer:
+    with ThreadPoolExecutor(1, "ssic-draw-ahead") as drawer:
         drawn = drawer.submit(_draw_block, rng, *block(0, 0))
         for i, first in enumerate(range(0, trials, B)):
             drawn.result()

@@ -752,6 +752,13 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["sweep", "--mode", "packet_per", "--snr-grid", "0", "--trials", "5",
                  "--payload-bytes", "16", "--variants", "srsx,srsx"]) == 2
     assert "error: variants: 'srsx' listed twice" in capsys.readouterr().err
+    # a config naming netsim is refused by ssic sweep, as --mode netsim is
+    cfg.write_text(json.dumps({"mode": "netsim", "snr_grid": [10], "trials": 3,
+                               "payload_bytes": 10}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "error: mode: " in capsys.readouterr().err
+    assert main(["netsim", "--config", str(cfg)]) == 0
+    capsys.readouterr()
 
 
 def test_import_does_not_load_scipy():
