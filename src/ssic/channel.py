@@ -28,7 +28,6 @@ the size of their noise alone, before the word is scrambled (see transmit).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,23 +166,6 @@ def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
     return SoftWord(pilots=llrs[:L], payload=llrs[L:])
 
 
-@functools.lru_cache(maxsize=64)
-def clean_noise_bound(sigma2: float) -> float:
-    """The largest double t with fl(t * sqrt(sigma2)) < 1.
-
-    fl(sqrt(sigma2) * z) is monotone in z, so every standard normal sample
-    with |z| <= t scales to noise of magnitude below 1, which cannot move
-    a +-1 symbol across zero: fl(w + 1) >= 0 and fl(w - 1) < 0 for |w| < 1.
-    """
-    s = np.sqrt(sigma2)
-    t = 1.0 / s
-    while t * s < 1.0:
-        t = np.nextafter(t, np.inf)
-    while t * s >= 1.0:
-        t = np.nextafter(t, -np.inf)
-    return float(t)
-
-
 def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: ChannelParams,
              rng: np.random.Generator, stream_id: int = 0) -> StreamObservation:
     """Send one frame through the full impaired link.
@@ -197,12 +179,13 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     and the split is decided from the signs of the LLRs, the receiver's
     hard decisions.  sigma^2 is a scalar unless a burst window was drawn.
 
-    With a scalar sigma^2, a frame whose standard normal draws from the
-    last 7 pilots on all have |z| <= clean_noise_bound(sigma^2) keeps the
-    sign of every symbol there, whatever was sent: the bound is about the
-    product fl(sqrt(sigma^2) z) that awgn_llrs forms.  Such a frame is clean,
-    and neither the scrambled word nor an LLR is formed.  The draws are the
-    same either way.
+    With a scalar sigma^2, a frame where the largest |z| from the last 7
+    pilots on, times sqrt(sigma^2) as awgn_llrs forms it, is below 1 keeps
+    the sign of every symbol there, whatever was sent: fl(w + 1) >= 0 and
+    fl(w - 1) < 0 for |w| < 1, and a correctly rounded product is monotone
+    in z and odd, so tail.max() and tail.min() decide it for every sample.
+    Such a frame is clean, and neither the scrambled word nor an LLR is
+    formed.  The draws are the same either way.
     """
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
@@ -212,7 +195,7 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
 
     n = L + payload.size
     sigma2 = snr_db_to_sigma2(params.snr_db)
-    t = clean_noise_bound(sigma2)
+    s = np.sqrt(sigma2)
     burst = params.burst_prob > 0.0 and rng.random() < params.burst_prob
     if burst:
         start = int(rng.integers(0, n))
@@ -221,7 +204,7 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
         sigma2[start:start + length] /= params.burst_llr_atten
     z = rng.standard_normal(n)
     tail = z[L - LFSR_LEN:]
-    if burst or tail.max() > t or tail.min() < -t:
+    if burst or tail.max() * s >= 1.0 or tail.min() * s <= -1.0:
         # the scrambled word: L zero pilots, then the payload, XORed with the mask
         tx = register_outputs(seed_to_int(seed), n)
         tx[L:] ^= payload

@@ -2,7 +2,8 @@
 
 Each is the plain form of something the package computes another way: one
 register step at a time, a sign flip by an explicit mask, the AWGN link
-drawing its own noise for a bit sequence, and the header CRC from its
+drawing its own noise for a bit sequence, the noise bound of transmit's
+clean screen as a search over doubles, and the header CRC from its
 polynomial, one header block decoded alone, and a network point that
 keeps a record and the payload of every packet and stamps each stream's
 address into one unpacked frame.
@@ -73,6 +74,22 @@ def bpsk_awgn_llrs(bits: np.ndarray, snr_db: float, rng: np.random.Generator) ->
     b = np.asarray(bits, dtype=np.uint8)
     sigma2 = snr_db_to_sigma2(snr_db)
     return 2.0 * ((1.0 - 2.0 * b) + rng.normal(0.0, np.sqrt(sigma2), b.size)) / sigma2
+
+
+def clean_noise_bound(sigma2: float) -> float:
+    """The largest double t with fl(t * sqrt(sigma2)) < 1.
+
+    fl(sqrt(sigma2) * z) is monotone in z, so every standard normal sample
+    with |z| <= t scales to noise of magnitude below 1, which cannot move
+    a +-1 symbol across zero: fl(w + 1) >= 0 and fl(w - 1) < 0 for |w| < 1.
+    """
+    s = np.sqrt(sigma2)
+    t = 1.0 / s
+    while t * s < 1.0:
+        t = np.nextafter(t, np.inf)
+    while t * s >= 1.0:
+        t = np.nextafter(t, -np.inf)
+    return float(t)
 
 
 _CRC16_POLY = 0x1021

@@ -9,7 +9,6 @@ from ssic.channel import (
     ChannelParams,
     StreamObservation,
     awgn_llrs,
-    clean_noise_bound,
     fresh_seed,
     scrambled_llrs,
     snr_db_to_sigma2,
@@ -20,7 +19,7 @@ from ssic.descramble import hd
 from ssic.scrambler import register_outputs, scramble, seed_from_int, seed_to_int
 from ssic.softbits import LLR_MAX, SoftWord, hard_decide
 
-from oracles import bpsk_awgn_llrs
+from oracles import bpsk_awgn_llrs, clean_noise_bound
 
 
 def test_sigma2_golden_points():
@@ -302,6 +301,8 @@ BURST = dict(burst_prob=1.0, burst_llr_atten=0.25, burst_len_mean=40.0)
     ("pilot L-7 flipped", False, False, False),
     ("pilot L-7 flipped, payload errors undo it", False, False, True),
     ("burst drawn", True, False, True),
+    ("just below -t where a +1 was sent", False, False, True),
+    ("just below -t where a -1 was sent", False, False, True),
 ])
 def test_clean_screen_is_exact_at_its_edges(monkeypatch, case, burst, screened, clean):
     """The screen passes a frame as clean from |z| <= t alone; everywhere it
@@ -331,6 +332,10 @@ def test_clean_screen_is_exact_at_its_edges(monkeypatch, case, burst, screened, 
             diff = hd(np.concatenate([tx[L - 7:L], blank])) ^ hd(np.concatenate([wrong, blank]))
             flip += list(L + np.flatnonzero(diff))
         z[flip] = -10.0 * t * (1.0 - 2.0 * tx[flip])
+    elif case == "just below -t where a +1 was sent":
+        z[zero] = -np.nextafter(t, np.inf)
+    elif case == "just below -t where a -1 was sent":
+        z[one] = -np.nextafter(t, np.inf)
     script = dict(uniforms=[0.5, 0.0], ints=[n // 3], lengths=[60])
 
     scrambles = []  # calls of what forms the scrambled word

@@ -400,9 +400,11 @@ def _cli_argvs(path: Path) -> list[list[str]]:
     """The ssic sweep and netsim commands in a file that are meant to succeed
     (no "|| status=$?"), continuation lines joined; the CI loop's "$L" is
     read as 127, its largest value.  A command that reads a --config file,
-    which the CI step writes first, is left out."""
+    which the CI step writes first, and a comment line are left out."""
     argvs = []
     for line in path.read_text().replace("\\\n", " ").splitlines():
+        if line.lstrip().startswith("#"):
+            continue
         m = re.search(r"(?:^|\s)(?:ssic|python -m ssic\.cli) ((?:sweep|netsim) .*)", line)
         if m and "status=$?" not in line and "--config" not in line:
             argvs.append(shlex.split(m.group(1).replace('"$L"', "127")))
@@ -423,6 +425,14 @@ CRITERION_SPECS = [
     dict(mode="netsim", snr_grid=[8.5], n_streams=2, trials=300, payload_bytes=200,
          rng_seed=2),
 ]
+
+
+def test_cli_argvs_skip_comment_lines(tmp_path):
+    path = tmp_path / "steps.yml"
+    path.write_text("    # ssic sweep --mode netsim --snr-grid 0\n"
+                    "    ssic sweep --mode seed_ber --snr-grid 0 --trials 5\n")
+    assert _cli_argvs(path) == [["sweep", "--mode", "seed_ber", "--snr-grid", "0",
+                                 "--trials", "5"]]
 
 
 def test_the_shipped_specs_still_validate():
