@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import LFSR_LEN, _checked_seed, register_outputs, seed_from_int, seed_to_int
+from .scrambler import (LFSR_LEN, _checked_seed, checked_bits, register_outputs, seed_from_int,
+                        seed_to_int)
 from .softbits import LLR_MAX, SoftWord, hard_decide
 from .descramble import hd
 
@@ -144,13 +145,6 @@ def scrambled_llrs(seed_ints, payload_bits: np.ndarray, L: int, z: np.ndarray,
     return np.clip(llrs, -LLR_MAX, LLR_MAX, out=llrs)
 
 
-def _checked_payload(payload_bits: np.ndarray) -> np.ndarray:
-    payload = np.asarray(payload_bits, dtype=np.uint8)
-    if payload.ndim != 1:
-        raise ValueError("payload_bits must be one-dimensional")
-    return payload
-
-
 def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
               rng: np.random.Generator) -> SoftWord:
     """Scramble, transmit over plain AWGN, and split into pilot/payload LLRs.
@@ -158,8 +152,7 @@ def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
     The one-word case of scrambled_llrs, drawing its own noise: no
     detection loss, no bursts, no CRC short-circuit.
     """
-    s = _checked_seed(seed)
-    payload = _checked_payload(payload_bits)
+    s, payload = _checked_seed(seed), checked_bits(payload_bits, "payload_bits")
     sigma2 = snr_db_to_sigma2(snr_db)
     z = rng.standard_normal(L + payload.size)
     llrs = scrambled_llrs(seed_to_int(s), payload, L, z, sigma2)
@@ -189,7 +182,7 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     """
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
-    seed, payload = _checked_seed(seed), _checked_payload(payload_bits)
+    seed, payload = _checked_seed(seed), checked_bits(payload_bits, "payload_bits")
     if rng.random() < params.detection_loss_prob:
         return StreamObservation(stream_id)
 

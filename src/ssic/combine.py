@@ -30,31 +30,27 @@ class StreamSoftCopy:
 def ssic_combine(copies: list[StreamSoftCopy]) -> np.ndarray:
     """Elementwise LLR sum over all copies, clamped to +-LLR_MAX.
 
-    Order-invariant.  Requires at least one copy, equal lengths, and
-    distinct stream ids (the same observation must not be counted twice).
+    Order-invariant.  Requires distinct stream ids (the same observation
+    must not be counted twice) and what combine_streams requires.
     """
-    if not copies:
-        raise ValueError("need at least one copy")
-    n = copies[0].llrs.size
-    ids = set()
-    for c in copies:
-        if c.llrs.size != n:
-            raise ValueError(f"length mismatch: {c.llrs.size} vs {n}")
-        if c.stream_id in ids:
-            raise ValueError(f"duplicate stream_id {c.stream_id}")
-        ids.add(c.stream_id)
+    ids = [c.stream_id for c in copies]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate stream_id in {ids}")
     return combine_streams([c.llrs for c in copies])
 
 
 def combine_streams(rows, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of K equal-shape LLR arrays, one per stream, clamped to +-LLR_MAX.
 
-    rows is any sequence of them, a list or a (K, ..., M) array.  They are
-    added into a zero total in order 0..K-1, so a block of packets sums
+    rows is any sequence of them, a list or a (K, ..., M) array; it must
+    hold at least one, and every one must have the first one's shape.  They
+    are added into a zero total in order 0..K-1, so a block of packets sums
     exactly as ssic_combine and the aggregator sum each one; the total
     starts as row 0 + 0.0, the same float as 0.0 + row 0 (-0.0 included).
     It is written into out when it is given, as numpy's out= does.
     """
+    if len(rows) == 0 or any(np.shape(r) != np.shape(rows[0]) for r in rows):
+        raise ValueError("need at least one row of LLRs, every row of one shape")
     out = np.add(rows[0], 0.0, out=np.empty(np.shape(rows[0])) if out is None else out)
     for r in rows[1:]:
         out += r

@@ -44,8 +44,8 @@ import functools
 
 import numpy as np
 
-from .scrambler import (LFSR_LEN, PERIOD, _period_table, fill_by_phase, register_outputs,
-                        register_states, seed_from_int)
+from .scrambler import (LFSR_LEN, PERIOD, _period_table, checked_bits, fill_by_phase,
+                        register_outputs, register_states, seed_from_int)
 from .softbits import LLR_MAX, SoftWord, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
@@ -119,9 +119,9 @@ def mask_zero_by_phase(weights: np.ndarray) -> np.ndarray:
 
 def hd_rows(word_hard: np.ndarray) -> np.ndarray:
     """hd for n words at once: (n, 7 + M) bits -> (n, M) bits."""
-    b = np.asarray(word_hard, dtype=np.uint8)
-    if b.ndim != 2 or b.shape[1] < LFSR_LEN:
+    if np.ndim(word_hard) != 2 or np.shape(word_hard)[1] < LFSR_LEN:
         raise ValueError("need a 7-bit register preload plus payload")
+    b = checked_bits(word_hard, "word_hard", one_dim=False)
     payload = b[:, LFSR_LEN:]
     return register_outputs(register_states(b[:, :LFSR_LEN]), payload.shape[1]) ^ payload
 
@@ -133,10 +133,7 @@ def hd(word_hard: np.ndarray) -> np.ndarray:
     decisions.  An all-zero preload is legal (it just passes bits through);
     it is an estimate, not a transmit seed.
     """
-    b = np.asarray(word_hard, dtype=np.uint8)
-    if b.ndim != 1:
-        raise ValueError("need a 7-bit register preload plus payload")
-    return hd_rows(b[None])[0]
+    return hd_rows(np.asarray(word_hard)[None])[0]  # hd_rows refuses a word_hard not 1-D
 
 
 def mix_rows(q: np.ndarray, payload: np.ndarray, start: int,

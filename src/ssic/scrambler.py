@@ -111,17 +111,31 @@ def lfsr_run(state: np.ndarray, n: int) -> np.ndarray:
     Accepts the all-zero state (fixed point: output stays zero), which a
     receiver can reach when it preloads hard pilot decisions.
     """
-    return register_outputs(seed_to_int(state), n)
+    return register_outputs(seed_to_int(_checked_seed(state, "state", allow_zero=True)), n)
 
 
-def _checked_seed(seed) -> np.ndarray:
-    """seed as uint8 register bits; raises unless it is a nonzero (7,) vector,
-    the only kind whose output sequence is not degenerate."""
-    s = np.asarray(seed, dtype=np.uint8)
+def checked_bits(x, name: str, one_dim: bool = True) -> np.ndarray:
+    """x as a uint8 array; raises a ValueError naming it unless every entry
+    is exactly 0 or 1 and, with one_dim, x is one-dimensional.  The values
+    are checked before the cast, so -1, 0.5 and 256 are refused rather than
+    wrapped or truncated; a uint8 array, the common case, costs one max."""
+    a = np.asarray(x)
+    if one_dim and a.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if not (a.max(initial=0) <= 1 if a.dtype == np.uint8 else ((a == 0) | (a == 1)).all()):
+        raise ValueError(f"{name} must hold only 0s and 1s")
+    return a.astype(np.uint8, copy=False)
+
+
+def _checked_seed(seed, name: str = "seed", allow_zero: bool = False) -> np.ndarray:
+    """seed as uint8 register bits; raises naming it unless it is a (7,) bit
+    vector and, unless allow_zero, nonzero: the only kind of transmit seed
+    whose output sequence is not degenerate."""
+    s = checked_bits(seed, name)
     if s.shape != (LFSR_LEN,):
-        raise ValueError(f"seed must have shape ({LFSR_LEN},), got {s.shape}")
-    if not s.any():
-        raise ValueError("seed must be nonzero")
+        raise ValueError(f"{name} must have shape ({LFSR_LEN},), got {s.shape}")
+    if not (allow_zero or s.any()):
+        raise ValueError(f"{name} must be nonzero")
     return s
 
 
@@ -132,10 +146,8 @@ def scramble(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
     The seed must be nonzero (_checked_seed).
     """
     s = _checked_seed(seed)
-    x = np.asarray(bits, dtype=np.uint8)
-    if x.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    return lfsr_run(s, x.size) ^ x
+    x = checked_bits(bits, "bits")
+    return register_outputs(seed_to_int(s), x.size) ^ x
 
 
 @functools.lru_cache(maxsize=32)

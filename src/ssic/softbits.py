@@ -34,8 +34,8 @@ def hard_decide(llrs) -> np.ndarray:
 class SoftWord:
     """One received word: pilot LLRs followed by payload LLRs.
 
-    Both blocks are clamped on construction.  The pilot block must hold at
-    least 7 entries since the register cannot be pinned down from fewer.
+    Both blocks are clamped on construction and may hold no NaN.  The pilot
+    block needs at least 7 entries: the register cannot be pinned from fewer.
     """
 
     pilots: np.ndarray
@@ -46,6 +46,9 @@ class SoftWord:
         self.payload = clamp_llrs(np.asarray(self.payload, dtype=np.float64))
         if self.pilots.ndim != 1 or self.payload.ndim != 1:
             raise ValueError("pilots and payload must be one-dimensional")
+        # max propagates NaN, and costs less than isnan(x).any()
+        if np.isnan(self.pilots.max(initial=0.0) + self.payload.max(initial=0.0)):
+            raise ValueError("pilots and payload must hold no NaN")
         if self.pilots.size < LFSR_LEN:
             raise ValueError(
                 f"need at least {LFSR_LEN} pilot values, got {self.pilots.size}")

@@ -38,7 +38,7 @@ import math
 import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -231,14 +231,12 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        known = {f.name for f in fields(cls)}
-        bad = set(d) - known
+        bad = set(d) - {f.name for f in fields(cls)}
         if bad:
             raise ValueError(f"unknown spec keys: {sorted(bad)}")
-        if "mode" not in d:
-            raise ValueError("mode: required")
-        if "snr_grid" not in d:
-            raise ValueError("snr_grid: required")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ValueError(f"{f.name}: required")
         return cls(**d)
 
 

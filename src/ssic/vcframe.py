@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import _recurrence
+from .scrambler import _recurrence, checked_bits
 from .softbits import bit_signs
 
 BCH_N = 63
@@ -175,7 +175,7 @@ class VcFrame:
     def __post_init__(self):
         if not 0 <= self.stream_addr < (1 << STREAM_ADDR_BITS):
             raise ValueError(f"stream_addr out of range: {self.stream_addr}")
-        self.header_coded = np.asarray(self.header_coded, dtype=np.uint8)
+        self.header_coded = checked_bits(self.header_coded, "header_coded")
         if self.header_coded.shape != (HEADER_CODED_BITS,):
             raise ValueError(f"header_coded must be {HEADER_CODED_BITS} bits")
         if len(self.payload) > MTU_PAYLOAD:

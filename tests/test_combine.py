@@ -85,3 +85,13 @@ def test_block_combine_into_out_equals_a_fresh_total():
     assert np.shares_memory(got, out)
     assert out[:5].tobytes() == combine_streams(np.moveaxis(block, 1, 0)).tobytes()
     assert not np.signbit(out[:5, :2]).any() and np.isnan(out[5:]).all()
+
+
+def test_combine_streams_refuses_no_rows_and_rows_of_two_shapes():
+    for rows in ([], np.zeros((0, 4)), [np.ones(5), np.ones(1)], [np.ones((2, 3)), np.ones(3)]):
+        with pytest.raises(ValueError, match="at least one row of LLRs, every row of one shape"):
+            combine_streams(rows)
+    out = np.full(5, np.nan)
+    with pytest.raises(ValueError):  # refused before out is written
+        combine_streams([np.ones(5), np.ones(5), np.ones(1)], out=out)
+    assert np.isnan(out).all()

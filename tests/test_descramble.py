@@ -11,14 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from ssic.channel import scrambled_llrs, snr_db_to_sigma2
 from ssic.descramble import (
+    _COLLAPSE_Q,
     N_SEEDS,
     _pilot_codebook,
+    _zero_prob,
     hd,
     hd_rows,
     hrsx,
     hrsx_rows,
     mask_zero_by_phase,
+    mix_rows,
     naive_rows,
     naive_sd,
     seed_log_weights,
@@ -628,3 +632,49 @@ def test_out_kernels_write_a_short_last_block_in_place(kind):
         got = kernel(out[:b])
         assert np.shares_memory(got, out) and same_bytes(out[:b], want)
         assert (out[b:] == 7.0).all() and (scratch[:, b:] == 7.0).all()
+
+
+# ---------------------------------------------- a word mixed in two pieces
+def mix_path(q: np.ndarray) -> str:
+    """The branch mix_rows takes for q: flips only, or the exp/log mix or
+    its 2^-82 collapse, the last two with "+hard" when some phases are hard."""
+    soft = (q > 0.0) & (q < 1.0)
+    if not soft.any():
+        return "flips"
+    path = "mix" if ((q >= _COLLAPSE_Q) & (q < 1.0)).any() else "collapse"
+    return path if soft.all() else path + "+hard"
+
+
+SPLIT_HS = (1, 7, 8, 48, 127, 441, 489, 496, 4093)
+
+
+@pytest.mark.parametrize("L, snr_db, srsx_path", [(16, 0.0, "mix"), (16, 6.0, "mix+hard"),
+                                                   (16, 12.0, "collapse+hard"),
+                                                   (127, 12.0, "flips")])
+@pytest.mark.parametrize("q_of", ["srsx", "register"])
+def test_a_word_mixed_in_two_pieces_equals_the_word_mixed_whole(L, snr_db, srsx_path, q_of):
+    """mix_rows on payload[:, :h] from phase L, then on payload[:, h:] from
+    L + h, gives the bytes of one call on the whole block; and one row mixed
+    from L + 496, past a frame's overhead, gives that slice of the block."""
+    rng = np.random.default_rng(int(L + 10 * snr_db))
+    n, M = 3, 496 + 8 * 500
+    seeds = rng.integers(1, 128, n)
+    payload_bits = rng.integers(0, 2, (n, M), dtype=np.uint8)
+    llrs = scrambled_llrs(seeds, payload_bits, L, rng.standard_normal((n, L + M)),
+                          snr_db_to_sigma2(snr_db))
+    pilots, payload = llrs[:, :L], llrs[:, L:]
+    if q_of == "srsx":
+        q = mask_zero_by_phase(np.exp(seed_log_weights(pilots)))
+        assert mix_path(q) == srsx_path
+        assert same_bytes(mix_rows(q, payload, L), srsx_rows(seed_log_weights(pilots), payload, L))
+    else:
+        q = _zero_prob()[seeds]
+        assert mix_path(q) == "flips"
+    whole = mix_rows(q, payload, L)
+    for h in SPLIT_HS + (M - 1,):
+        pieces = np.concatenate([mix_rows(q, payload[:, :h], L),
+                                 mix_rows(q, payload[:, h:], L + h)], axis=1)
+        assert same_bytes(pieces, whole), h
+    for i in range(n):
+        row = mix_rows(q[i:i + 1], payload[i:i + 1, 496:], L + 496)
+        assert same_bytes(row, whole[i:i + 1, 496:]), i

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssic.channel import ChannelParams, soft_copy, transmit
+from ssic.descramble import hd, hd_rows
 from ssic.scrambler import (
     LFSR_LEN,
     PERIOD,
+    checked_bits,
     fill_by_phase,
     lfsr_run,
     mask_matrix,
@@ -21,6 +24,7 @@ from ssic.scrambler import (
     seed_from_int,
     seed_to_int,
 )
+from ssic.vcframe import VcFrame, encode_header
 
 from oracles import lfsr_step
 
@@ -238,3 +242,65 @@ def test_register_outputs_match_tracer_for_every_state():
     for start, n in ((0, 0), (5, 127), (130, 300)):
         want = traces[:, start:start + n].reshape(2, 64, n)
         assert np.array_equal(register_outputs(states, n, start), want)
+
+
+def test_checked_bits_passes_bits_of_any_dtype():
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    assert checked_bits(bits, "x") is bits  # uint8 bits are not copied
+    for same in (bits.astype(bool), bits.astype(np.float64), bits.astype(np.int64),
+                 bits.tolist(), np.zeros(0)):
+        got = checked_bits(same, "x")
+        assert got.dtype == np.uint8 and got.tolist() == list(same)
+    seed = seed_from_int(77)
+    assert np.array_equal(scramble(seed.astype(bool), bits.astype(np.float64)),
+                          scramble(seed, bits))
+
+
+def _with_entry(bits, v):
+    """bits in v's dtype with their last entry set to v."""
+    a = np.array(bits, dtype=np.result_type(v))
+    a[..., -1] = v
+    return a
+
+
+_SEED, _WORD = seed_from_int(5), np.zeros(20, dtype=np.uint8)
+_MISSED = ChannelParams(snr_db=5.0, detection_loss_prob=1.0)
+
+# every entry point that takes bits, with the name it refuses them under
+BIT_TAKERS = {
+    "scramble-seed": ("seed", lambda v, rng: scramble(_with_entry(_SEED, v), _WORD)),
+    "scramble-bits": ("bits", lambda v, rng: scramble(_SEED, _with_entry(_WORD, v))),
+    "lfsr_run-state": ("state", lambda v, rng: lfsr_run(_with_entry(_SEED, v), 5)),
+    "transmit-seed": ("seed", lambda v, rng: transmit(_with_entry(_SEED, v), _WORD, 16,
+                                                      _MISSED, rng)),
+    "transmit-payload": ("payload_bits", lambda v, rng: transmit(_SEED, _with_entry(_WORD, v),
+                                                                 16, _MISSED, rng)),
+    "soft_copy-seed": ("seed", lambda v, rng: soft_copy(_with_entry(_SEED, v), _WORD, 16, 5.0,
+                                                        rng)),
+    "soft_copy-payload": ("payload_bits", lambda v, rng: soft_copy(_SEED, _with_entry(_WORD, v),
+                                                                   16, 5.0, rng)),
+    "hd": ("word_hard", lambda v, rng: hd(_with_entry(_WORD, v))),
+    "hd_rows": ("word_hard", lambda v, rng: hd_rows(_with_entry(np.zeros((3, 20)), v))),
+    "VcFrame": ("header_coded", lambda v, rng: VcFrame(1, _with_entry(encode_header(1, 2), v),
+                                                       b"ab")),
+}
+
+
+@pytest.mark.parametrize("v", [np.uint8(2), -1, 0.5, 256], ids=["2", "-1", "0.5", "256"])
+@pytest.mark.parametrize("taker", BIT_TAKERS)
+def test_every_bit_taker_refuses_an_entry_not_0_or_1(taker, v):
+    name, call = BIT_TAKERS[taker]
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{name} must hold only 0s and 1s$"):
+        call(v, rng)
+    assert rng.bit_generator.state == before  # refused before any draw
+
+
+def test_lfsr_run_refuses_a_state_that_is_not_7_bits():
+    with pytest.raises(ValueError, match=r"state must have shape \(7,\), got \(3,\)"):
+        lfsr_run(np.ones(3, dtype=np.uint8), 4)
+    with pytest.raises(ValueError, match="state must hold only 0s and 1s"):
+        lfsr_run(np.full(7, 5), 4)
+    with pytest.raises(ValueError, match="state must be one-dimensional"):
+        lfsr_run(np.ones((1, 7), dtype=np.uint8), 4)

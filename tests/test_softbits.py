@@ -60,3 +60,13 @@ def test_softword_clamps_and_validates():
 def test_softword_payload_defaults_empty():
     w = SoftWord(pilots=np.zeros(7))
     assert w.M == 0
+
+
+def test_softword_refuses_nan():
+    llrs = np.array([3.0, -3.0, 5.0])
+    with pytest.raises(ValueError, match="pilots and payload must hold no NaN"):
+        SoftWord(np.full(16, np.nan), llrs)
+    with pytest.raises(ValueError, match="pilots and payload must hold no NaN"):
+        SoftWord(np.zeros(16), np.array([1.0, np.nan, -np.inf]))
+    w = SoftWord(np.full(16, np.inf), np.array([-np.inf, np.inf, 0.0]))  # infinities clamp
+    assert w.pilots.tolist() == [LLR_MAX] * 16 and w.payload.tolist() == [-LLR_MAX, LLR_MAX, 0.0]

@@ -472,6 +472,8 @@ def test_from_dict_contract():
         SweepSpec.from_dict({"snr_grid": [1.0]})
     with pytest.raises(ValueError, match="snr_grid"):
         SweepSpec.from_dict({"mode": "seed_ber"})
+    with pytest.raises(ValueError, match="^mode: required$"):  # the first field without a default
+        SweepSpec.from_dict({})
 
 
 def test_binomial_ci95():
