@@ -25,6 +25,8 @@ class StreamSoftCopy:
         self.llrs = np.asarray(self.llrs, dtype=np.float64)
         if self.llrs.ndim != 1:
             raise ValueError("llrs must be one-dimensional")
+        if np.isnan(self.llrs.max(initial=0.0)):  # max propagates NaN, as in SoftWord
+            raise ValueError("llrs must hold no NaN")
 
 
 def ssic_combine(copies: list[StreamSoftCopy]) -> np.ndarray:

@@ -34,21 +34,27 @@ write into caller-owned blocks (out=, and a (2, n, M) scratch for the
 mix), so a sweep reuses the same memory block after block; without them
 they allocate.
 
-The pilot codebook and q are both read off one table, _zero_prob(), which
-is the scrambler's period table as P(mask bit = 0).
+The pilot codebook and q are both read off one table, _ZERO_PROB, which
+is the scrambler's period table as P(mask bit = 0).  Both are read-only
+constants, built at import.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .scrambler import (LFSR_LEN, PERIOD, _period_table, checked_bits, fill_by_phase,
-                        register_outputs, register_states, seed_from_int)
+from .scrambler import (LFSR_LEN, PERIOD, _PERIOD_TABLE, _read_only, checked_bits,
+                        fill_by_phase, register_outputs, register_states, seed_from_int)
 from .softbits import LLR_MAX, SoftWord, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
+# (128, 127): 1 - the period table as floats, row v being P(mask bit = 0)
+# at each phase when the register state is known to be v
+_ZERO_PROB = _read_only(1.0 - _PERIOD_TABLE)
+# (127, 127) +-1 pilot patterns of all seeds: column i is 2q - 1 of
+# _ZERO_PROB's row i+1, row k its phase k.  C-contiguous, as is each row
+# slice [:L], the codebook of L pilots, so y @ S sums in one order
+_PILOT_CODEBOOK = _read_only(np.ascontiguousarray(2.0 * _ZERO_PROB[1:].T - 1.0))
 # the mix at a soft phase with q below this is 0 - log(e^y) exactly (mix_rows)
 _COLLAPSE_Q = 2.0 ** -82
 
@@ -69,20 +75,10 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
     if y.shape[1] > N_SEEDS:  # pad to whole periods, then sum them phase by phase
         y = np.pad(y, ((0, 0), (0, -y.shape[1] % N_SEEDS)))
         y = y.reshape(len(y), -1, N_SEEDS).sum(axis=1)
-    lw = 0.5 * (y @ _pilot_codebook(y.shape[1]))
+    lw = 0.5 * (y @ _PILOT_CODEBOOK[:y.shape[1]])
     lw -= lw.max(axis=1, keepdims=True)
     lw -= np.log(np.exp(lw).sum(axis=1, keepdims=True))
     return lw
-
-
-@functools.lru_cache(maxsize=32)
-def _pilot_codebook(L: int) -> np.ndarray:
-    """(L, 127) +-1 pilot patterns of all seeds, L <= 127: column i is 2q - 1
-    of the zero-probability table's row i+1 over phases 0..L-1.  C-contiguous,
-    so y @ S sums in the same order whatever built it."""
-    S = fill_by_phase(np.empty((N_SEEDS, L)), 2.0 * _zero_prob()[1:] - 1.0, 0).T.copy()
-    S.flags.writeable = False
-    return S
 
 
 def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
@@ -98,23 +94,14 @@ def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
 
 def z_sequence_table() -> np.ndarray:
     """(127, 127) read-only table: row i = one full output period of seed i+1."""
-    return _period_table()[1:]
-
-
-@functools.lru_cache(maxsize=1)
-def _zero_prob() -> np.ndarray:
-    """(128, 127) read-only table 1 - _period_table() as floats: row v is
-    P(mask bit = 0) at each phase when the register state is known to be v."""
-    t = 1.0 - _period_table()
-    t.flags.writeable = False
-    return t
+    return _PERIOD_TABLE[1:]
 
 
 def mask_zero_by_phase(weights: np.ndarray) -> np.ndarray:
     """P(scrambling bit = 0) at each of the 127 phases: (n, 127) seed
     weights -> (n, 127).  Entry j is the probability at register output j
     mod 127."""
-    return np.clip(weights @ _zero_prob()[1:], 0.0, 1.0)
+    return np.clip(weights @ _ZERO_PROB[1:], 0.0, 1.0)
 
 
 def hd_rows(word_hard: np.ndarray) -> np.ndarray:
@@ -203,7 +190,7 @@ def naive_rows(pilots: np.ndarray, payload: np.ndarray,
     out= does.
     """
     states = register_states(hard_decide(pilots[:, -LFSR_LEN:]))
-    return mix_rows(_zero_prob()[states], payload, 0, out)
+    return mix_rows(_ZERO_PROB[states], payload, 0, out)
 
 
 def hrsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
@@ -215,7 +202,7 @@ def hrsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
     smallest seed).  The MAP seed's delta posterior fixes q from phase L.
     """
     idx = np.argmax(log_weights, axis=1)
-    return mix_rows(_zero_prob()[idx + 1], payload, L, out), idx
+    return mix_rows(_ZERO_PROB[idx + 1], payload, L, out), idx
 
 
 def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,

@@ -79,8 +79,8 @@ def vcs_delta(a: int, b: int) -> int:
 class Dispatcher:
     """Owns the serial counter; wraps mod 2^16.
 
-    send encodes each packet's header once; the packet's frames share it and
-    the payload and differ only in stream_addr.
+    send encapsulates each packet once per stream: the K frames carry the
+    same header and payload and differ only in stream_addr.
     """
 
     def __init__(self, vci: int, stream_addrs: Sequence[int], first_vcs: int = 0):
@@ -93,11 +93,9 @@ class Dispatcher:
     def send(self, packet: bytes) -> tuple[FrameKey, list[tuple[int, VcFrame]]]:
         """The packet's key and one (stream index, frame) per stream."""
         key = FrameKey(self.vci, self.next_vcs)
-        frame = encapsulate(packet, self.vci, self.next_vcs, self.stream_addrs[0])
-        frame.header_coded.flags.writeable = False
+        frames = [(k, encapsulate(packet, *key, addr)) for k, addr in enumerate(self.stream_addrs)]
         self.next_vcs = (self.next_vcs + 1) % VCS_MOD
-        return key, [(k, VcFrame(addr, frame.header_coded, frame.payload))
-                     for k, addr in enumerate(self.stream_addrs)]
+        return key, frames
 
 
 @dataclass

@@ -6,14 +6,15 @@ back into r6.  Seeded with any nonzero state it walks the full 127-state
 cycle, so the output is an m-sequence of period 127.
 
 One table holds what every register state outputs: row v of the period
-table is one output period of state v, the 7-bit linear recurrence
-z[k] = z[k-7] XOR z[k-4] run from all 128 states at once (_recurrence,
-which with other taps builds vcframe's header codewords too).  Every other
-table derives from it.  Output n of a state is phase n mod 127 of its row
-(fill_by_phase), and the register is linear, so every scrambling bit is a
-fixed GF(2) combination of the seed bits: mask_matrix(L) gives those
-combinations for an L-bit all-zero pilot prefix, its column j being the
-outputs of unit state 1 << j.
+table, _PERIOD_TABLE, is one output period of state v, the 7-bit linear
+recurrence z[k] = z[k-7] XOR z[k-4] run from all 128 states at once
+(_recurrence, which with other taps builds vcframe's header codewords
+too).  Every other table derives from it.  Output n of a state is phase
+n mod 127 of its row (fill_by_phase), and the register is linear, so
+every scrambling bit is a fixed GF(2) combination of the seed bits:
+mask_matrix(L) gives those combinations for an L-bit all-zero pilot
+prefix, its column j being the outputs of unit state 1 << j.  The fixed
+tables are read-only module constants, built at import (_read_only).
 """
 
 from __future__ import annotations
@@ -25,22 +26,24 @@ import numpy as np
 LFSR_LEN = 7
 PERIOD = 127  # 2**7 - 1
 
-_BIT_WEIGHTS = 1 << np.arange(LFSR_LEN)
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: every fixed table is shared by all its callers."""
+    a.flags.writeable = False
+    return a
 
 
-@functools.lru_cache(maxsize=1)
-def _state_bits() -> np.ndarray:
-    """(128, 7): row v is register state v as bits, r0 = LSB."""
-    m = ((np.arange(1 << LFSR_LEN)[:, None] >> np.arange(LFSR_LEN)) & 1).astype(np.uint8)
-    m.flags.writeable = False
-    return m
+_BIT_WEIGHTS = _read_only(1 << np.arange(LFSR_LEN))
+# (128, 7): row v is register state v as bits, r0 = LSB
+_STATE_BITS = _read_only(
+    ((np.arange(1 << LFSR_LEN)[:, None] >> np.arange(LFSR_LEN)) & 1).astype(np.uint8))
 
 
 def seed_from_int(v: int) -> np.ndarray:
     """7-bit register state from an integer, r0 = LSB."""
     if not 0 <= v <= 127:
         raise ValueError(f"seed integer out of range: {v}")
-    return _state_bits()[v].copy()
+    return _STATE_BITS[v].copy()
 
 
 def register_states(bits) -> np.ndarray:
@@ -63,18 +66,12 @@ def _recurrence(init, taps: tuple[int, ...], n: int) -> np.ndarray:
     return e
 
 
-@functools.lru_cache(maxsize=1)
-def _period_table() -> np.ndarray:
-    """(128, 127): row v is the first 127 output bits from register state v.
-
-    r0 = LSB; the zero state is a fixed point and its row is all zeros.
-    Run from r0..r6, the recurrence with taps (7, 4) holds the register
-    before output k in bits k..k+6, so bit k + 7 is output k = r0 XOR r3.
-    """
-    e = _recurrence(_state_bits(), (7, 4), LFSR_LEN + PERIOD)
-    t = np.ascontiguousarray(e[:, LFSR_LEN:])
-    t.flags.writeable = False
-    return t
+# (128, 127): row v is the first 127 output bits from register state v.
+# r0 = LSB; the zero state is a fixed point and its row is all zeros.  Run
+# from r0..r6, the recurrence with taps (7, 4) holds the register before
+# output k in bits k..k+6, so bit k + 7 is output k = r0 XOR r3.
+_PERIOD_TABLE = _read_only(np.ascontiguousarray(
+    _recurrence(_STATE_BITS, (7, 4), LFSR_LEN + PERIOD)[:, LFSR_LEN:]))
 
 
 def fill_by_phase(out: np.ndarray, table: np.ndarray, start: int) -> np.ndarray:
@@ -101,7 +98,7 @@ def register_outputs(states, n: int, start: int = 0) -> np.ndarray:
     states holds register states as integers 0..127 (r0 = LSB), in any
     shape; the result has shape states.shape + (n,).
     """
-    rows = _period_table()[np.asarray(states)]
+    rows = _PERIOD_TABLE[np.asarray(states)]
     return fill_by_phase(np.empty(rows.shape[:-1] + (n,), dtype=np.uint8), rows, start)
 
 
@@ -157,6 +154,4 @@ def mask_matrix(L: int) -> np.ndarray:
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
     # column j: the outputs of unit state 1 << j, by linearity
-    a = register_outputs(_BIT_WEIGHTS, L).T
-    a.flags.writeable = False
-    return a
+    return _read_only(register_outputs(_BIT_WEIGHTS, L).T)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import _recurrence, checked_bits
+from .scrambler import _read_only, _recurrence, checked_bits
 from .softbits import bit_signs
 
 BCH_N = 63
@@ -54,14 +54,12 @@ def _codeword_table() -> np.ndarray:
     so the info bits, sent first, fix the rest of the word.
     """
     info = (np.arange(1 << BCH_K)[:, None] >> np.arange(BCH_K - 1, -1, -1)) & 1
-    t = _recurrence(info, (7, 6, 2), BCH_N)
-    t.flags.writeable = False
-    return t
+    return _read_only(_recurrence(info, (7, 6, 2), BCH_N))
 
 
 CODEWORDS = _codeword_table()  # row v = codeword for info value v, MSB-first
 _INFO_OF_CODEWORD = {row.tobytes(): v for v, row in enumerate(CODEWORDS)}  # uint8 bytes -> v
-_SIGNS = bit_signs(CODEWORDS)  # bit 0 -> +1, bit 1 -> -1
+_SIGNS = _read_only(bit_signs(CODEWORDS))  # bit 0 -> +1, bit 1 -> -1
 
 
 def _decode_blocks(y: np.ndarray) -> np.ndarray:
@@ -188,16 +186,14 @@ def encapsulate(packet: bytes, vci: int, vcs: int, stream_addr: int) -> VcFrame:
     return VcFrame(stream_addr, encode_header(vci, vcs), bytes(packet))
 
 
-_PAD = np.zeros(FRAME_PAD_BITS, dtype=np.uint8)
+_PAD = _read_only(np.zeros(FRAME_PAD_BITS, dtype=np.uint8))
 
 
 @functools.lru_cache(maxsize=64)
 def _addr_bits(stream_addr: int) -> np.ndarray:
     """The 48 address bits, MSB first, as a read-only array."""
-    bits = np.unpackbits(np.frombuffer(stream_addr.to_bytes(STREAM_ADDR_BITS // 8, "big"),
-                                       dtype=np.uint8))
-    bits.flags.writeable = False
-    return bits
+    return _read_only(np.unpackbits(
+        np.frombuffer(stream_addr.to_bytes(STREAM_ADDR_BITS // 8, "big"), dtype=np.uint8)))
 
 
 def frame_to_bits(frame: VcFrame) -> np.ndarray:
@@ -234,7 +230,7 @@ def payload_from_bits(bits: np.ndarray) -> bytes:
 
 
 def frame_from_bits(bits: np.ndarray) -> VcFrame:
-    b = np.asarray(bits, dtype=np.uint8)
+    b = checked_bits(bits, "bits")
     parts = split_frame(b)
     if parts is None:
         raise ValueError("malformed frame bits")

@@ -51,6 +51,13 @@ def test_validation_errors():
         StreamSoftCopy(0, np.zeros((2, 2)))
 
 
+def test_stream_soft_copy_refuses_nan():
+    with pytest.raises(ValueError, match="llrs must hold no NaN"):
+        ssic_combine([StreamSoftCopy(0, [np.nan, 1.0]), StreamSoftCopy(1, [5.0, 1.0])])
+    # infinities are summed and clamped as before
+    assert ssic_combine([StreamSoftCopy(0, [np.inf, 1.0])]).tolist() == [LLR_MAX, 1.0]
+
+
 def test_majority_wins_with_equal_magnitudes():
     # two clean copies outvote one flipped copy
     good = np.array([8.0, -8.0, 8.0])

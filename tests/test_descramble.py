@@ -14,9 +14,9 @@ from scipy.special import expit
 from ssic.channel import scrambled_llrs, snr_db_to_sigma2
 from ssic.descramble import (
     _COLLAPSE_Q,
+    _PILOT_CODEBOOK,
+    _ZERO_PROB,
     N_SEEDS,
-    _pilot_codebook,
-    _zero_prob,
     hd,
     hd_rows,
     hrsx,
@@ -107,7 +107,7 @@ def test_posterior_validates_shapes():
 
 @pytest.mark.parametrize("L", [7, 16, 127])
 def test_pilot_codebook_equals_mask_matrix_construction(L):
-    S = _pilot_codebook(L)
+    S = _PILOT_CODEBOOK[:L]
     seeds = np.array([seed_from_int(v) for v in range(1, 128)])
     ref = 1.0 - 2.0 * ((mask_matrix(L) @ seeds.T) % 2)
     assert S.dtype == ref.dtype and same_bytes(S, ref)
@@ -668,7 +668,7 @@ def test_a_word_mixed_in_two_pieces_equals_the_word_mixed_whole(L, snr_db, srsx_
         assert mix_path(q) == srsx_path
         assert same_bytes(mix_rows(q, payload, L), srsx_rows(seed_log_weights(pilots), payload, L))
     else:
-        q = _zero_prob()[seeds]
+        q = _ZERO_PROB[seeds]
         assert mix_path(q) == "flips"
     whole = mix_rows(q, payload, L)
     for h in SPLIT_HS + (M - 1,):

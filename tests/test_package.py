@@ -8,7 +8,10 @@ name fails this suite instead of only the benchmark.
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
+
+import numpy as np
 
 import ssic
 
@@ -72,3 +75,14 @@ def test_package_exports_exactly_the_pinned_names():
     star: dict = {}
     exec("from ssic import *", star)
     assert set(star) - {"__builtins__"} == set(PINNED_ALL)
+
+
+def test_every_module_level_array_is_read_only():
+    # a fixed table is shared by every caller, so one write would corrupt them all
+    modules = [ssic] + [importlib.import_module(f"ssic.{m.name}")
+                        for m in pkgutil.iter_modules(ssic.__path__)]
+    arrays = {f"{m.__name__}.{name}": value for m in modules
+              for name, value in vars(m).items() if isinstance(value, np.ndarray)}
+    assert "ssic.descramble._PILOT_CODEBOOK" in arrays  # the walk found the tables
+    writeable = [name for name, a in arrays.items() if a.flags.writeable]
+    assert not writeable, f"module-level arrays that can be written: {writeable}"

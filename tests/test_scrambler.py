@@ -24,7 +24,7 @@ from ssic.scrambler import (
     seed_from_int,
     seed_to_int,
 )
-from ssic.vcframe import VcFrame, encode_header
+from ssic.vcframe import VcFrame, encapsulate, encode_header, frame_from_bits, frame_to_bits
 
 from oracles import lfsr_step
 
@@ -283,6 +283,8 @@ BIT_TAKERS = {
     "hd_rows": ("word_hard", lambda v, rng: hd_rows(_with_entry(np.zeros((3, 20)), v))),
     "VcFrame": ("header_coded", lambda v, rng: VcFrame(1, _with_entry(encode_header(1, 2), v),
                                                        b"ab")),
+    "frame_from_bits": ("bits", lambda v, rng: frame_from_bits(
+        _with_entry(frame_to_bits(encapsulate(b"ab", 1, 2, 3)), v))),
 }
 
 

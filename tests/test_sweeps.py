@@ -774,10 +774,12 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 def test_import_does_not_load_scipy():
-    code = "import sys, ssic; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
+    # the tables built at import may warn of nothing and start no thread
+    code = ("import sys, threading, ssic, ssic.cli; "
+            "print('scipy' in sys.modules, threading.active_count())")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False 1"
 
 
 def test_load_spec_file_requires_object(tmp_path):
