@@ -29,10 +29,13 @@ with q by the boxplus rule, which is the exact sign flip where q is 0 or
 
 The mask has period 127, so q is an (n, 127) table, copied into (n, M)
 blocks a period at a time (scrambler.fill_by_phase).  mix_rows tests q for
-softness on those 127 phases, not on every payload position.  The kernels
-write into caller-owned blocks (out=, and a (2, n, M) scratch for the
-mix), so a sweep reuses the same memory block after block; without them
-they allocate.
+softness on those 127 phases, not on every payload position.
+
+Who owns the memory: the per-word entry points (naive_sd, hrsx, srsx) take
+a SoftWord and return a new array.  Only the block kernels (mix_rows and
+the *_rows receivers) take out=, an (n, M) block to write the result into,
+and srsx_rows a (2, n, M) scratch= for the mix, so a sweep reuses the same
+memory block after block; without them they allocate.
 
 The pilot codebook and q are both read off one table, _ZERO_PROB, which
 is the scrambler's period table as P(mask bit = 0).  Both are read-only
@@ -45,7 +48,7 @@ import numpy as np
 
 from .scrambler import (LFSR_LEN, PERIOD, _PERIOD_TABLE, _read_only, checked_bits,
                         fill_by_phase, register_outputs, register_states, seed_from_int)
-from .softbits import LLR_MAX, SoftWord, hard_decide
+from .softbits import LLR_MAX, SoftWord, clamp_llrs, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
 # (128, 127): 1 - the period table as floats, row v being P(mask bit = 0)
@@ -84,11 +87,15 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
 def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
     """Normalized seed log-posteriors of one word: (L,) pilot LLRs -> (127,).
 
-    Entry i is seed integer i+1 (r0 = LSB).
+    Entry i is seed integer i+1 (r0 = LSB).  The pilots are clamped to
+    +-LLR_MAX, as SoftWord's are, so an infinite pilot cannot make the
+    posterior NaN; NaN is refused.
     """
-    y = np.asarray(pilot_llrs, dtype=np.float64)
+    y = clamp_llrs(np.asarray(pilot_llrs, dtype=np.float64))
     if y.ndim != 1:
         raise ValueError("pilot LLRs must be one-dimensional")
+    if np.isnan(y.max(initial=0.0)):  # max propagates NaN
+        raise ValueError("pilot LLRs must hold no NaN")
     return seed_log_weights(y[None])[0]
 
 
@@ -214,41 +221,29 @@ def srsx_rows(log_weights: np.ndarray, payload: np.ndarray, L: int,
     return mix_rows(mask_zero_by_phase(np.exp(log_weights)), payload, L, out, scratch)
 
 
-def _row(block: np.ndarray | None) -> np.ndarray | None:
-    """A one-word array as a block of one row (None stays None)."""
-    return None if block is None else block[None]
-
-
-def naive_sd(word: SoftWord, out: np.ndarray | None = None) -> np.ndarray:
+def naive_sd(word: SoftWord) -> np.ndarray:
     """Soft descrambling from hard pilot decisions alone.
 
     Register preload comes from the last 7 pilot LLR signs; payload LLRs are
     sign-flipped by the implied mask.  Magnitudes are untouched, so one wrong
-    pilot decision silently inverts about half the payload.  The result is
-    written into out, an (M,) float array, when it is given.
+    pilot decision silently inverts about half the payload.
     """
-    return naive_rows(word.pilots[None], word.payload[None], _row(out))[0]
+    return naive_rows(word.pilots[None], word.payload[None])[0]
 
 
-def hrsx(word: SoftWord, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def hrsx(word: SoftWord) -> tuple[np.ndarray, np.ndarray]:
     """Hard re-scrambling: MAP seed from the pilot posterior, then sign flips.
 
-    Returns (descrambled payload LLRs, estimated seed bits); the LLRs are
-    written into out, an (M,) float array, when it is given.
+    Returns (descrambled payload LLRs, estimated seed bits).
     """
-    llrs, idx = hrsx_rows(seed_log_weights(word.pilots[None]), word.payload[None], word.L,
-                          _row(out))
+    llrs, idx = hrsx_rows(seed_log_weights(word.pilots[None]), word.payload[None], word.L)
     return llrs[0], seed_from_int(int(idx[0]) + 1)
 
 
-def srsx(word: SoftWord, out: np.ndarray | None = None,
-         scratch: np.ndarray | None = None) -> np.ndarray:
+def srsx(word: SoftWord) -> np.ndarray:
     """Soft re-scrambling: mix each payload LLR with the mask-bit posterior.
 
     A certain posterior gives hrsx's sign flips exactly; an uninformative
-    one drives the output toward 0.  out, an (M,) float array, receives the
-    result and scratch, a (2, M) one, holds the mix (see srsx_rows); either
-    is allocated when not given.
+    one drives the output toward 0.
     """
-    return srsx_rows(seed_log_weights(word.pilots[None]), word.payload[None], word.L,
-                     _row(out), None if scratch is None else scratch[:, None])[0]
+    return srsx_rows(seed_log_weights(word.pilots[None]), word.payload[None], word.L)[0]

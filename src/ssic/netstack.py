@@ -138,20 +138,14 @@ class Aggregator:
         self.pending: OrderedDict[FrameKey, dict[int, np.ndarray]] = OrderedDict()
         self.newest: dict[int, int] = {}  # newest delivered serial per VCI
         self.stats = AggregatorStats()
-        # row 0: a soft copy's descrambled word; rows 1-2: srsx's scratch,
-        # and then row 1 the sum of a packet's copies.  Reused by every push.
-        self._work = np.empty((3, 0))
 
     def _descramble(self, word: SoftWord) -> np.ndarray:
-        """The descrambled word, written into a work row: valid until the next push."""
-        if self._work.shape[1] != word.M:
-            self._work = np.empty((3, word.M))
-        out = self._work[0]
+        """The word's descrambled LLRs, a new array."""
         if self.config.variant == "srsx":
-            return srsx(word, out=out, scratch=self._work[1:3])
+            return srsx(word)
         if self.config.variant == "hrsx":
-            return hrsx(word, out=out)[0]
-        return naive_sd(word, out=out)
+            return hrsx(word)[0]
+        return naive_sd(word)
 
     def _stale(self, key: FrameKey) -> bool:
         """True when key is window_size or more serials behind its VCI's newest delivery."""
@@ -230,7 +224,7 @@ class Aggregator:
         others = [l for sid, l in self.pending.get(key, {}).items()
                   if l.size == payload_llrs.size and sid != obs.stream_id]
         if others:
-            total = combine_streams([*others, payload_llrs], self._work[1, :payload_llrs.size])
+            total = combine_streams([*others, payload_llrs])
             packet = np.packbits(decide(total)).tobytes()
             if self.payload_check(key, packet):
                 return self._deliver(key, packet, combined=True)
@@ -247,7 +241,7 @@ class Aggregator:
             self.pending[key] = {}
             if len(self.pending) > self.config.window_size:
                 self._evict(next(iter(self.pending)))
-        self.pending[key][stream_id] = payload_llrs.copy()
+        self.pending[key][stream_id] = payload_llrs
         self.stats.soft_stored += 1
 
 

@@ -252,7 +252,7 @@ def _point_rng(spec: SweepSpec, grid_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([spec.rng_seed, grid_idx]))
 
 
-def _sweep_row(spec: SweepSpec, snr_db: float, variant: str, n: int, errors: int) -> list:
+def _csv_fields(spec: SweepSpec, snr_db: float, variant: str, n: int, errors: int) -> list:
     rate = errors / n if n else 0.0
     return [spec.mode, snr_db, spec.L, spec.n_streams, variant, spec.trials, n,
             errors, rate, binomial_ci95(errors, n)]
@@ -394,7 +394,7 @@ def run_sweep(spec: SweepSpec) -> list[list]:
             bit_err, pkt_err = _run_payload_point(spec, snr_db, rng)
             n, errors = ((spec.trials * M, bit_err) if spec.mode == "payload_ber"
                          else (spec.trials, pkt_err))
-        rows += (_sweep_row(spec, snr_db, v, n, errors[v]) for v in spec.variants)
+        rows += (_csv_fields(spec, snr_db, v, n, errors[v]) for v in spec.variants)
     return rows
 
 

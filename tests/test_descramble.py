@@ -678,3 +678,33 @@ def test_a_word_mixed_in_two_pieces_equals_the_word_mixed_whole(L, snr_db, srsx_
     for i in range(n):
         row = mix_rows(q[i:i + 1], payload[i:i + 1, 496:], L + 496)
         assert same_bytes(row, whole[i:i + 1, 496:]), i
+
+
+# ------------------------------------------------- non-finite pilot LLRs
+import warnings  # noqa: E402
+
+
+@pytest.mark.parametrize("L", [16, 200])
+def test_seed_posterior_clamps_infinite_pilots(L):
+    """An infinite pilot counts as LLR_MAX of its sign: the posterior stays
+    finite, with no warning, and equals the one of the clamped pilots."""
+    rng = np.random.default_rng(48)
+    for v in (3, 90):
+        pilots = flip_by_mask(np.full(L, 3.0), pilot_bits(v, L)) + rng.normal(0, 1, L)
+        pos = rng.choice(L, size=3, replace=False)
+        inf = pilots.copy()
+        inf[pos] = np.copysign(np.inf, pilots[pos])  # each of its pilot's sign
+        clamped = np.clip(inf, -LLR_MAX, LLR_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lw = seed_posterior(inf)
+        assert np.isfinite(lw).all() and same_bytes(lw, seed_posterior(clamped))
+        assert np.argmax(lw) + 1 == v
+
+
+@pytest.mark.parametrize("pos", [0, 8, 15])
+def test_seed_posterior_refuses_nan(pos):
+    pilots = flip_by_mask(np.full(16, 3.0), pilot_bits(9, 16))
+    pilots[pos] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        seed_posterior(pilots)

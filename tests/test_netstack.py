@@ -170,6 +170,28 @@ def test_combine_failure_keeps_key_pending():
     assert K1 not in agg.pending and agg.stats.delivered_hard == 1
 
 
+@pytest.mark.parametrize("variant", ["naive", "hrsx", "srsx"])
+def test_stored_soft_copies_are_not_aliased(variant):
+    """A stored copy keeps its own LLRs: later pushes of other keys' soft
+    copies of the same length, each stored after a failed combine, never
+    write into it, and no two stored copies share memory."""
+    descramble = {"naive": naive_sd, "hrsx": lambda w: hrsx(w)[0], "srsx": srsx}[variant]
+    obs = soft_obs(K1, P1, 0, corrupt=[1])
+    want = descramble(obs.soft)[496:].tobytes()
+    agg = make_agg({}, variant)  # no payload verifies, so every combine fails
+    assert agg.push(obs) is None
+    assert agg.pending[K1][0].tobytes() == want
+    for vcs in range(20, 26):
+        for sid in (0, 1):
+            later = soft_obs(FrameKey(1, vcs), P1, sid, corrupt=[vcs + sid], seed_int=vcs)
+            assert agg.push(later) is None
+    assert agg.stats.combine_failures == 6 and agg.stats.soft_stored == 13
+    assert agg.pending[K1][0].tobytes() == want
+    stored = [llrs for copies in agg.pending.values() for llrs in copies.values()]
+    assert len(stored) == 13
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(stored) for b in stored[i + 1:])
+
+
 def test_same_stream_copy_never_self_combines():
     agg = make_agg({K1: P1})
     assert agg.push(soft_obs(K1, P1, 0)) is None

@@ -408,3 +408,24 @@ def test_frame_header_none_on_bit_rot():
     rng = np.random.default_rng(4)
     bits[48 + rng.choice(441, size=220, replace=False)] ^= 1  # beyond correction
     assert header_of(frame_from_bits(bits)) is None
+
+
+# ------------------------------------------------- out-of-range header LLRs
+@pytest.mark.parametrize("scale", [np.inf, -1000.0])
+def test_header_soft_decode_clamps_out_of_range_llrs(scale):
+    """An LLR past +-LLR_MAX weighs as LLR_MAX: one +inf of the right sign no
+    longer ties every codeword that agrees with it, and one wrong-sign LLR of
+    magnitude 1000 no longer outvotes the other 62 of its block."""
+    rng = np.random.default_rng(45)
+    for vci, vcs in header_pairs(20, seed=46):
+        llrs = 3.0 * (1.0 - 2.0 * encode_header(vci, vcs).astype(np.float64))
+        llrs[int(rng.integers(0, HEADER_CODED_BITS))] *= scale
+        assert decode_header_soft(llrs) == VcHeader.make(vci, vcs)
+
+
+@pytest.mark.parametrize("pos", [0, 62, 63, HEADER_CODED_BITS - 1])
+def test_header_soft_decode_refuses_nan(pos):
+    llrs = 3.0 * (1.0 - 2.0 * encode_header(7, 7).astype(np.float64))
+    llrs[pos] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        decode_header_soft(llrs)
