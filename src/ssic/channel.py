@@ -152,10 +152,11 @@ def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
     The one-word case of scrambled_llrs, drawing its own noise: no
     detection loss, no bursts, no CRC short-circuit.
     """
+    if L < LFSR_LEN:  # refused before the draw, as transmit does
+        raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
     s, payload = _checked_seed(seed), checked_bits(payload_bits, "payload_bits")
-    sigma2 = snr_db_to_sigma2(snr_db)
     z = rng.standard_normal(L + payload.size)
-    llrs = scrambled_llrs(seed_to_int(s), payload, L, z, sigma2)
+    llrs = scrambled_llrs(seed_to_int(s), payload, L, z, snr_db_to_sigma2(snr_db))
     return SoftWord(pilots=llrs[:L], payload=llrs[L:])
 
 

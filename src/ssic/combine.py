@@ -25,7 +25,8 @@ class StreamSoftCopy:
         self.llrs = np.asarray(self.llrs, dtype=np.float64)
         if self.llrs.ndim != 1:
             raise ValueError("llrs must be one-dimensional")
-        if np.isnan(self.llrs.max(initial=0.0)):  # max propagates NaN, as in SoftWord
+        # not checked_llrs: ssic_combine clamps the sum of the copies, not each one
+        if np.isnan(self.llrs.max(initial=0.0)):  # max propagates NaN
             raise ValueError("llrs must hold no NaN")
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .scrambler import (LFSR_LEN, PERIOD, _PERIOD_TABLE, _read_only, checked_bits,
                         fill_by_phase, register_outputs, register_states, seed_from_int)
-from .softbits import LLR_MAX, SoftWord, clamp_llrs, hard_decide
+from .softbits import LLR_MAX, SoftWord, checked_llrs, hard_decide
 
 N_SEEDS = PERIOD  # 127 nonzero register states
 # (128, 127): 1 - the period table as floats, row v being P(mask bit = 0)
@@ -72,8 +72,8 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
     The patterns repeat every 127 phases, so where L > 127 the pilots of
     each phase are summed first and S is (127, 127), whatever L is.
     """
-    y = np.asarray(pilots, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] < LFSR_LEN:
+    y = checked_llrs(pilots, "pilots", ndim=2)
+    if y.shape[1] < LFSR_LEN:
         raise ValueError(f"need (n, L) pilot LLRs with L >= {LFSR_LEN}, got {y.shape}")
     if y.shape[1] > N_SEEDS:  # pad to whole periods, then sum them phase by phase
         y = np.pad(y, ((0, 0), (0, -y.shape[1] % N_SEEDS)))
@@ -87,16 +87,11 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
 def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
     """Normalized seed log-posteriors of one word: (L,) pilot LLRs -> (127,).
 
-    Entry i is seed integer i+1 (r0 = LSB).  The pilots are clamped to
-    +-LLR_MAX, as SoftWord's are, so an infinite pilot cannot make the
-    posterior NaN; NaN is refused.
+    Entry i is seed integer i+1 (r0 = LSB).  The pilots are checked as
+    SoftWord's are (checked_llrs), so an infinite pilot cannot make the
+    posterior NaN.
     """
-    y = clamp_llrs(np.asarray(pilot_llrs, dtype=np.float64))
-    if y.ndim != 1:
-        raise ValueError("pilot LLRs must be one-dimensional")
-    if np.isnan(y.max(initial=0.0)):  # max propagates NaN
-        raise ValueError("pilot LLRs must hold no NaN")
-    return seed_log_weights(y[None])[0]
+    return seed_log_weights(checked_llrs(pilot_llrs, "pilot_llrs")[None])[0]
 
 
 def z_sequence_table() -> np.ndarray:

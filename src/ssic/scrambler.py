@@ -40,9 +40,9 @@ _STATE_BITS = _read_only(
 
 
 def seed_from_int(v: int) -> np.ndarray:
-    """7-bit register state from an integer, r0 = LSB."""
-    if not 0 <= v <= 127:
-        raise ValueError(f"seed integer out of range: {v}")
+    """7-bit register state from an integer 0..127 (a bool is refused), r0 = LSB."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v <= 127:
+        raise ValueError(f"seed must be an integer 0..127, got {v!r}")
     return _STATE_BITS[v].copy()
 
 

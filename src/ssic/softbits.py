@@ -3,6 +3,8 @@
 An LLR l for a bit b is log(P(b=0)/P(b=1)); positive means "probably 0".
 All stored LLRs are clamped to +-LLR_MAX, which bounds per-bit confidence
 at about 1 - 2e-9 and keeps products of likelihoods away from under/overflow.
+checked_llrs is the one input rule of every LLR taker: clamp, and refuse
+NaN by name (combine.StreamSoftCopy refuses NaN but leaves the clamp to its sum).
 """
 
 from __future__ import annotations
@@ -16,8 +18,16 @@ from .scrambler import LFSR_LEN
 LLR_MAX = 20.0
 
 
-def clamp_llrs(llrs: np.ndarray) -> np.ndarray:
-    return np.clip(llrs, -LLR_MAX, LLR_MAX)
+def checked_llrs(x, name: str, ndim: int = 1) -> np.ndarray:
+    """x as a new float64 array clamped to +-LLR_MAX (infinities included);
+    raises a ValueError naming it unless x has ndim (1 or 2) dimensions and
+    holds no NaN, which clip and max both propagate: one max finds it."""
+    y = np.clip(np.asarray(x, dtype=np.float64), -LLR_MAX, LLR_MAX)
+    if y.ndim != ndim:
+        raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
+    if np.isnan(y.max(initial=0.0)):
+        raise ValueError(f"{name} must hold no NaN")
+    return y
 
 
 def bit_signs(bits) -> np.ndarray:
@@ -34,7 +44,7 @@ def hard_decide(llrs) -> np.ndarray:
 class SoftWord:
     """One received word: pilot LLRs followed by payload LLRs.
 
-    Both blocks are clamped on construction and may hold no NaN.  The pilot
+    Both blocks are checked on construction (checked_llrs).  The pilot
     block needs at least 7 entries: the register cannot be pinned from fewer.
     """
 
@@ -42,16 +52,10 @@ class SoftWord:
     payload: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        self.pilots = clamp_llrs(np.asarray(self.pilots, dtype=np.float64))
-        self.payload = clamp_llrs(np.asarray(self.payload, dtype=np.float64))
-        if self.pilots.ndim != 1 or self.payload.ndim != 1:
-            raise ValueError("pilots and payload must be one-dimensional")
-        # max propagates NaN, and costs less than isnan(x).any()
-        if np.isnan(self.pilots.max(initial=0.0) + self.payload.max(initial=0.0)):
-            raise ValueError("pilots and payload must hold no NaN")
+        self.pilots = checked_llrs(self.pilots, "pilots")
+        self.payload = checked_llrs(self.payload, "payload")
         if self.pilots.size < LFSR_LEN:
-            raise ValueError(
-                f"need at least {LFSR_LEN} pilot values, got {self.pilots.size}")
+            raise ValueError(f"need at least {LFSR_LEN} pilot values, got {self.pilots.size}")
 
     @property
     def L(self) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scrambler import _read_only, _recurrence, checked_bits
-from .softbits import bit_signs, clamp_llrs
+from .softbits import bit_signs, checked_llrs
 
 BCH_N = 63
 BCH_K = 7
@@ -140,14 +140,12 @@ def _header_from_infos(infos) -> VcHeader | None:
 def decode_header_soft(llrs: np.ndarray) -> VcHeader | None:
     """441 header LLRs -> header, or None when the recovered CRC mismatches.
 
-    The LLRs are clamped to +-LLR_MAX, as SoftWord's are, so one infinite
-    LLR cannot outvote a block; NaN is refused.
+    The LLRs are checked as SoftWord's are (checked_llrs), so one infinite
+    LLR cannot outvote a block.
     """
-    y = clamp_llrs(np.asarray(llrs, dtype=np.float64))
+    y = checked_llrs(llrs, "llrs")
     if y.shape != (HEADER_CODED_BITS,):
         raise ValueError(f"need {HEADER_CODED_BITS} LLRs")
-    if np.isnan(y.max()):  # max propagates NaN
-        raise ValueError("header LLRs must hold no NaN")
     return _header_from_infos(_decode_blocks(y.reshape(BCH_K, BCH_N)).tolist())
 
 

@@ -366,6 +366,15 @@ def test_transmit_rejects_short_pilot_blocks(L):
                  ChannelParams(snr_db=-5.0), rng)
 
 
+@pytest.mark.parametrize("L", [0, 3, 6])
+def test_soft_copy_rejects_short_pilot_blocks_before_the_draw(L):
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="L must be at least 7"):
+        soft_copy(seed_from_int(5), np.zeros(4, dtype=np.uint8), L, 4.0, rng)
+    assert rng.bit_generator.state == before  # refused before any draw
+
+
 @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3077.0, 3078.0, 3079.0, 3080.0,
                                     -3090.0, float("nan")])
 def test_channel_params_reject_snr_without_a_double_noise_variance(snr_db):

@@ -5,13 +5,15 @@ tracer, kept independent from the vectorized implementation so the two
 can cross-check each other.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssic.channel import ChannelParams, soft_copy, transmit
-from ssic.descramble import hd, hd_rows
+from ssic.descramble import hd, hd_rows, seed_log_weights, seed_posterior
 from ssic.scrambler import (
     LFSR_LEN,
     PERIOD,
@@ -24,7 +26,9 @@ from ssic.scrambler import (
     seed_from_int,
     seed_to_int,
 )
-from ssic.vcframe import VcFrame, encapsulate, encode_header, frame_from_bits, frame_to_bits
+from ssic.softbits import LLR_MAX, SoftWord
+from ssic.vcframe import (VcFrame, decode_header_soft, encapsulate, encode_header,
+                          frame_from_bits, frame_to_bits)
 
 from oracles import lfsr_step
 
@@ -109,6 +113,12 @@ def test_seed_int_round_trip():
         seed_from_int(128)
     with pytest.raises(ValueError):
         seed_from_int(-1)
+    # a bool or a float is no seed integer, even one with an integer value
+    for v in (True, False, np.True_, 1.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="seed must be an integer 0..127"):
+            seed_from_int(v)
+    assert seed_to_int(seed_from_int(np.int64(5))) == 5
+    assert seed_to_int(seed_from_int(np.uint8(127))) == 127
 
 
 def test_seed_int_conversions_equal_the_bitwise_forms():
@@ -297,6 +307,48 @@ def test_every_bit_taker_refuses_an_entry_not_0_or_1(taker, v):
     with pytest.raises(ValueError, match=f"^{name} must hold only 0s and 1s$"):
         call(v, rng)
     assert rng.bit_generator.state == before  # refused before any draw
+
+
+_PILOTS = 3.0 - 6.0 * register_outputs(9, 16)  # seed 9's pilots at LLR magnitude 3
+_HEADER = 3.0 - 6.0 * encode_header(7, 9)
+
+# every entry point that takes LLRs, with the name it refuses NaN under, its
+# input, and the call; each clamps an infinity as it clamps any LLR
+LLR_TAKERS = {
+    "SoftWord-pilots": ("pilots", _PILOTS, lambda x: SoftWord(x, [1.0, -2.0]).pilots),
+    "SoftWord-payload": ("payload", np.linspace(-5.0, 5.0, 20),
+                         lambda x: SoftWord(_PILOTS, x).payload),
+    "seed_posterior": ("pilot_llrs", _PILOTS, seed_posterior),
+    "seed_log_weights": ("pilots", np.stack([_PILOTS, -_PILOTS]), seed_log_weights),
+    "decode_header_soft": ("llrs", _HEADER, decode_header_soft),
+}
+
+
+def _with_infs(x):
+    """x with its first entry +inf and its last -inf."""
+    y = np.array(x, dtype=np.float64)
+    y.flat[0], y.flat[-1] = np.inf, -np.inf
+    return y
+
+
+def _as_bytes(out):
+    return out.tobytes() if isinstance(out, np.ndarray) else out
+
+
+@pytest.mark.parametrize("taker", LLR_TAKERS)
+def test_every_llr_taker_refuses_nan_clamps_inf_and_takes_ints(taker):
+    name, x, call = LLR_TAKERS[taker]
+    nan = np.array(x)
+    nan.flat[nan.size // 2] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} must hold no NaN$"):
+        call(nan)
+    inf = _with_infs(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(inf)
+    assert _as_bytes(got) == _as_bytes(call(np.clip(inf, -LLR_MAX, LLR_MAX)))
+    ints = np.rint(x).astype(np.int64)
+    assert _as_bytes(call(ints.tolist())) == _as_bytes(call(ints.astype(np.float64)))
 
 
 def test_lfsr_run_refuses_a_state_that_is_not_7_bits():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ssic.softbits import LLR_MAX, SoftWord, clamp_llrs, hard_decide
+from ssic.softbits import LLR_MAX, SoftWord, checked_llrs, hard_decide
 
 from oracles import flip_by_mask
 
@@ -18,7 +18,7 @@ finite_llrs = hnp.arrays(
 @given(finite_llrs)
 @settings(max_examples=60, deadline=None)
 def test_clamp_bounds_and_identity_inside(l):
-    c = clamp_llrs(l)
+    c = checked_llrs(l, "l")
     assert np.all(np.abs(c) <= LLR_MAX)
     inside = np.abs(l) <= LLR_MAX
     assert np.array_equal(c[inside], l[inside])
@@ -64,9 +64,9 @@ def test_softword_payload_defaults_empty():
 
 def test_softword_refuses_nan():
     llrs = np.array([3.0, -3.0, 5.0])
-    with pytest.raises(ValueError, match="pilots and payload must hold no NaN"):
+    with pytest.raises(ValueError, match="pilots must hold no NaN"):
         SoftWord(np.full(16, np.nan), llrs)
-    with pytest.raises(ValueError, match="pilots and payload must hold no NaN"):
+    with pytest.raises(ValueError, match="payload must hold no NaN"):
         SoftWord(np.zeros(16), np.array([1.0, np.nan, -np.inf]))
     w = SoftWord(np.full(16, np.inf), np.array([-np.inf, np.inf, 0.0]))  # infinities clamp
     assert w.pilots.tolist() == [LLR_MAX] * 16 and w.payload.tolist() == [-LLR_MAX, LLR_MAX, 0.0]
