@@ -111,15 +111,19 @@ def awgn_llrs(tx_bits: np.ndarray, z: np.ndarray, sigma2) -> np.ndarray:
     """Matched-filter LLRs 2(sigma z + 1 - 2b)/sigma^2 of BPSK bits b over AWGN.
 
     z holds standard normal draws, one per bit, and becomes the LLRs in
-    place.  Elementwise, so it serves a block of words as well as one:
-    sigma2 broadcasts against the bits.  The symbols 1 - 2b are exact small
-    integers, formed as int8: no float temporary of z's size is made
-    unless sigma2 has that size.
+    place, in three float passes: z times 2 sigma, plus the symbols 2 - 4b,
+    over sigma^2.  These are the bytes of ((sigma z + 1 - 2b) 2)/sigma^2:
+    doubling is exact, so fl(2 sigma) z = 2 fl(sigma z) and the sum doubles
+    with it, except where sigma z is subnormal, and there the +-2 absorbs
+    the product as +-1 did.  So the LLR has the sign of fl(sigma z) + 1 - 2b,
+    which transmit's clean screen reads.  Elementwise, so it serves a block
+    of words as well as one: sigma2 broadcasts against the bits.  The
+    symbols are exact small integers, formed as int8: no float temporary of
+    z's size is made unless sigma2 has that size.
     """
-    np.multiply(z, np.sqrt(sigma2), out=z)
-    symbols = np.multiply(tx_bits, -2, dtype=np.int8)
-    z += np.add(symbols, 1, out=symbols)
-    z *= 2.0
+    np.multiply(z, 2.0 * np.sqrt(sigma2), out=z)
+    symbols = np.multiply(tx_bits, -4, dtype=np.int8)
+    z += np.add(symbols, 2, out=symbols)
     z /= sigma2
     return z
 
@@ -150,14 +154,15 @@ def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
     """Scramble, transmit over plain AWGN, and split into pilot/payload LLRs.
 
     The one-word case of scrambled_llrs, drawing its own noise: no
-    detection loss, no bursts, no CRC short-circuit.
+    detection loss, no bursts, no CRC short-circuit.  The word is handed
+    over to SoftWord.owning, which checks it in place.
     """
     if L < LFSR_LEN:  # refused before the draw, as transmit does
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
     s, payload = _checked_seed(seed), checked_bits(payload_bits, "payload_bits")
     z = rng.standard_normal(L + payload.size)
     llrs = scrambled_llrs(seed_to_int(s), payload, L, z, snr_db_to_sigma2(snr_db))
-    return SoftWord(pilots=llrs[:L], payload=llrs[L:])
+    return SoftWord.owning(llrs, L)
 
 
 def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: ChannelParams,
@@ -174,12 +179,14 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     hard decisions.  sigma^2 is a scalar unless a burst window was drawn.
 
     With a scalar sigma^2, a frame where the largest |z| from the last 7
-    pilots on, times sqrt(sigma^2) as awgn_llrs forms it, is below 1 keeps
-    the sign of every symbol there, whatever was sent: fl(w + 1) >= 0 and
-    fl(w - 1) < 0 for |w| < 1, and a correctly rounded product is monotone
-    in z and odd, so tail.max() and tail.min() decide it for every sample.
-    Such a frame is clean, and neither the scrambled word nor an LLR is
-    formed.  The draws are the same either way.
+    pilots on, times sqrt(sigma^2), is below 1 keeps the sign of every
+    symbol there, whatever was sent: fl(w + 1) >= 0 and fl(w - 1) < 0 for
+    |w| < 1, and a correctly rounded product is monotone in z and odd, so
+    tail.max() and tail.min() decide it for every sample.  awgn_llrs's
+    2 sqrt(sigma^2) form gives each LLR the sign of w + 1 - 2b, so the
+    screen is exact.  Such a frame is clean, and neither the scrambled word
+    nor an LLR is formed.  The draws are the same either way.  A soft
+    frame's word is handed over to SoftWord.owning without a copy.
     """
     if L < LFSR_LEN:
         raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
@@ -213,6 +220,6 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
         if hard.tobytes() != sent.tobytes() and (
                 hard[:LFSR_LEN].tobytes() == sent[:LFSR_LEN].tobytes()
                 or not (hd(hard) == payload).all()):
-            # left unclamped: SoftWord clamps what it stores
-            return StreamObservation(stream_id, soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))
+            # only this call holds llrs: owning clamps and checks it in place
+            return StreamObservation(stream_id, soft=SoftWord.owning(llrs, L))
     return StreamObservation(stream_id, hard_bits=payload.copy())

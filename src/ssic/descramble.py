@@ -18,7 +18,8 @@ The pilot patterns are the seeds' first L register outputs, so the
 posterior needs only the pilot LLRs.  A posterior is an array of
 normalized log-weights, entry i for seed integer i+1: (n, 127) for a block
 of words (seed_log_weights), (127,) for one word (seed_posterior).
-hrsx and srsx compute it from the word's own pilots.
+hrsx and srsx compute it from the word's own pilots, which its SoftWord
+has checked, so they skip seed_log_weights' check and run its core.
 The three LLR receivers share one mask rule, mix_rows, and differ only in
 q, the probability that each mask bit is 0, and the phase they start from.
 naive_sd and hrsx know the register state for certain, so their q is its
@@ -69,12 +70,25 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
     register outputs, with +-1 pattern s_r; each pilot contributes
     log expit(+-y), which is y*s/2 up to a term shared by every seed.  So
     each row is the log-softmax of 0.5 * y @ S over the (L, 127) codebook S.
-    The patterns repeat every 127 phases, so where L > 127 the pilots of
-    each phase are summed first and S is (127, 127), whatever L is.
+    The pilots are checked as SoftWord's are (checked_llrs), so an infinite
+    pilot cannot make a row NaN; _log_weights is the unchecked core.
     """
-    y = checked_llrs(pilots, "pilots", ndim=2)
-    if y.shape[1] < LFSR_LEN:
-        raise ValueError(f"need (n, L) pilot LLRs with L >= {LFSR_LEN}, got {y.shape}")
+    return _log_weights(_checked_pilots(pilots, "pilots", ndim=2))
+
+
+def _checked_pilots(pilots, name: str, ndim: int) -> np.ndarray:
+    """pilots under checked_llrs' rule, refused by name when fewer than 7."""
+    y = checked_llrs(pilots, name, ndim)
+    if y.shape[-1] < LFSR_LEN:
+        raise ValueError(f"need {name} with L >= {LFSR_LEN}, got shape {y.shape}")
+    return y
+
+
+def _log_weights(y: np.ndarray) -> np.ndarray:
+    """seed_log_weights of (n, L) pilots already checked, a SoftWord's or
+    checked_llrs', L >= 7.  The patterns repeat every 127 phases, so where
+    L > 127 the pilots of each phase are summed first and S is (127, 127),
+    whatever L is."""
     if y.shape[1] > N_SEEDS:  # pad to whole periods, then sum them phase by phase
         y = np.pad(y, ((0, 0), (0, -y.shape[1] % N_SEEDS)))
         y = y.reshape(len(y), -1, N_SEEDS).sum(axis=1)
@@ -87,11 +101,11 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
 def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
     """Normalized seed log-posteriors of one word: (L,) pilot LLRs -> (127,).
 
-    Entry i is seed integer i+1 (r0 = LSB).  The pilots are checked as
-    SoftWord's are (checked_llrs), so an infinite pilot cannot make the
+    Entry i is seed integer i+1 (r0 = LSB).  The pilots are checked once,
+    as SoftWord's are (checked_llrs), so an infinite pilot cannot make the
     posterior NaN.
     """
-    return seed_log_weights(checked_llrs(pilot_llrs, "pilot_llrs")[None])[0]
+    return _log_weights(_checked_pilots(pilot_llrs, "pilot_llrs", ndim=1)[None])[0]
 
 
 def z_sequence_table() -> np.ndarray:
@@ -231,7 +245,7 @@ def hrsx(word: SoftWord) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (descrambled payload LLRs, estimated seed bits).
     """
-    llrs, idx = hrsx_rows(seed_log_weights(word.pilots[None]), word.payload[None], word.L)
+    llrs, idx = hrsx_rows(_log_weights(word.pilots[None]), word.payload[None], word.L)
     return llrs[0], seed_from_int(int(idx[0]) + 1)
 
 
@@ -241,4 +255,4 @@ def srsx(word: SoftWord) -> np.ndarray:
     A certain posterior gives hrsx's sign flips exactly; an uninformative
     one drives the output toward 0.
     """
-    return srsx_rows(seed_log_weights(word.pilots[None]), word.payload[None], word.L)[0]
+    return srsx_rows(_log_weights(word.pilots[None]), word.payload[None], word.L)[0]

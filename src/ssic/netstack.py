@@ -80,7 +80,8 @@ class Dispatcher:
     """Owns the serial counter; wraps mod 2^16.
 
     send encapsulates each packet once per stream: the K frames carry the
-    same header and payload and differ only in stream_addr.
+    same header and payload and differ only in stream_addr.  They share one
+    read-only header encoding, which encode_header keeps for the last key.
     """
 
     def __init__(self, vci: int, stream_addrs: Sequence[int], first_vcs: int = 0):

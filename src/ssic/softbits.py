@@ -5,6 +5,10 @@ All stored LLRs are clamped to +-LLR_MAX, which bounds per-bit confidence
 at about 1 - 2e-9 and keeps products of likelihoods away from under/overflow.
 checked_llrs is the one input rule of every LLR taker: clamp, and refuse
 NaN by name (combine.StreamSoftCopy refuses NaN but leaves the clamp to its sum).
+It is applied once, where a word is made: SoftWord checks its blocks, and
+SoftWord.owning checks a whole word it takes over in place, which is how
+channel.transmit and soft_copy hand over the LLR word only they hold.  The
+functions that take a SoftWord trust it and check its pilots no further.
 """
 
 from __future__ import annotations
@@ -18,11 +22,13 @@ from .scrambler import LFSR_LEN
 LLR_MAX = 20.0
 
 
-def checked_llrs(x, name: str, ndim: int = 1) -> np.ndarray:
+def checked_llrs(x, name: str, ndim: int = 1, in_place: bool = False) -> np.ndarray:
     """x as a new float64 array clamped to +-LLR_MAX (infinities included);
     raises a ValueError naming it unless x has ndim (1 or 2) dimensions and
-    holds no NaN, which clip and max both propagate: one max finds it."""
-    y = np.clip(np.asarray(x, dtype=np.float64), -LLR_MAX, LLR_MAX)
+    holds no NaN, which clip and max both propagate: one max finds it.
+    With in_place, a float64 x is clamped where it lies and returned itself."""
+    y = np.asarray(x, dtype=np.float64)
+    y = np.clip(y, -LLR_MAX, LLR_MAX, out=y if in_place else None)
     if y.ndim != ndim:
         raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
     if np.isnan(y.max(initial=0.0)):
@@ -44,7 +50,8 @@ def hard_decide(llrs) -> np.ndarray:
 class SoftWord:
     """One received word: pilot LLRs followed by payload LLRs.
 
-    Both blocks are checked on construction (checked_llrs).  The pilot
+    Both blocks are checked on construction (checked_llrs) and copied;
+    owning checks a whole word in place and keeps views of it.  The pilot
     block needs at least 7 entries: the register cannot be pinned from fewer.
     """
 
@@ -56,6 +63,20 @@ class SoftWord:
         self.payload = checked_llrs(self.payload, "payload")
         if self.pilots.size < LFSR_LEN:
             raise ValueError(f"need at least {LFSR_LEN} pilot values, got {self.pilots.size}")
+
+    @classmethod
+    def owning(cls, word: np.ndarray, L: int) -> "SoftWord":
+        """The SoftWord of a whole word, its first L LLRs the pilots, taken
+        over rather than copied: word is clamped in place, checked as the
+        constructor checks its blocks, and pilots and payload are its views.
+        For a float64 word that only the caller holds."""
+        if not LFSR_LEN <= L <= np.size(word):
+            raise ValueError(f"need at least {LFSR_LEN} pilot values and at most the "
+                             f"word's {np.size(word)}, got {L}")
+        w = checked_llrs(word, "word", in_place=True)
+        soft = cls.__new__(cls)  # skips __post_init__: its copies are what owning saves
+        soft.pilots, soft.payload = w[:L], w[L:]
+        return soft
 
     @property
     def L(self) -> int:

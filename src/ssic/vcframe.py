@@ -117,15 +117,18 @@ def _header_crc(vci: int, vcs: int) -> int:
 _CHUNK_SHIFTS = range(HEADER_FIELD_BITS - BCH_K, -1, -BCH_K)
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def encode_header(vci: int, vcs: int) -> np.ndarray:
-    """(vci, vcs) -> 441 coded header bits.  CRC is computed here.
+    """(vci, vcs) -> 441 coded header bits, read-only.  CRC is computed here.
 
     The header block is the integer vci.vcs.crc.0 (49 bits, MSB first); each
-    of its 7-bit chunks picks its codeword from the table.
+    of its 7-bit chunks picks its codeword from the table.  The last key's
+    bits are kept, so the K frames of one packet (encapsulate once per
+    stream) share one encoding.
     """
     h = VcHeader.make(vci, vcs)
     block = (h.vci << 33) | (h.vcs << 17) | (h.crc16 << 1)
-    return CODEWORDS[[(block >> s) & 0x7F for s in _CHUNK_SHIFTS]].ravel()
+    return _read_only(CODEWORDS[[(block >> s) & 0x7F for s in _CHUNK_SHIFTS]].ravel())
 
 
 def _header_from_infos(infos) -> VcHeader | None:

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,44 @@ def test_awgn_llrs_equal_the_float_formula(snr_db, bit_dtype):
         # except the root of a per-position sigma^2, which has a word's size
         if sigma2 is not burst:
             assert peak < z.nbytes / 4, f"peak {peak:,} bytes for z of {z.nbytes:,}"
+
+
+def _accepted_snr_end(inside: float, outside: float) -> float:
+    """The accepted snr_db nearest outside, by bisection on ChannelParams."""
+    for _ in range(200):
+        mid = (inside + outside) / 2
+        if mid in (inside, outside):
+            break
+        try:
+            ChannelParams(snr_db=mid)
+            inside = mid
+        except ValueError:
+            outside = mid
+    return inside
+
+
+# the largest and the smallest noise variance ChannelParams accepts
+SIGMA2_ENDS = [snr_db_to_sigma2(_accepted_snr_end(0.0, -4000.0)),
+               snr_db_to_sigma2(_accepted_snr_end(0.0, 4000.0))]
+
+
+@pytest.mark.parametrize("bit_dtype", [np.uint8, bool])
+@pytest.mark.parametrize("sigma2", SIGMA2_ENDS + [snr_db_to_sigma2(8.0)])
+def test_awgn_llrs_equal_the_float_formula_at_the_ends(sigma2, bit_dtype):
+    # more cases of test_awgn_llrs_equal_the_float_formula: draws whose
+    # product with sqrt(sigma^2) is subnormal or zero, at both ends of the
+    # noise variances ChannelParams accepts
+    assert 2.0 / sigma2 < np.inf and sigma2 < np.inf
+    tiny = [1e-300, 5e-324, np.nextafter(0.0, 1.0) * 3, 1e-160, 2.0 ** -1022]
+    z = np.array([v * sign for v in tiny for sign in (1.0, -1.0)] * 2
+                 + list(np.random.default_rng(13).standard_normal(40)))
+    bits = (np.arange(z.size) // (2 * len(tiny)) % 2).astype(bit_dtype)
+    bits[-40:] = np.random.default_rng(14).integers(0, 2, 40)
+    for s2 in (sigma2, np.full(z.size, sigma2)):
+        want = ((np.sqrt(s2) * z) + (1.0 - 2.0 * bits.astype(np.float64))) * 2.0 / s2
+        got = awgn_llrs(bits, z.copy(), s2)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got).all()
 
 
 def test_transmit_detection_loss():
@@ -355,6 +394,86 @@ def test_clean_screen_is_exact_at_its_edges(monkeypatch, case, burst, screened, 
         assert np.array_equal(obs.hard_bits, bits)
     else:
         assert np.array_equal(np.concatenate([obs.soft.pilots, obs.soft.payload]), ref)
+
+
+def _word_by_the_draws(seed, payload, L, params, rng):
+    """The LLR word transmit forms, from its draws in its order, by the
+    two-multiply formula ((sigma z) + (1 - 2b)) 2 / sigma^2; None for a
+    missed frame."""
+    if rng.random() < params.detection_loss_prob:
+        return None
+    n = L + payload.size
+    sigma2 = snr_db_to_sigma2(params.snr_db)
+    if params.burst_prob > 0.0 and rng.random() < params.burst_prob:
+        start, length = int(rng.integers(0, n)), int(rng.geometric(1.0 / params.burst_len_mean))
+        sigma2 = np.full(n, sigma2)
+        sigma2[start:start + length] /= params.burst_llr_atten
+    z = rng.standard_normal(n)
+    tx = register_outputs(seed_to_int(seed), n)
+    tx[L:] ^= payload
+    return ((np.sqrt(sigma2) * z) + (1.0 - 2.0 * tx)) * 2.0 / sigma2
+
+
+@pytest.mark.parametrize("L", [7, 16, 127])
+@pytest.mark.parametrize("burst", [False, True], ids=["no_burst", "burst"])
+def test_transmit_hands_over_the_word_softword_would_copy(L, burst):
+    """A soft frame's word, taken over in place by SoftWord.owning, has the
+    bytes of SoftWord(pilots=llrs[:L], payload=llrs[L:]) of the same draws;
+    it shares no memory with the payload bits or with another observation,
+    and owning refuses what the constructor refuses."""
+    extra = dict(burst_prob=1.0, burst_llr_atten=0.25, burst_len_mean=200.0) if burst else {}
+    payload = np.random.default_rng(L).integers(0, 2, 4000, dtype=np.uint8)
+    for snr_db in (0.0, 4.0, 8.0):
+        params = ChannelParams(snr_db=snr_db, **extra)
+        rng = np.random.default_rng([L, int(snr_db), burst])
+        soft = []
+        for s in range(1, 13):
+            ref_rng = copy.deepcopy(rng)
+            obs = transmit(seed_from_int(s), payload, L, params, rng)
+            llrs = _word_by_the_draws(seed_from_int(s), payload, L, params, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if obs.soft is None:
+                continue
+            want = SoftWord(pilots=llrs[:L], payload=llrs[L:])
+            assert obs.soft.L == L
+            assert obs.soft.pilots.tobytes() == want.pilots.tobytes()
+            assert obs.soft.payload.tobytes() == want.payload.tobytes()
+            assert obs.soft.pilots.base is obs.soft.payload.base  # views of one word
+            assert not np.shares_memory(obs.soft.payload, payload)
+            assert not np.shares_memory(obs.soft.pilots, payload)
+            soft.append(obs.soft)
+        assert len(soft) >= 2, (snr_db, len(soft))
+        assert not np.shares_memory(soft[0].pilots.base, soft[1].pilots.base)
+
+    # soft_copy hands its word over too
+    rng = np.random.default_rng(L)
+    ref_rng = copy.deepcopy(rng)
+    got = soft_copy(seed_from_int(5), payload, L, 2.0, rng)
+    llrs = scrambled_llrs(5, payload, L, ref_rng.standard_normal(L + payload.size),
+                          snr_db_to_sigma2(2.0))
+    want = SoftWord(pilots=llrs[:L], payload=llrs[L:])
+    assert got.pilots.tobytes() == want.pilots.tobytes()
+    assert got.payload.tobytes() == want.payload.tobytes()
+
+    # the refusals of the constructor
+    word = np.zeros(L + 8)
+    word[L // 2] = np.nan
+    with pytest.raises(ValueError, match="^word must hold no NaN$"):
+        SoftWord.owning(word, L)
+    with pytest.raises(ValueError, match="pilots must hold no NaN"):
+        SoftWord(pilots=word[:L], payload=word[L:])
+    for short in (0, 6):
+        with pytest.raises(ValueError, match="need at least 7 pilot values"):
+            SoftWord.owning(np.zeros(L + 8), short)
+        with pytest.raises(ValueError, match="need at least 7 pilot values"):
+            SoftWord(pilots=np.zeros(short), payload=np.zeros(8))
+    with pytest.raises(ValueError, match="need at least 7 pilot values"):
+        SoftWord.owning(np.zeros(L), L + 1)  # more pilots than the word has
+    inf = np.full(L + 3, np.inf)
+    inf[-1] = -np.inf
+    w = SoftWord.owning(inf, L)  # infinities clamp, in place
+    assert w.pilots.tolist() == [LLR_MAX] * L and w.payload.tolist() == [LLR_MAX] * 2 + [-LLR_MAX]
+    assert np.shares_memory(w.payload, inf)
 
 
 @pytest.mark.parametrize("L", [0, 6])

@@ -702,6 +702,38 @@ def test_seed_posterior_clamps_infinite_pilots(L):
         assert np.argmax(lw) + 1 == v
 
 
+@pytest.mark.parametrize("L", [7, 16, 127, 200])
+@pytest.mark.parametrize("owning", [False, True], ids=["constructed", "owning"])
+def test_receivers_of_a_checked_word_equal_the_checked_block_path(L, owning):
+    """hrsx(word) and srsx(word) trust the pilots their SoftWord checked and
+    seed_posterior checks its pilots once: each gives the bytes of the block
+    path that checks the raw pilots, infinities included."""
+    rng = np.random.default_rng(L + owning)
+    M = 300
+    for v in (5, 77):
+        raw = flip_by_mask(np.full(L, 4.0), pilot_bits(v, L)) + rng.normal(0, 2.0, L)
+        pos = rng.choice(L, size=3, replace=False)
+        raw[pos] = np.copysign(np.inf, raw[pos])
+        raw[rng.integers(0, L)] = -np.inf
+        payload = rng.normal(0, 8.0, M)
+        payload[:2] = np.inf, -np.inf
+        if owning:
+            word = SoftWord.owning(np.concatenate([raw, payload]), L)
+        else:
+            word = SoftWord(pilots=raw, payload=payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lw = seed_log_weights(raw[None])
+            pay = np.clip(payload, -LLR_MAX, LLR_MAX)[None]
+            assert same_bytes(srsx(word), srsx_rows(lw, pay, L)[0])
+            got, seed_bits = hrsx(word)
+            want, idx = hrsx_rows(lw, pay, L)
+            assert same_bytes(got, want[0])
+            assert seed_bits.tolist() == seed_from_int(int(idx[0]) + 1).tolist()
+            assert same_bytes(seed_posterior(raw), lw[0])
+        assert np.isfinite(lw).all()
+
+
 @pytest.mark.parametrize("pos", [0, 8, 15])
 def test_seed_posterior_refuses_nan(pos):
     pilots = flip_by_mask(np.full(16, 3.0), pilot_bits(9, 16))

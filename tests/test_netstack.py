@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ssic import netstack
+from ssic import netstack, vcframe
 from ssic.channel import ChannelParams, StreamObservation
 from ssic.combine import StreamSoftCopy, decide, ssic_combine
 from ssic.descramble import hrsx, naive_sd, srsx
@@ -91,6 +91,27 @@ def test_dispatch_and_dispatcher():
     assert key1 == FrameKey(4, 0)  # sequence wraps mod 2^16
     h = decode_header_hard(frames0[0][1].header_coded)
     assert h is not None and (h.vci, h.vcs) == (4, 65535)
+
+
+def test_send_encodes_one_header_per_packet(monkeypatch):
+    """At K = 2 each packet costs one header CRC, its frames share one
+    read-only encoding, and a later packet leaves an earlier frame's header
+    as it was."""
+    crcs = []
+    header_crc = vcframe._header_crc
+    monkeypatch.setattr(vcframe, "_header_crc",
+                        lambda vci, vcs: crcs.append((vci, vcs)) or header_crc(vci, vcs))
+    vcframe.encode_header.cache_clear()
+    d = Dispatcher(vci=9, stream_addrs=[10, 11], first_vcs=65534)
+    sent = [d.send(bytes([i]) * 40) for i in range(4)]
+    assert crcs == [(9, 65534), (9, 65535), (9, 0), (9, 1)]
+    for key, frames in sent:
+        (_, f0), (_, f1) = frames
+        assert f0.header_coded is f1.header_coded and not f0.header_coded.flags.writeable
+        for _, f in frames:
+            want = vcframe.encode_header.__wrapped__(*key)
+            assert f.header_coded.tobytes() == want.tobytes()
+            assert decode_header_hard(f.header_coded) == vcframe.VcHeader.make(*key)
 
 
 def test_dispatched_frames_differ_only_in_the_address():
