@@ -2,44 +2,34 @@
 
 Conditioned on the payload bits, the streams' noise realizations are
 independent, so the per-bit log-likelihood ratios simply add.  The sum is
-clamped back to the shared LLR range; the final bit decision is the sign.
+clamped back to the shared LLR range; the final bit decision is its sign
+(softbits.hard_decide).  ssic_combine combines one packet's copies, keyed by
+stream; combine_streams is the block form the sweeps run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .softbits import LLR_MAX, hard_decide
+from .softbits import LLR_MAX
 
 
-@dataclass
-class StreamSoftCopy:
-    """Descrambled payload LLRs from one stream."""
+def ssic_combine(copies: dict[int, np.ndarray]) -> np.ndarray:
+    """Elementwise LLR sum of one packet's copies, clamped to +-LLR_MAX.
 
-    stream_id: int
-    llrs: np.ndarray
-
-    def __post_init__(self):
-        self.llrs = np.asarray(self.llrs, dtype=np.float64)
-        if self.llrs.ndim != 1:
-            raise ValueError("llrs must be one-dimensional")
-        # not checked_llrs: ssic_combine clamps the sum of the copies, not each one
-        if np.isnan(self.llrs.max(initial=0.0)):  # max propagates NaN
-            raise ValueError("llrs must hold no NaN")
-
-
-def ssic_combine(copies: list[StreamSoftCopy]) -> np.ndarray:
-    """Elementwise LLR sum over all copies, clamped to +-LLR_MAX.
-
-    Order-invariant.  Requires distinct stream ids (the same observation
-    must not be counted twice) and what combine_streams requires.
+    Keyed by stream id, so no stream counts twice.  Each copy is 1-D, and
+    combine_streams adds them in insertion order.  Infinities are summed and
+    clamped; a sum holding NaN (a NaN LLR, or +inf and -inf at one bit) is
+    refused.
     """
-    ids = [c.stream_id for c in copies]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate stream_id in {ids}")
-    return combine_streams([c.llrs for c in copies])
+    llrs = list(copies.values())
+    if any(np.ndim(l) != 1 for l in llrs):
+        raise ValueError("each copy's llrs must be one-dimensional")
+    with np.errstate(invalid="ignore"):  # inf + -inf: refused below, by name
+        total = combine_streams(llrs)
+    if np.isnan(total.max(initial=0.0)):  # NaN survives the sum, the clip and max
+        raise ValueError("the copies' llrs sum to NaN: a NaN LLR, or +inf and -inf at one bit")
+    return total
 
 
 def combine_streams(rows, out: np.ndarray | None = None) -> np.ndarray:
@@ -48,9 +38,9 @@ def combine_streams(rows, out: np.ndarray | None = None) -> np.ndarray:
     rows is any sequence of them, a list or a (K, ..., M) array; it must
     hold at least one, and every one must have the first one's shape.  They
     are added into a zero total in order 0..K-1, so a block of packets sums
-    exactly as ssic_combine and the aggregator sum each one; the total
-    starts as row 0 + 0.0, the same float as 0.0 + row 0 (-0.0 included).
-    It is written into out when it is given, as numpy's out= does.
+    exactly as ssic_combine sums each one; the total starts as row 0 + 0.0,
+    the same float as 0.0 + row 0 (-0.0 included).  It is written into out
+    when it is given, as numpy's out= does.
     """
     if len(rows) == 0 or any(np.shape(r) != np.shape(rows[0]) for r in rows):
         raise ValueError("need at least one row of LLRs, every row of one shape")
@@ -58,8 +48,3 @@ def combine_streams(rows, out: np.ndarray | None = None) -> np.ndarray:
     for r in rows[1:]:
         out += r
     return np.clip(out, -LLR_MAX, LLR_MAX, out=out)
-
-
-def decide(llrs: np.ndarray) -> np.ndarray:
-    """Final hard decisions from combined LLRs; ties resolve to 0."""
-    return hard_decide(llrs)

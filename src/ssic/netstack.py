@@ -12,8 +12,9 @@ a time:
   2. from there both take one path: a copy whose header does not verify is
      dropped, and so is a copy of an already-delivered packet;
   3. a clean copy is delivered; a soft copy joins any pending copies of the
-     same packet, and when at least two copies exist they are combined and
-     the result is delivered if it verifies, otherwise the copy is stored;
+     same packet, and when at least two copies exist they are combined,
+     one per stream (ssic_combine), and the result is delivered if it
+     verifies, otherwise the copy is stored;
   4. delivery records the key in the bounded dedup window and purges the
      pending list for that key.
 
@@ -45,14 +46,13 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
-from .combine import combine_streams, decide
+from .combine import ssic_combine
 from .descramble import hrsx, naive_sd, srsx
-from .softbits import SoftWord
+from .softbits import SoftWord, hard_decide
 from .vcframe import (VcFrame, decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
                       is_frame_length, payload_from_bits, split_frame)
 
-# importable here under the names ssicbench/spans.py traces, though push calls neither
-from .combine import ssic_combine  # noqa: F401
+# importable here under the name ssicbench/spans.py traces, though push does not call it
 from .vcframe import frame_from_bits  # noqa: F401
 
 VCS_MOD = 1 << 16
@@ -222,11 +222,11 @@ class Aggregator:
         if obs.crc_pass:
             return self._deliver(key, payload_from_bits(bits), combined=False)
 
-        others = [l for sid, l in self.pending.get(key, {}).items()
-                  if l.size == payload_llrs.size and sid != obs.stream_id]
-        if others:
-            total = combine_streams([*others, payload_llrs])
-            packet = np.packbits(decide(total)).tobytes()
+        copies = {sid: l for sid, l in self.pending.get(key, {}).items()
+                  if l.size == payload_llrs.size and sid != obs.stream_id}
+        if copies:
+            copies[obs.stream_id] = payload_llrs
+            packet = np.packbits(hard_decide(ssic_combine(copies))).tobytes()
             if self.payload_check(key, packet):
                 return self._deliver(key, packet, combined=True)
             self.stats.combine_failures += 1

@@ -44,12 +44,12 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, scrambled_llrs, snr_db_to_sigma2
-from .combine import combine_streams, decide
+from .combine import combine_streams
 from .descramble import N_SEEDS, hd_rows, hrsx_rows, naive_rows, seed_log_weights, srsx_rows
 from .netstack import SOFT_VARIANTS, AggregatorConfig, run_metrics, run_network_point
 from .scrambler import LFSR_LEN, register_outputs
 from .softbits import hard_decide
-from .vcframe import MTU_PAYLOAD
+from .vcframe import FRAME_OVERHEAD_BITS, MTU_PAYLOAD
 
 # The per-word entry points stay importable from this module, under the names
 # ssicbench/spans.py traces, although the block path below does not call them.
@@ -161,7 +161,8 @@ class SweepSpec:
         # words of L + M LLRs and 127 seed weights (M = 0 in seed_ber); a
         # sweep's block of trials holds at most BLOCK_FLOATS floats
         # (_block_trials), so one trial must fit in it, and a netsim packet,
-        # one word per stream, is held to the same bound.
+        # one word per stream, is held to the same bound; a netsim word is a
+        # frame, so its M also counts FRAME_OVERHEAD_BITS.
         if self.L < LFSR_LEN:
             raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
         if self.n_streams < 1:
@@ -173,9 +174,11 @@ class SweepSpec:
                 f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {self.payload_bytes}")
         if self.mode != "seed_ber" and self.payload_bytes < 1:
             raise ValueError(f"payload_bytes: {self.mode} needs at least 1 byte")
-        word = self.L + (0 if self.mode == "seed_ber" else 8 * self.payload_bytes) + N_SEEDS
+        frame = FRAME_OVERHEAD_BITS if self.mode == "netsim" else 0
+        word = self.L + (0 if self.mode == "seed_ber" else 8 * self.payload_bytes + frame) + N_SEEDS
         if word > BLOCK_FLOATS:
-            raise ValueError(f"L: a word of L + 8 * payload_bytes + {N_SEEDS} = {word} floats "
+            terms = "L + 8 * payload_bytes" + (f" + {frame}" if frame else "")
+            raise ValueError(f"L: a word of {terms} + {N_SEEDS} = {word} floats "
                              f"exceeds the block of BLOCK_FLOATS = {BLOCK_FLOATS}")
         if self.n_streams * word > BLOCK_FLOATS:
             raise ValueError(f"n_streams: a trial of {self.n_streams} words of {word} floats "
@@ -371,8 +374,8 @@ def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
                         hrsx_rows(lw, words, L, out=out)
                     else:
                         srsx_rows(lw, words, L, out=out, scratch=scratch[:, :b * K])
-                    bits = decide(combine_streams(out.reshape(b, K, M).swapaxes(0, 1),
-                                                  out=total[:b]))
+                    bits = hard_decide(combine_streams(out.reshape(b, K, M).swapaxes(0, 1),
+                                                       out=total[:b]))
                 wrong = (bits != payload).sum(axis=1)
                 bit_err[v] += int(wrong.sum())
                 pkt_err[v] += int((wrong > 0).sum())

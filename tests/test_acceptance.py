@@ -12,7 +12,7 @@ from scipy.special import expit
 from scipy.stats import binomtest, norm
 
 from ssic.channel import ChannelParams, fresh_seed, soft_copy
-from ssic.combine import StreamSoftCopy, decide, ssic_combine
+from ssic.combine import ssic_combine
 from ssic.descramble import (
     N_SEEDS,
     hrsx,
@@ -193,8 +193,8 @@ def test_criterion_06_variant_ordering_and_srsx_gain():
 def test_criterion_07_two_stream_gain_matches_plus_3db_analytically():
     n, snr_db, rng = 1_000_000, 4.0, np.random.default_rng(1234)
     bits = rng.integers(0, 2, n, dtype=np.uint8)
-    copies = [StreamSoftCopy(k, bpsk_awgn_llrs(bits, snr_db, rng)) for k in range(2)]
-    ber_2 = float((decide(ssic_combine(copies)) != bits).mean())
+    copies = {k: bpsk_awgn_llrs(bits, snr_db, rng) for k in range(2)}
+    ber_2 = float((hard_decide(ssic_combine(copies)) != bits).mean())
     single = bpsk_awgn_llrs(bits, snr_db + 3.0, rng)
     ber_s3 = float((hard_decide(single) != bits).mean())
     base = bpsk_awgn_llrs(bits, snr_db, rng)

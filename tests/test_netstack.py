@@ -14,7 +14,7 @@ import pytest
 import oracles
 from ssic import netstack, vcframe
 from ssic.channel import ChannelParams, StreamObservation
-from ssic.combine import StreamSoftCopy, decide, ssic_combine
+from ssic.combine import ssic_combine
 from ssic.descramble import hrsx, naive_sd, srsx
 from ssic.netstack import (
     Aggregator,
@@ -28,7 +28,7 @@ from ssic.netstack import (
     vcs_delta,
 )
 from ssic.scrambler import scramble, seed_from_int
-from ssic.softbits import LLR_MAX, SoftWord
+from ssic.softbits import LLR_MAX, SoftWord, hard_decide
 from ssic.vcframe import decode_header_hard, encapsulate, frame_to_bits
 
 L = 16
@@ -278,10 +278,10 @@ def soft_obs_descrambling_to(key: FrameKey, sid: int,
 
 @pytest.mark.parametrize("variant", ["naive", "hrsx", "srsx"])
 def test_combined_decisions_equal_ssic_combine(variant):
-    """The aggregator sums a packet's copies in one buffer and decides from
-    the signs; its decisions must be those of ssic_combine of the same
-    copies in the same order: stored copies first, in the order their
-    streams were first stored, then the arriving one."""
+    """The aggregator combines a packet's copies and decides from the signs;
+    its decisions must be those of ssic_combine of the same copies in the
+    same order: stored copies first, in the order their streams were first
+    stored, then the arriving one."""
     rng = np.random.default_rng(11)
     M = 256
     a, b, a2, c = (np.clip(rng.normal(0.0, 8.0, M), -LLR_MAX, LLR_MAX) for _ in range(4))
@@ -305,9 +305,10 @@ def test_combined_decisions_equal_ssic_combine(variant):
         mine = descramble(obs.soft)[496:]
         if variant != "srsx":
             assert mine.tobytes() == llrs.tobytes()
-        others = [StreamSoftCopy(s, w) for s, w in words.items() if s != sid]
-        if others:
-            bits = decide(ssic_combine(others + [StreamSoftCopy(sid, mine)]))
+        copies = {s: w for s, w in words.items() if s != sid}
+        if copies:
+            copies[sid] = mine
+            bits = hard_decide(ssic_combine(copies))
             expected.append(np.packbits(bits).tobytes())
         words[sid] = mine
         assert agg.push(obs) is None

@@ -246,6 +246,8 @@ REFUSED_SPECS = [
      "burst_llr_atten"),
     (dict(mode="netsim", snr_grid=[-3000.0], burst_prob=1.0, burst_llr_atten=1e-20),
      "snr_grid"),
+    # a netsim word is a frame, so it also holds FRAME_OVERHEAD_BITS: 131,560 floats
+    (dict(mode="netsim", snr_grid=[0.0], L=130_929, payload_bytes=1), "L"),
 ]
 
 
