@@ -15,7 +15,7 @@ from .scrambler import lfsr_run, mask_matrix, scramble, seed_from_int
 from .softbits import LLR_MAX, SoftWord
 from .descramble import hd, hrsx, naive_sd, seed_posterior, srsx, z_sequence_table
 from .combine import combine_streams
-from .vcframe import (VcFrame, VcHeader, decode_header_hard, decode_header_soft,
+from .vcframe import (FrameKey, VcFrame, decode_header_hard, decode_header_soft,
                       encapsulate, frame_to_bits)
 from .channel import ChannelParams, fresh_seed, transmit
 from .netstack import Aggregator, AggregatorConfig, Dispatcher, run_metrics, run_network_point
@@ -26,7 +26,7 @@ __all__ = [
     "LLR_MAX", "SoftWord",
     "seed_posterior", "z_sequence_table", "hd", "naive_sd", "hrsx", "srsx",
     "combine_streams",
-    "VcHeader", "VcFrame", "encapsulate", "frame_to_bits", "decode_header_soft",
+    "FrameKey", "VcFrame", "encapsulate", "frame_to_bits", "decode_header_soft",
     "decode_header_hard",
     "ChannelParams", "fresh_seed", "transmit",
     "Dispatcher", "Aggregator", "AggregatorConfig", "run_network_point", "run_metrics",

@@ -6,11 +6,11 @@ own.  Streams need not share a pilot length: every soft copy is descrambled at
 its own word's L.  The receiver-side aggregator processes one frame arrival at
 a time:
 
-  1. a clean (CRC-pass) frame's header is read from its bits before the
-     payload is unpacked; a soft frame is descrambled seed-blind (srsx by
-     default) and its header recovered by soft block decoding;
-  2. from there both take one path: a copy whose header does not verify is
-     dropped, and so is a copy of an already-delivered packet;
+  1. a clean (CRC-pass) frame's key (vcframe.FrameKey) is read from its bits
+     before the payload is unpacked; a soft frame is descrambled seed-blind
+     (srsx by default) and its key recovered by soft block decoding;
+  2. from there both take one path: a copy whose header decodes to no key
+     is dropped, and so is a copy of an already-delivered packet;
   3. a clean copy is delivered; a soft copy joins any pending copies of the
      same packet, and when at least two copies exist they are combined,
      one per stream (ssic_combine), and the result is delivered if it
@@ -39,18 +39,20 @@ bool outcome columns (PacketOutcomes), 2 * streams + 1 bytes per packet.
 from __future__ import annotations
 
 import heapq
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
 from .combine import ssic_combine
 from .descramble import hrsx, naive_sd, srsx
+from .scrambler import checked_bits
 from .softbits import SoftWord, hard_decide
-from .vcframe import (VcFrame, decode_header_soft, encapsulate, frame_to_bits, header_from_bits,
-                      is_frame_length, payload_from_bits, split_frame)
+from .vcframe import (FrameKey, VcFrame, decode_header_soft, encapsulate, frame_to_bits,
+                      header_from_bits, is_frame_length, payload_from_bits, split_frame)
 
 # importable here under the name ssicbench/spans.py traces, though push does not call it
 from .vcframe import frame_from_bits  # noqa: F401
@@ -58,13 +60,6 @@ from .vcframe import frame_from_bits  # noqa: F401
 VCS_MOD = 1 << 16
 RUN_VCI = 1  # the virtual channel run_network_point sends on
 SOFT_VARIANTS = ("naive", "hrsx", "srsx")  # the seed-blind descramblers push can run
-
-
-class FrameKey(NamedTuple):
-    """Identity of one packet instance on the virtual channel."""
-
-    vci: int
-    vcs: int
 
 
 def vcs_delta(a: int, b: int) -> int:
@@ -107,9 +102,11 @@ class AggregatorConfig:
     def __post_init__(self):
         if self.variant not in SOFT_VARIANTS:
             raise ValueError(f"unknown soft descrambling variant: {self.variant}")
+        # a fractional window makes serials that match no key, and a window
+        # holding half the serial space could hold two packets with one key
+        if isinstance(self.window_size, bool) or not isinstance(self.window_size, numbers.Integral):
+            raise ValueError(f"window_size: must be an integer, got {self.window_size!r}")
         if not 1 <= self.window_size < VCS_MOD // 2:
-            # a window holding half the serial space could hold two packets
-            # with the same (vci, vcs) key
             raise ValueError(
                 f"window_size: must be in [1, {VCS_MOD // 2}), got {self.window_size}")
 
@@ -198,24 +195,24 @@ class Aggregator:
     def push(self, obs: StreamObservation) -> tuple[FrameKey, bytes] | None:
         """Process one frame arrival; returns (key, packet) on delivery.
 
-        Clean and soft copies take one path once their header is read; a copy
-        whose length no frame can have is dropped as header-invalid.
+        Clean and soft copies take one path once their key is read; a copy
+        whose shape no frame can have is dropped as header-invalid, and clean
+        bits other than 0 and 1 are refused (checked_bits).
         """
         if not obs.detected:
             raise ValueError("undetected frames never reach the aggregator")
 
         if obs.crc_pass:
-            bits = np.asarray(obs.hard_bits, dtype=np.uint8)
-            header = header_from_bits(bits)
+            bits = checked_bits(obs.hard_bits, "hard_bits", one_dim=False)
+            key = header_from_bits(bits)
         else:
-            header = None
+            key = None
             if is_frame_length(obs.soft.M):
                 coded, payload_llrs = split_frame(self._descramble(obs.soft))
-                header = decode_header_soft(coded)
-        if header is None:
+                key = decode_header_soft(coded)
+        if key is None:
             self.stats.header_invalid_drops += 1
             return None
-        key = FrameKey(header.vci, header.vcs)
         if key in self.delivered:
             self.stats.duplicate_drops += 1
             return None

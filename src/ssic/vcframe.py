@@ -17,7 +17,8 @@ nonzero ones are the 63 shifts of one m-sequence (weight 32), their
 complements (31) and the all-ones word (63), so the minimum distance is 31
 and any 15 hard errors per block are correctable.  With only 128 codewords,
 soft decoding is exact maximum-likelihood: correlate the received LLRs
-against every codeword.
+against every codeword.  The decoders return the packet's FrameKey (VCI,
+VCS) only when the CRC they recover is the key's, and None otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import binascii
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,32 +83,11 @@ def crc16_ccitt(data: bytes) -> int:
     return binascii.crc_hqx(data, 0xFFFF)
 
 
-def _check_u16(name: str, v: int) -> None:
-    if not 0 <= v <= 0xFFFF:
-        raise ValueError(f"{name} out of range: {v}")
-
-
-@dataclass(frozen=True)
-class VcHeader:
-    """Identifies one packet instance: channel id, serial number, their CRC."""
+class FrameKey(NamedTuple):
+    """Identity of one packet instance: the (VCI, VCS) its header carries."""
 
     vci: int
     vcs: int
-    crc16: int
-
-    def __post_init__(self):
-        _check_u16("vci", self.vci)
-        _check_u16("vcs", self.vcs)
-        _check_u16("crc16", self.crc16)
-
-    @classmethod
-    def make(cls, vci: int, vcs: int) -> "VcHeader":
-        _check_u16("vci", vci)
-        _check_u16("vcs", vcs)
-        return cls(vci, vcs, _header_crc(vci, vcs))
-
-    def crc_ok(self) -> bool:
-        return self.crc16 == _header_crc(self.vci, self.vcs)
 
 
 def _header_crc(vci: int, vcs: int) -> int:
@@ -126,22 +107,24 @@ def encode_header(vci: int, vcs: int) -> np.ndarray:
     bits are kept, so the K frames of one packet (encapsulate once per
     stream) share one encoding.
     """
-    h = VcHeader.make(vci, vcs)
-    block = (h.vci << 33) | (h.vcs << 17) | (h.crc16 << 1)
+    for name, v in (("vci", vci), ("vcs", vcs)):
+        if not 0 <= v <= 0xFFFF:
+            raise ValueError(f"{name} out of range: {v}")
+    block = (vci << 33) | (vcs << 17) | (_header_crc(vci, vcs) << 1)
     return _read_only(CODEWORDS[[(block >> s) & 0x7F for s in _CHUNK_SHIFTS]].ravel())
 
 
-def _header_from_infos(infos) -> VcHeader | None:
-    """Header from the 7 blocks' info values, or None when its CRC mismatches."""
+def _header_from_infos(infos) -> FrameKey | None:
+    """The key in the 7 blocks' info values, or None when its CRC mismatches."""
     block = 0
     for v in infos:
         block = (block << BCH_K) | v
-    h = VcHeader(block >> 33, (block >> 17) & 0xFFFF, (block >> 1) & 0xFFFF)
-    return h if h.crc_ok() else None
+    key = FrameKey(block >> 33, (block >> 17) & 0xFFFF)
+    return key if (block >> 1) & 0xFFFF == _header_crc(*key) else None
 
 
-def decode_header_soft(llrs: np.ndarray) -> VcHeader | None:
-    """441 header LLRs -> header, or None when the recovered CRC mismatches.
+def decode_header_soft(llrs: np.ndarray) -> FrameKey | None:
+    """441 header LLRs -> key, or None when the recovered CRC mismatches.
 
     The LLRs are checked as SoftWord's are (checked_llrs), so one infinite
     LLR cannot outvote a block.
@@ -152,8 +135,8 @@ def decode_header_soft(llrs: np.ndarray) -> VcHeader | None:
     return _header_from_infos(_decode_blocks(y.reshape(BCH_K, BCH_N)).tolist())
 
 
-def decode_header_hard(bits: np.ndarray) -> VcHeader | None:
-    """441 hard bits -> header: decode_header_soft of the +-1 LLRs 1 - 2b.
+def decode_header_hard(bits: np.ndarray) -> FrameKey | None:
+    """441 hard bits -> key: decode_header_soft of the +-1 LLRs 1 - 2b.
 
     A codeword is its own unique ML decode, so when every 63-bit block of
     a uint8 array is a codeword, its info value is read from a table.  Any
@@ -224,8 +207,8 @@ def split_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return x[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS], x[FRAME_OVERHEAD_BITS:]
 
 
-def header_from_bits(bits: np.ndarray) -> VcHeader | None:
-    """The header of a frame's wire bits, read without touching the payload;
+def header_from_bits(bits: np.ndarray) -> FrameKey | None:
+    """The key in a frame's wire bits, read without touching the payload;
     None when it does not decode or no frame has bits' shape."""
     parts = split_frame(bits)
     return None if parts is None else decode_header_hard(parts[0])

@@ -24,7 +24,7 @@ from ssic.netstack import SOFT_VARIANTS, VCS_MOD, Aggregator, AggregatorConfig, 
 from ssic.scrambler import register_outputs
 from ssic.softbits import LLR_MAX, SoftWord
 from ssic.vcframe import (CODEWORDS, FRAME_OVERHEAD_BITS, HEADER_CODED_BITS,
-                          STREAM_ADDR_BITS, VcHeader, encapsulate, frame_to_bits)
+                          STREAM_ADDR_BITS, crc16_ccitt, encapsulate, frame_to_bits)
 
 L = 16
 ARRIVALS = ("clean", "soft", "soft_never", "bad_header_clean", "bad_header_soft",
@@ -43,7 +43,7 @@ def wire_bits(key: FrameKey, sid: int, bad_header: bool) -> np.ndarray:
     bits = frame_to_bits(encapsulate(packet_of(key), vci, vcs, 0x020000000000 + sid))
     if bad_header:
         # every block a codeword, but the CRC field is off by one bit
-        crc = VcHeader.make(vci, vcs).crc16 ^ 1
+        crc = crc16_ccitt(bytes([vci >> 8, vci & 0xFF, vcs >> 8, vcs & 0xFF])) ^ 1
         block = (vci << 33) | (vcs << 17) | (crc << 1)
         coded = CODEWORDS[[(block >> s) & 0x7F for s in range(42, -1, -7)]].ravel()
         bits[STREAM_ADDR_BITS:STREAM_ADDR_BITS + HEADER_CODED_BITS] = coded

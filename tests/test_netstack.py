@@ -111,7 +111,7 @@ def test_send_encodes_one_header_per_packet(monkeypatch):
         for _, f in frames:
             want = vcframe.encode_header.__wrapped__(*key)
             assert f.header_coded.tobytes() == want.tobytes()
-            assert decode_header_hard(f.header_coded) == vcframe.VcHeader.make(*key)
+            assert decode_header_hard(f.header_coded) == key
 
 
 def test_dispatched_frames_differ_only_in_the_address():
@@ -374,6 +374,11 @@ def test_config_validation():
         AggregatorConfig(window_size=0)
     with pytest.raises(ValueError):
         AggregatorConfig(window_size=32768)
+    # a fractional window makes serials that match no held key
+    for w in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="^window_size: must be an integer"):
+            AggregatorConfig(window_size=w)
+    assert AggregatorConfig(window_size=np.int64(3)).window_size == 3
     with pytest.raises(ValueError):
         Aggregator(AggregatorConfig(), payload_check=None)
 

@@ -23,7 +23,7 @@ PINNED_ALL = [
     "LLR_MAX", "SoftWord",
     "seed_posterior", "z_sequence_table", "hd", "naive_sd", "hrsx", "srsx",
     "combine_streams",
-    "VcHeader", "VcFrame", "encapsulate", "frame_to_bits", "decode_header_soft",
+    "FrameKey", "VcFrame", "encapsulate", "frame_to_bits", "decode_header_soft",
     "decode_header_hard",
     "ChannelParams", "fresh_seed", "transmit",
     "Dispatcher", "Aggregator", "AggregatorConfig", "run_network_point", "run_metrics",

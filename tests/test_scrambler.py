@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssic.channel import ChannelParams, soft_copy, transmit
+from ssic.channel import ChannelParams, StreamObservation, soft_copy, transmit
 from ssic.descramble import hd, hd_rows, seed_log_weights, seed_posterior
+from ssic.netstack import Aggregator, AggregatorConfig
 from ssic.scrambler import (
     LFSR_LEN,
     PERIOD,
@@ -295,6 +296,9 @@ BIT_TAKERS = {
                                                        b"ab")),
     "frame_from_bits": ("bits", lambda v, rng: frame_from_bits(
         _with_entry(frame_to_bits(encapsulate(b"ab", 1, 2, 3)), v))),
+    "Aggregator.push": ("hard_bits", lambda v, rng: Aggregator(
+        AggregatorConfig(), payload_check=lambda key, packet: True).push(StreamObservation(
+            0, hard_bits=_with_entry(frame_to_bits(encapsulate(b"ab", 1, 2, 3)), v)))),
 }
 
 

@@ -23,8 +23,8 @@ from ssic.vcframe import (
     HEADER_CODED_BITS,
     MTU_PAYLOAD,
     STREAM_ADDR_BITS,
+    FrameKey,
     VcFrame,
-    VcHeader,
     crc16_ccitt,
     decode_header_hard,
     decode_header_soft,
@@ -59,7 +59,7 @@ def frame_of_bytes(data: bytes) -> VcFrame:
     return frame_from_bits(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
 
 
-def header_of(frame: VcFrame) -> VcHeader | None:
+def header_of(frame: VcFrame) -> FrameKey | None:
     return decode_header_hard(frame.header_coded)
 
 
@@ -189,14 +189,23 @@ def test_crc_detects_single_byte_change():
 
 # -------------------------------------------------------------------- header
 
-def test_header_make_and_crc_ok():
-    h = VcHeader.make(5, 1000)
-    assert h.crc_ok()
-    assert h.crc16 == crc16_ccitt(bytes([0, 5, 1000 >> 8, 1000 & 0xFF]))
-    bad = VcHeader(5, 1000, h.crc16 ^ 1)
-    assert not bad.crc_ok()
-    with pytest.raises(ValueError):
-        VcHeader.make(70000, 0)
+def coded_header(vci: int, vcs: int, crc: int) -> np.ndarray:
+    """The 441 coded bits of the header block vci.vcs.crc.0, any crc."""
+    block = (vci << 33) | (vcs << 17) | (crc << 1)
+    return CODEWORDS[[(block >> s) & 0x7F for s in range(42, -1, -7)]].ravel()
+
+
+def test_header_carries_the_key_crc_and_decodes_only_with_it():
+    crc = table_crc16_ccitt(bytes([0, 5, 1000 >> 8, 1000 & 0xFF]))
+    assert np.array_equal(encode_header(5, 1000), coded_header(5, 1000, crc))
+    for decode in (decode_header_hard, lambda b: decode_header_soft(3.0 - 6.0 * b)):
+        key = decode(coded_header(5, 1000, crc))
+        assert type(key) is FrameKey and key == (5, 1000)
+        assert decode(coded_header(5, 1000, crc ^ 1)) is None
+    with pytest.raises(ValueError, match="^vci out of range: 70000$"):
+        encode_header(70000, 0)
+    with pytest.raises(ValueError, match="^vcs out of range: -1$"):
+        encode_header(0, -1)
 
 
 @given(vci=st.integers(0, 0xFFFF), vcs=st.integers(0, 0xFFFF))
@@ -204,8 +213,7 @@ def test_header_make_and_crc_ok():
 def test_header_code_round_trip(vci, vcs):
     coded = encode_header(vci, vcs)
     assert coded.shape == (HEADER_CODED_BITS,)
-    h = decode_header_hard(coded)
-    assert h is not None and (h.vci, h.vcs) == (vci, vcs) and h.crc_ok()
+    assert decode_header_hard(coded) == FrameKey(vci, vcs)
 
 
 EDGE_U16 = (0, 1, 0x7FFF, 0x8000, 0xFFFF)
@@ -268,14 +276,15 @@ def test_header_soft_decode_under_noise():
     assert h is not None and (h.vci, h.vcs) == (321, 54321)
 
 
-def header_by_blocks(llrs: np.ndarray) -> VcHeader | None:
-    """Reference header decode: seven separate block decodes, then the CRC."""
+def header_by_blocks(llrs: np.ndarray) -> FrameKey | None:
+    """Reference header decode: seven separate block decodes, then the
+    table CRC of oracles.py."""
     bits = np.concatenate([bch_decode_soft(llrs[BCH_N * j:BCH_N * (j + 1)])
                            for j in range(BCH_K)])
     vci, vcs, crc = (int("".join(map(str, bits[16 * i:16 * i + 16])), 2)
                      for i in range(3))
-    h = VcHeader(vci, vcs, crc)
-    return h if h.crc_ok() else None
+    ok = crc == table_crc16_ccitt(bytes([vci >> 8, vci & 0xFF, vcs >> 8, vcs & 0xFF]))
+    return FrameKey(vci, vcs) if ok else None
 
 
 def test_header_decode_equals_seven_block_decodes():
@@ -420,7 +429,7 @@ def test_header_soft_decode_clamps_out_of_range_llrs(scale):
     for vci, vcs in header_pairs(20, seed=46):
         llrs = 3.0 * (1.0 - 2.0 * encode_header(vci, vcs).astype(np.float64))
         llrs[int(rng.integers(0, HEADER_CODED_BITS))] *= scale
-        assert decode_header_soft(llrs) == VcHeader.make(vci, vcs)
+        assert decode_header_soft(llrs) == FrameKey(vci, vcs)
 
 
 @pytest.mark.parametrize("pos", [0, 62, 63, HEADER_CODED_BITS - 1])
