@@ -6,17 +6,19 @@ CSV output.  Within a grid point every descrambling variant sees the same
 noise realizations: variants differ only in how they process a word, which
 makes small performance gaps measurable without huge trial counts.
 
-The payload and seed sweeps run a grid point one block of trials x streams
-at a time (BLOCK_FLOATS bounds a block).  The draws stay in the order of a
-one-word loop: per trial the payload bits, then per stream the seed and the
-noise.  They run on a draw-ahead thread, a one-worker executor: once the
-caller has the result() of one block's draw, it submits the next block's
-into the other of two preallocated slots, so the thread is at most one
-block ahead.  It calls nothing but the point's rng, which nothing else
-touches meanwhile.  The rest runs in the caller, once per block: the channel
-LLRs, one seed-posterior product for all words, the mask mix, and the
-stream sum, added in stream order as ssic_combine adds.
-So neither the block size nor the overlap changes the CSV.
+The payload and seed sweeps run their grid points one block of trials x
+streams at a time (BLOCK_FLOATS bounds a block).  The draws stay in the
+order of a one-word loop: per trial the payload bits, then per stream the
+seed and the noise.  They run on a draw-ahead thread, one one-worker
+executor for the whole sweep: once the caller has the result() of one
+block's draw, it submits the next block's into the other of two
+preallocated slots, so the thread is at most one block ahead.  The block
+after a grid point's last is the next point's first, drawn from that
+point's own rng; the thread calls nothing but the points' rngs, which
+nothing else touches meanwhile.  The rest runs in the caller, once per
+block: the channel LLRs, one seed-posterior product for all words, the mask
+mix, and the stream sum, added in stream order as ssic_combine adds.  So
+neither the block size nor the overlap changes the CSV.
 
 Two row schemas:
 
@@ -73,10 +75,10 @@ NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
 # and one result() back; 2**17 holds 14, and a packet_per chunk takes about
 # a fifth less CPU.  At 2**18 a block array is about 1.9 MB against a 2 MB
 # L2, and a packet_per chunk took half as much CPU again as at 2**15 and
-# ran no faster.  A grid point holds two slots, the descrambled rows, srsx's
-# scratch when it runs and the stream total: 4.9 MB at packet_per's shape,
-# which tests/test_sweeps.py bounds so that peak RSS stays within a few MB of
-# the smaller blocks'.
+# ran no faster.  A sweep allocates, once for all its grid points, two
+# slots, the descrambled rows, srsx's scratch when it runs and the stream
+# total: 4.9 MB at packet_per's shape, which tests/test_sweeps.py bounds so
+# that peak RSS stays within a few MB of the smaller blocks'.
 BLOCK_FLOATS = 1 << 17
 
 
@@ -278,127 +280,144 @@ def _draw_block(rng: np.random.Generator, payload: np.ndarray, seeds: np.ndarray
             rng.standard_normal(out=noise[t, k])
 
 
-def _trial_blocks(rng: np.random.Generator, trials: int, L: int, M: int,
-                  stream_snr_db: list[float]):
-    """Trials in blocks of B, each with K streams: yields (payload, seeds, llrs).
+def _trial_blocks(points: list[tuple[np.random.Generator, list[float]]], trials: int,
+                  L: int, M: int):
+    """A sweep's trials in blocks of B, each with K streams: yields
+    (gi, payload, seeds, llrs), grid point by grid point.
 
-    payload is (b, M) bits, seeds (b, K) seed integers, llrs (b, K, L+M)
-    clamped LLRs, b <= B.  The draws are made trial by trial in the order
-    of a one-word-at-a-time loop: the payload (when M > 0), then per stream
-    its seed and its L+M standard normal draws, which awgn_llrs scales.
-    Only the deterministic work after the draws runs over the block, so B
-    never changes a result.
+    points holds one (rng, stream_snr_db) per grid point gi, each point
+    drawing its trials from its own rng.  payload is (b, M) bits, seeds
+    (b, K) seed integers, llrs (b, K, L+M) clamped LLRs at point gi's
+    SNRs, b <= B.  The draws are made trial by trial in the order of a
+    one-word-at-a-time loop: the payload (when M > 0), then per stream its
+    seed and its L+M standard normal draws, which awgn_llrs scales.  Only
+    the deterministic work after the draws runs over the block, so B never
+    changes a result.
 
-    The draws run on a one-worker executor, the draw-ahead thread, and
-    alternate between two preallocated slots of (payload, seeds, noise).
-    Once the caller has the result() of this block's draw, it submits the
-    next block's into the other slot and then works on this one: the thread
-    is never more than one block ahead, and result() raises here an
-    exception the thread met.  A yielded block lives in its slot, the LLRs
-    written over the draws, so it stays valid until the next block is
-    requested.  The thread is joined when the generator finishes, raises or
-    is closed; an error in a draw whose block was never requested is
-    dropped with it.  While the generator runs, nothing else may use rng.
+    The draws run on one one-worker executor for the whole sweep, the
+    draw-ahead thread, and alternate between two preallocated slots of
+    (payload, seeds, noise).  Once the caller has the result() of this
+    block's draw, it submits the next block's into the other slot and then
+    works on this one: the thread is never more than one block ahead, and
+    result() raises here an exception the thread met.  The block after a
+    point's last is the next point's first, drawn from that point's rng,
+    so the thread does not wait at a point's edge.  A yielded block lives
+    in its slot, the LLRs written over the draws, so it stays valid until
+    the next block is requested.  The thread is joined when the generator
+    finishes, raises or is closed; an error in a draw whose block was never
+    requested is dropped with it.  While the generator runs, nothing else
+    may use the points' generators.
     """
-    K = len(stream_snr_db)
-    sigma2 = np.array([snr_db_to_sigma2(s) for s in stream_snr_db])
+    K = len(points[0][1])
+    sigma2 = [np.array([snr_db_to_sigma2(s) for s in snrs]) for _, snrs in points]
     B = _block_trials(trials, K, L, M)
+    per_point = -(-trials // B)
+    n_blocks = len(points) * per_point
     slots = [(np.zeros((B, M), dtype=np.uint8), np.zeros((B, K), dtype=np.intp),
               np.zeros((B, K, L + M))) for _ in range(2)]
 
-    def block(s: int, first: int) -> list[np.ndarray]:
-        """The rows of slot s that hold the block of trials from first on."""
+    def block(s: int, j: int) -> list[np.ndarray]:
+        """The rows of slot s that hold block j of the sweep."""
+        first = j % per_point * B
         return [a[:min(B, trials - first)] for a in slots[s]]
 
     with ThreadPoolExecutor(1, "ssic-draw-ahead") as drawer:
-        drawn = drawer.submit(_draw_block, rng, *block(0, 0))
-        for i, first in enumerate(range(0, trials, B)):
+        drawn = drawer.submit(_draw_block, points[0][0], *block(0, 0))
+        for j in range(n_blocks):
             drawn.result()
-            s = i % 2
-            if first + B < trials:
-                drawn = drawer.submit(_draw_block, rng, *block(1 - s, first + B))
-            payload, seeds, z = block(s, first)
-            yield payload, seeds, scrambled_llrs(seeds, payload[:, None, :], L, z, sigma2)
+            s = j % 2
+            if j + 1 < n_blocks:
+                drawn = drawer.submit(_draw_block, points[(j + 1) // per_point][0],
+                                      *block(1 - s, j + 1))
+            gi = j // per_point
+            payload, seeds, z = block(s, j)
+            yield gi, payload, seeds, scrambled_llrs(seeds, payload[:, None, :], L, z, sigma2[gi])
 
 
-def _run_seed_ber_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator) -> dict[str, int]:
-    errors = {v: 0 for v in spec.variants}
-    blocks = _trial_blocks(rng, spec.trials, spec.L, 0, [snr_db + spec.stream_snr_offsets[0]])
-    with contextlib.closing(blocks):
-        for _, seeds, llrs in blocks:
-            seeds, pilots = seeds[:, 0], llrs[:, 0]
-            # hd and naive: register estimate straight from the last 7 pilot decisions
+def _seed_ber_errors(spec: SweepSpec, blocks) -> list[dict[str, int]]:
+    """Frame error counts per grid point and variant.  hd and naive take the
+    register estimate straight from the last 7 pilot decisions, hrsx and
+    srsx the MAP seed; each is made only when a listed variant reads it."""
+    errors = [dict.fromkeys(spec.variants, 0) for _ in spec.snr_grid]
+    need_hard = any(v in ("hd", "naive") for v in spec.variants)
+    need_map = any(v in ("hrsx", "srsx") for v in spec.variants)
+    for gi, _, seeds, llrs in blocks:
+        seeds, pilots = seeds[:, 0], llrs[:, 0]
+        wrong = {}
+        if need_hard:
             true_z = register_outputs(seeds, LFSR_LEN, spec.L - LFSR_LEN)
             hard_est = hard_decide(pilots[:, -LFSR_LEN:])
+            wrong["hard"] = int((hard_est != true_z).any(axis=1).sum())
+        if need_map:
             map_est = np.argmax(seed_log_weights(pilots), axis=1) + 1
-            wrong = {"hard": int((hard_est != true_z).any(axis=1).sum()),
-                     "map": int((map_est != seeds).sum())}
-            for v in spec.variants:
-                errors[v] += wrong["hard" if v in ("hd", "naive") else "map"]
+            wrong["map"] = int((map_est != seeds).sum())
+        for v in spec.variants:
+            errors[gi][v] += wrong["hard" if v in ("hd", "naive") else "map"]
     return errors
 
 
-def _run_payload_point(spec: SweepSpec, snr_db: float, rng: np.random.Generator,
-                       ) -> tuple[dict[str, int], dict[str, int]]:
-    """Bit and packet error counts per variant, on shared noise.
+def _payload_errors(spec: SweepSpec, blocks) -> tuple[list[dict[str, int]], list[dict[str, int]]]:
+    """Bit and packet error counts per grid point and variant, on shared noise.
 
     The descrambled rows, srsx's (2, B*K, M) scratch when srsx runs and
-    the stream total are allocated once here and written by every block of
-    trials (a short last block uses their leading rows), so the loop
-    allocates nothing of a block's size.
+    the stream total are allocated once per sweep and written by every
+    block of trials (a short last block uses their leading rows): L, K, M
+    and trials are the spec's, so every grid point has the same shapes, and
+    the loop allocates nothing of a block's size.
     """
     L, K = spec.L, spec.n_streams
     M = spec.payload_bytes * 8
-    bit_err = {v: 0 for v in spec.variants}
-    pkt_err = {v: 0 for v in spec.variants}
+    bit_err = [dict.fromkeys(spec.variants, 0) for _ in spec.snr_grid]
+    pkt_err = [dict.fromkeys(spec.variants, 0) for _ in spec.snr_grid]
     need_post = any(v in ("hrsx", "srsx") for v in spec.variants)
-    stream_snr_db = [snr_db + off for off in spec.stream_snr_offsets]
     B = _block_trials(spec.trials, K, L, M)
     descrambled, total = np.empty((B * K, M)), np.empty((B, M))
     scratch = np.empty((2, B * K, M)) if "srsx" in spec.variants else None
-    blocks = _trial_blocks(rng, spec.trials, L, M, stream_snr_db)
-    with contextlib.closing(blocks):
-        for payload, _, llrs in blocks:
-            b = payload.shape[0]
-            rows = llrs.reshape(b * K, L + M)
-            pilots, words = rows[:, :L], rows[:, L:]
-            out = descrambled[:b * K]
-            lw = seed_log_weights(pilots) if need_post else None
-            for v in spec.variants:
-                if v == "hd":  # n_streams == 1, checked by validate()
-                    bits = hd_rows(hard_decide(rows[:, L - LFSR_LEN:]))
+    for gi, payload, _, llrs in blocks:
+        b = payload.shape[0]
+        rows = llrs.reshape(b * K, L + M)
+        pilots, words = rows[:, :L], rows[:, L:]
+        out = descrambled[:b * K]
+        lw = seed_log_weights(pilots) if need_post else None
+        for v in spec.variants:
+            if v == "hd":  # n_streams == 1, checked by validate()
+                bits = hd_rows(hard_decide(rows[:, L - LFSR_LEN:]))
+            else:
+                if v == "naive":
+                    naive_rows(pilots, words, out=out)
+                elif v == "hrsx":
+                    hrsx_rows(lw, words, L, out=out)
                 else:
-                    if v == "naive":
-                        naive_rows(pilots, words, out=out)
-                    elif v == "hrsx":
-                        hrsx_rows(lw, words, L, out=out)
-                    else:
-                        srsx_rows(lw, words, L, out=out, scratch=scratch[:, :b * K])
-                    bits = hard_decide(combine_streams(out.reshape(b, K, M).swapaxes(0, 1),
-                                                       out=total[:b]))
-                wrong = (bits != payload).sum(axis=1)
-                bit_err[v] += int(wrong.sum())
-                pkt_err[v] += int((wrong > 0).sum())
+                    srsx_rows(lw, words, L, out=out, scratch=scratch[:, :b * K])
+                bits = hard_decide(combine_streams(out.reshape(b, K, M).swapaxes(0, 1),
+                                                   out=total[:b]))
+            wrong = (bits != payload).sum(axis=1)
+            bit_err[gi][v] += int(wrong.sum())
+            pkt_err[gi][v] += int((wrong > 0).sum())
     return bit_err, pkt_err
 
 
 def run_sweep(spec: SweepSpec) -> list[list]:
-    """All rows for a sweep-mode spec, in deterministic grid x variant order."""
+    """All rows for a sweep-mode spec, in deterministic grid x variant order.
+
+    Grid point gi draws from its own generator, _point_rng(spec, gi); one
+    _trial_blocks pipeline runs every point's blocks in grid order."""
     spec.validate()
     if spec.mode == "netsim":
         raise ValueError("mode: use run_netsim for netsim specs")
-    rows = []
-    M = spec.payload_bytes * 8
-    for gi, snr_db in enumerate(spec.snr_grid):
-        rng = _point_rng(spec, gi)
+    M = 0 if spec.mode == "seed_ber" else spec.payload_bytes * 8
+    points = [(_point_rng(spec, gi), [snr_db + off for off in spec.stream_snr_offsets])
+              for gi, snr_db in enumerate(spec.snr_grid)]
+    blocks = _trial_blocks(points, spec.trials, spec.L, M)
+    with contextlib.closing(blocks):
         if spec.mode == "seed_ber":
-            n, errors = spec.trials, _run_seed_ber_point(spec, snr_db, rng)
+            n, errors = spec.trials, _seed_ber_errors(spec, blocks)
         else:
-            bit_err, pkt_err = _run_payload_point(spec, snr_db, rng)
+            bit_err, pkt_err = _payload_errors(spec, blocks)
             n, errors = ((spec.trials * M, bit_err) if spec.mode == "payload_ber"
                          else (spec.trials, pkt_err))
-        rows += (_csv_fields(spec, snr_db, v, n, errors[v]) for v in spec.variants)
-    return rows
+    return [_csv_fields(spec, snr_db, v, n, errors[gi][v])
+            for gi, snr_db in enumerate(spec.snr_grid) for v in spec.variants]
 
 
 def run_netsim(spec: SweepSpec) -> list[list]:

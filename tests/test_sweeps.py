@@ -292,7 +292,7 @@ def test_a_trial_that_fills_a_block_is_accepted():
 
 
 # What a 1-trial grid point of an accepted spec may allocate: a trial holds
-# at most BLOCK_FLOATS floats, and the point holds two draw slots, the
+# at most BLOCK_FLOATS floats, and the sweep holds two draw slots, the
 # descrambled rows, srsx's two scratch blocks and the stream total; two more
 # blocks cover the kernels' temporaries.  8 blocks of float64: 8 MiB.
 SPEC_BUDGET_BYTES = 8 * 8 * sweeps.BLOCK_FLOATS
@@ -490,6 +490,25 @@ def test_golden_csv_bytes():
     assert rows_to_csv(SWEEP_COLUMNS, run_sweep(spec)) == GOLDEN_SEED_BER_CSV
 
 
+def test_a_hard_only_seed_sweep_weighs_no_seeds(monkeypatch):
+    """hd and naive read the register off the last 7 pilot decisions, not the
+    MAP seed, so a seed_ber sweep of those two never weighs the 127 seeds.
+    Its rows are the golden sweep's hd rows, once for each of the two."""
+    calls = []
+    seed_log_weights = sweeps.seed_log_weights
+    monkeypatch.setattr(sweeps, "seed_log_weights",
+                        lambda pilots: calls.append(len(pilots)) or seed_log_weights(pilots))
+    spec = SweepSpec(mode="seed_ber", snr_grid=[0.0, 4.0], L=16, trials=400,
+                     variants=("hd", "naive"), rng_seed=99)
+    header, *rows = GOLDEN_SEED_BER_CSV.splitlines(keepends=True)
+    want = header + "".join(r + r.replace(",hd,", ",naive,") for r in rows if ",hd," in r)
+    assert rows_to_csv(SWEEP_COLUMNS, run_sweep(spec)) == want
+    assert calls == []
+    spec.variants = ("hd", "naive", "hrsx")  # the MAP seed is read again
+    run_sweep(spec)
+    assert sum(calls) == 2 * 400
+
+
 def test_golden_payload_csv_bytes():
     spec = SweepSpec(mode="payload_ber", snr_grid=[0.0, 3.0], L=16, n_streams=2,
                      stream_snr_offsets=[0.0, 1.0], trials=30, payload_bytes=40,
@@ -533,8 +552,30 @@ def test_payload_point_does_not_churn_pages():
     assert per_trial < 40, f"{per_trial:.1f} minor faults per trial"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults that Linux reports")
+def test_sweep_allocates_its_block_buffers_once():
+    """One draw-ahead pipeline and one set of block buffers serve every grid
+    point.  At per_short's shape a set is about 4.9 MB, some 1,200 pages;
+    buffers allocated per point, and handed back to the OS at its end, are
+    faulted in again at every point: 5,600-7,200 faults for these six."""
+    import resource
+
+    def sweep(seed):
+        run_sweep(SweepSpec(mode="packet_per", snr_grid=[2.0, 4.0, 6.0, 8.0, 10.0, 12.0],
+                            L=16, n_streams=4, trials=50, payload_bytes=256,
+                            variants=("srsx",), rng_seed=seed))
+
+    sweep(1)  # warm-up: lazy tables, first-touch of the heap
+    bound = 2 * _block_bytes(14, 4, 16, 256 * 8, True) // resource.getpagesize()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sweep(2)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < bound, f"{faults} minor faults in a 6-point sweep, bound {bound}"
+
+
 def _block_bytes(B: int, K: int, L: int, M: int, srsx: bool) -> int:
-    """What a payload grid point allocates for blocks of B trials x K streams:
+    """What a payload sweep allocates for blocks of B trials x K streams:
     two slots of payload bits (uint8), seeds (intp) and noise (float64), then
     the descrambled rows, srsx's two scratch blocks when srsx runs and the
     stream total, all float64."""
@@ -627,7 +668,7 @@ def test_csv_does_not_depend_on_the_block_size(monkeypatch, spec):
 
     def recording(*args):
         for block in blocks(*args):
-            sizes.append(len(block[0]))
+            sizes.append(len(block[1]))  # (gi, payload, seeds, llrs)
             yield block
 
     monkeypatch.setattr(sweeps, "_trial_blocks", recording)
