@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scrambler import (LFSR_LEN, _checked_seed, checked_bits, register_outputs, seed_from_int,
-                        seed_to_int)
+from .scrambler import (LFSR_LEN, _checked_seed, check_pilot_len, checked_bits,
+                        register_outputs, seed_from_int, seed_to_int)
 from .softbits import LLR_MAX, SoftWord, hard_decide
 from .descramble import hd
 
@@ -157,8 +157,7 @@ def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
     detection loss, no bursts, no CRC short-circuit.  The word is handed
     over to SoftWord.owning, which checks it in place.
     """
-    if L < LFSR_LEN:  # refused before the draw, as transmit does
-        raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
+    check_pilot_len(L)  # refused before the draw, as transmit does
     s, payload = _checked_seed(seed), checked_bits(payload_bits, "payload_bits")
     z = rng.standard_normal(L + payload.size)
     llrs = scrambled_llrs(seed_to_int(s), payload, L, z, snr_db_to_sigma2(snr_db))
@@ -188,8 +187,7 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     nor an LLR is formed.  The draws are the same either way.  A soft
     frame's word is handed over to SoftWord.owning without a copy.
     """
-    if L < LFSR_LEN:
-        raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
+    check_pilot_len(L)
     seed, payload = _checked_seed(seed), checked_bits(payload_bits, "payload_bits")
     if rng.random() < params.detection_loss_prob:
         return StreamObservation(stream_id)

@@ -16,10 +16,10 @@ of a seed is half the correlation of the pilot LLRs with that seed's +-1
 pilot pattern, up to a shared constant: one matrix product and a softmax.
 The pilot patterns are the seeds' first L register outputs, so the
 posterior needs only the pilot LLRs.  A posterior is an array of
-normalized log-weights, entry i for seed integer i+1: (n, 127) for a block
-of words (seed_log_weights), (127,) for one word (seed_posterior).
+normalized log-weights, entry i for seed integer i+1: (127,) for one
+word's (L,) pilot LLRs, (n, 127) for a block's (n, L) (seed_posterior).
 hrsx and srsx compute it from the word's own pilots, which its SoftWord
-has checked, so they skip seed_log_weights' check and run its core.
+has checked, so they skip seed_posterior's check and run its core.
 The three LLR receivers share one mask rule, mix_rows, and differ only in
 q, the probability that each mask bit is 0, and the phase they start from.
 naive_sd and hrsx know the register state for certain, so their q is its
@@ -63,8 +63,17 @@ _PILOT_CODEBOOK = _read_only(np.ascontiguousarray(2.0 * _ZERO_PROB[1:].T - 1.0))
 _COLLAPSE_Q = 2.0 ** -82
 
 
-def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
-    """Normalized seed log-posteriors of n words at once: (n, L) -> (n, 127).
+def _word_or_block(x, name: str) -> int:
+    """x's ndim; raises a ValueError naming x unless it is one word, (L,), or
+    a block of words, (n, L), with L >= 7: the entries that pin the register."""
+    if np.ndim(x) not in (1, 2) or np.shape(x)[-1] < LFSR_LEN:
+        raise ValueError(f"need {name} of shape (L,) or (n, L), L >= {LFSR_LEN}, got {np.shape(x)}")
+    return np.ndim(x)
+
+
+def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
+    """Normalized seed log-posteriors of one word, (L,) pilot LLRs -> (127,),
+    or of n words, (n, L) -> (n, 127); entry i is seed integer i+1.
 
     For candidate seed r the pilot block would have been its first L
     register outputs, with +-1 pattern s_r; each pilot contributes
@@ -73,19 +82,12 @@ def seed_log_weights(pilots: np.ndarray) -> np.ndarray:
     The pilots are checked as SoftWord's are (checked_llrs), so an infinite
     pilot cannot make a row NaN; _log_weights is the unchecked core.
     """
-    return _log_weights(_checked_pilots(pilots, "pilots", ndim=2))
-
-
-def _checked_pilots(pilots, name: str, ndim: int) -> np.ndarray:
-    """pilots under checked_llrs' rule, refused by name when fewer than 7."""
-    y = checked_llrs(pilots, name, ndim)
-    if y.shape[-1] < LFSR_LEN:
-        raise ValueError(f"need {name} with L >= {LFSR_LEN}, got shape {y.shape}")
-    return y
+    y = checked_llrs(pilot_llrs, "pilot_llrs", _word_or_block(pilot_llrs, "pilot_llrs"))
+    return _log_weights(y) if y.ndim == 2 else _log_weights(y[None])[0]
 
 
 def _log_weights(y: np.ndarray) -> np.ndarray:
-    """seed_log_weights of (n, L) pilots already checked, a SoftWord's or
+    """seed_posterior of (n, L) pilots already checked, a SoftWord's or
     checked_llrs', L >= 7.  The patterns repeat every 127 phases, so where
     L > 127 the pilots of each phase are summed first and S is (127, 127),
     whatever L is."""
@@ -96,16 +98,6 @@ def _log_weights(y: np.ndarray) -> np.ndarray:
     lw -= lw.max(axis=1, keepdims=True)
     lw -= np.log(np.exp(lw).sum(axis=1, keepdims=True))
     return lw
-
-
-def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
-    """Normalized seed log-posteriors of one word: (L,) pilot LLRs -> (127,).
-
-    Entry i is seed integer i+1 (r0 = LSB).  The pilots are checked once,
-    as SoftWord's are (checked_llrs), so an infinite pilot cannot make the
-    posterior NaN.
-    """
-    return _log_weights(_checked_pilots(pilot_llrs, "pilot_llrs", ndim=1)[None])[0]
 
 
 def z_sequence_table() -> np.ndarray:
@@ -120,23 +112,19 @@ def mask_zero_by_phase(weights: np.ndarray) -> np.ndarray:
     return np.clip(weights @ _ZERO_PROB[1:], 0.0, 1.0)
 
 
-def hd_rows(word_hard: np.ndarray) -> np.ndarray:
-    """hd for n words at once: (n, 7 + M) bits -> (n, M) bits."""
-    if np.ndim(word_hard) != 2 or np.shape(word_hard)[1] < LFSR_LEN:
-        raise ValueError("need a 7-bit register preload plus payload")
-    b = checked_bits(word_hard, "word_hard", one_dim=False)
-    payload = b[:, LFSR_LEN:]
-    return register_outputs(register_states(b[:, :LFSR_LEN]), payload.shape[1]) ^ payload
-
-
 def hd(word_hard: np.ndarray) -> np.ndarray:
-    """Hard descrambling: bits[0:7] preload the register, the rest is XORed.
+    """Hard descrambling of one word, (7 + M,) bits -> (M,), or of n words,
+    (n, 7 + M) -> (n, M): bits 0..6 preload the register, the rest is XORed.
 
     The caller passes the last 7 pilot decisions followed by the payload
     decisions.  An all-zero preload is legal (it just passes bits through);
     it is an estimate, not a transmit seed.
     """
-    return hd_rows(np.asarray(word_hard)[None])[0]  # hd_rows refuses a word_hard not 1-D
+    ndim = _word_or_block(word_hard, "word_hard")
+    rows = np.atleast_2d(checked_bits(word_hard, "word_hard", one_dim=False))
+    payload = rows[:, LFSR_LEN:]
+    out = register_outputs(register_states(rows[:, :LFSR_LEN]), payload.shape[1]) ^ payload
+    return out if ndim == 2 else out[0]
 
 
 def mix_rows(q: np.ndarray, payload: np.ndarray, start: int,

@@ -39,7 +39,6 @@ bool outcome columns (PacketOutcomes), 2 * streams + 1 bytes per packet.
 from __future__ import annotations
 
 import heapq
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -49,10 +48,11 @@ import numpy as np
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
 from .combine import ssic_combine
 from .descramble import hrsx, naive_sd, srsx
-from .scrambler import checked_bits
+from .scrambler import check_pilot_len, checked_bits, is_int
 from .softbits import SoftWord, hard_decide
-from .vcframe import (FrameKey, VcFrame, decode_header_soft, encapsulate, frame_to_bits,
-                      header_from_bits, is_frame_length, payload_from_bits, split_frame)
+from .vcframe import (MTU_PAYLOAD, FrameKey, VcFrame, decode_header_soft, encapsulate,
+                      frame_to_bits, header_from_bits, is_frame_length, payload_from_bits,
+                      split_frame)
 
 # importable here under the name ssicbench/spans.py traces, though push does not call it
 from .vcframe import frame_from_bits  # noqa: F401
@@ -104,7 +104,7 @@ class AggregatorConfig:
             raise ValueError(f"unknown soft descrambling variant: {self.variant}")
         # a fractional window makes serials that match no key, and a window
         # holding half the serial space could hold two packets with one key
-        if isinstance(self.window_size, bool) or not isinstance(self.window_size, numbers.Integral):
+        if not is_int(self.window_size):
             raise ValueError(f"window_size: must be an integer, got {self.window_size!r}")
         if not 1 <= self.window_size < VCS_MOD // 2:
             raise ValueError(
@@ -313,8 +313,15 @@ def run_network_point(n_packets: int, payload_bytes: int,
     n_packets; they are returned with the aggregator counters.
     """
     n_streams = len(stream_params)
+    # the sizes are refused by name before the first draw
+    for name, value in (("n_packets", n_packets), ("payload_bytes", payload_bytes)):
+        if not is_int(value):
+            raise ValueError(f"{name}: must be an integer, got {value!r}")
     if n_packets < 0:
         raise ValueError(f"n_packets: must be >= 0, got {n_packets}")
+    if not 0 <= payload_bytes <= MTU_PAYLOAD:
+        raise ValueError(f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {payload_bytes}")
+    check_pilot_len(L)
     if not 0.0 <= arrival_jitter < np.inf:
         raise ValueError(f"arrival_jitter: must be finite and >= 0, got {arrival_jitter}")
     dispatcher = Dispatcher(RUN_VCI, [0x020000000000 + k for k in range(n_streams)])

@@ -20,6 +20,7 @@ tables are read-only module constants, built at import (_read_only).
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -39,9 +40,24 @@ _STATE_BITS = _read_only(
     ((np.arange(1 << LFSR_LEN)[:, None] >> np.arange(LFSR_LEN)) & 1).astype(np.uint8))
 
 
+def is_int(v) -> bool:
+    """v is an integer, Python's or numpy's, and not a bool: the one rule for
+    a count, a size or an index given as a number."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_pilot_len(L) -> None:
+    """Raises a ValueError naming L, a pilot count, unless it is an integer of
+    at least 7, the pilots that pin the register."""
+    if not is_int(L):
+        raise ValueError(f"L must be an integer, got {L!r}")
+    if L < LFSR_LEN:
+        raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
+
+
 def seed_from_int(v: int) -> np.ndarray:
     """7-bit register state from an integer 0..127 (a bool is refused), r0 = LSB."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v <= 127:
+    if not is_int(v) or not 0 <= v <= 127:
         raise ValueError(f"seed must be an integer 0..127, got {v!r}")
     return _STATE_BITS[v].copy()
 
@@ -147,11 +163,11 @@ def scramble(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return register_outputs(seed_to_int(s), x.size) ^ x
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def mask_matrix(L: int) -> np.ndarray:
     """(L, 7) GF(2) matrix A with scramble(seed, zeros(L)) == A @ seed mod 2:
-    the pilots, an all-zero L-bit prefix, as combinations of the seed bits."""
-    if L < LFSR_LEN:
-        raise ValueError(f"L must be at least {LFSR_LEN}, got {L}")
+    the pilots, an all-zero L-bit prefix, as combinations of the seed bits.
+    The cache is typed, so a float L equal to a cached integer is refused."""
+    check_pilot_len(L)
     # column j: the outputs of unit state 1 << j, by linearity
     return _read_only(register_outputs(_BIT_WEIGHTS, L).T)

@@ -47,17 +47,17 @@ import numpy as np
 
 from .channel import ChannelParams, scrambled_llrs, snr_db_to_sigma2
 from .combine import combine_streams
-from .descramble import N_SEEDS, hd_rows, hrsx_rows, naive_rows, seed_log_weights, srsx_rows
+from .descramble import N_SEEDS, hd, hrsx_rows, naive_rows, seed_posterior, srsx_rows
 from .netstack import SOFT_VARIANTS, AggregatorConfig, run_metrics, run_network_point
-from .scrambler import LFSR_LEN, register_outputs
+from .scrambler import LFSR_LEN, is_int, register_outputs
 from .softbits import hard_decide
 from .vcframe import FRAME_OVERHEAD_BITS, MTU_PAYLOAD
 
-# The per-word entry points stay importable from this module, under the names
-# ssicbench/spans.py traces, although the block path below does not call them.
+# Per-word entry points that the block path below does not call (it calls
+# seed_posterior), importable here under the names ssicbench/spans.py traces.
 from .channel import soft_copy  # noqa: F401
 from .combine import ssic_combine  # noqa: F401
-from .descramble import hrsx, naive_sd, seed_posterior, srsx  # noqa: F401
+from .descramble import hrsx, naive_sd, srsx  # noqa: F401
 
 MODES = ("seed_ber", "payload_ber", "packet_per", "netsim")
 VARIANTS = ("hd",) + SOFT_VARIANTS
@@ -82,14 +82,10 @@ NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
 BLOCK_FLOATS = 1 << 17
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _is_real(v) -> bool:
     # an int beyond a double's range would overflow where the value is used
     return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and not (_is_int(v) and abs(v) > sys.float_info.max))
+            and not (is_int(v) and abs(v) > sys.float_info.max))
 
 
 # SweepSpec annotation (a string, under the __future__ import) -> what a
@@ -97,7 +93,7 @@ def _is_real(v) -> bool:
 # hold any type
 _FIELD_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
-    "int": ("an integer", _is_int),
+    "int": ("an integer", is_int),
     "float": ("a number", _is_real),
     "list[float]": ("a list of numbers",
                     lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v))),
@@ -349,7 +345,7 @@ def _seed_ber_errors(spec: SweepSpec, blocks) -> list[dict[str, int]]:
             hard_est = hard_decide(pilots[:, -LFSR_LEN:])
             wrong["hard"] = int((hard_est != true_z).any(axis=1).sum())
         if need_map:
-            map_est = np.argmax(seed_log_weights(pilots), axis=1) + 1
+            map_est = np.argmax(seed_posterior(pilots), axis=1) + 1
             wrong["map"] = int((map_est != seeds).sum())
         for v in spec.variants:
             errors[gi][v] += wrong["hard" if v in ("hd", "naive") else "map"]
@@ -378,10 +374,10 @@ def _payload_errors(spec: SweepSpec, blocks) -> tuple[list[dict[str, int]], list
         rows = llrs.reshape(b * K, L + M)
         pilots, words = rows[:, :L], rows[:, L:]
         out = descrambled[:b * K]
-        lw = seed_log_weights(pilots) if need_post else None
+        lw = seed_posterior(pilots) if need_post else None
         for v in spec.variants:
             if v == "hd":  # n_streams == 1, checked by validate()
-                bits = hd_rows(hard_decide(rows[:, L - LFSR_LEN:]))
+                bits = hd(hard_decide(rows[:, L - LFSR_LEN:]))
             else:
                 if v == "naive":
                     naive_rows(pilots, words, out=out)

@@ -476,20 +476,31 @@ def test_transmit_hands_over_the_word_softword_would_copy(L, burst):
     assert np.shares_memory(w.payload, inf)
 
 
-@pytest.mark.parametrize("L", [0, 6])
+# a pilot count that is no integer, even one with an integer value, is refused
+# by name before any draw, as a short one is
+NOT_INT_L = [16.0, 16.5, pytest.param(np.float64(16.0), id="float64-16"), True]
+
+
+def l_refusal(L) -> str:
+    return "^L must be an integer" if isinstance(L, (bool, float)) else "^L must be at least 7"
+
+
+@pytest.mark.parametrize("L", [0, 6] + NOT_INT_L)
 def test_transmit_rejects_short_pilot_blocks(L):
     # with L < 7 the register preload y[L - 7:] would wrap to the frame's end
     rng = np.random.default_rng(11)
-    with pytest.raises(ValueError, match="L must be at least 7"):
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=l_refusal(L)):
         transmit(seed_from_int(5), np.zeros(64, dtype=np.uint8), L,
                  ChannelParams(snr_db=-5.0), rng)
+    assert rng.bit_generator.state == before  # refused before any draw
 
 
-@pytest.mark.parametrize("L", [0, 3, 6])
+@pytest.mark.parametrize("L", [0, 3, 6] + NOT_INT_L)
 def test_soft_copy_rejects_short_pilot_blocks_before_the_draw(L):
     rng = np.random.default_rng(11)
     before = rng.bit_generator.state
-    with pytest.raises(ValueError, match="L must be at least 7"):
+    with pytest.raises(ValueError, match=l_refusal(L)):
         soft_copy(seed_from_int(5), np.zeros(4, dtype=np.uint8), L, 4.0, rng)
     assert rng.bit_generator.state == before  # refused before any draw
 

@@ -18,14 +18,12 @@ from ssic.descramble import (
     _ZERO_PROB,
     N_SEEDS,
     hd,
-    hd_rows,
     hrsx,
     hrsx_rows,
     mask_zero_by_phase,
     mix_rows,
     naive_rows,
     naive_sd,
-    seed_log_weights,
     seed_posterior,
     srsx,
     srsx_rows,
@@ -101,8 +99,8 @@ def test_posterior_concentrates_on_true_seed_with_clean_pilots():
 def test_posterior_validates_shapes():
     with pytest.raises(ValueError):
         seed_posterior(np.zeros(6))  # fewer pilots than the register has bits
-    with pytest.raises(ValueError, match="one-dimensional"):
-        seed_posterior(np.zeros((2, 16)))  # a block goes to seed_log_weights
+    with pytest.raises(ValueError, match=r"^need pilot_llrs of shape \(L,\) or \(n, L\)"):
+        seed_posterior(np.zeros((2, 2, 16)))  # one word or a block, nothing deeper
 
 
 @pytest.mark.parametrize("L", [7, 16, 127])
@@ -123,7 +121,7 @@ def test_pilots_beyond_a_period_are_summed_by_phase(L):
     lw = 0.5 * (pilots @ (1.0 - 2.0 * ((mask_matrix(L) @ seeds.T) % 2)))
     lw -= lw.max(axis=1, keepdims=True)
     lw -= np.log(np.exp(lw).sum(axis=1, keepdims=True))
-    got = seed_log_weights(pilots)
+    got = seed_posterior(pilots)
     assert np.abs(got - lw).max() <= 1e-12 * np.abs(lw).max()
     assert (got.argmax(axis=1) == lw.argmax(axis=1)).all()
 
@@ -134,7 +132,7 @@ def test_seed_posterior_memory_does_not_grow_with_L():
     pilots = np.zeros((1, 130945))  # the longest pilot block seed_ber accepts
     tracemalloc.start()
     try:
-        seed_log_weights(pilots)
+        seed_posterior(pilots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -203,8 +201,8 @@ def test_hd_zero_preload_passes_through():
     assert np.array_equal(hd(bits), bits[7:])
     with pytest.raises(ValueError):
         hd(np.zeros(6, dtype=np.uint8))
-    with pytest.raises(ValueError, match="preload"):
-        hd(np.zeros((2, 11), dtype=np.uint8))  # a block goes to hd_rows
+    with pytest.raises(ValueError, match=r"^need word_hard of shape \(L,\) or \(n, L\)"):
+        hd(np.zeros((2, 2, 11), dtype=np.uint8))  # one word or a block, nothing deeper
 
 
 def test_naive_sd_equals_hd_on_hard_decisions():
@@ -348,13 +346,13 @@ def test_row_kernels_equal_single_word_functions_row_by_row():
     rng = np.random.default_rng(31)
     L, M = 16, 300
     pilots, payload, words = noisy_block(rng, 40, L, M)
-    lw = seed_log_weights(pilots)
+    lw = seed_posterior(pilots)
     q = mask_q(np.exp(lw), L, M)
     srsx_out = srsx_rows(lw, payload, L)
     hrsx_out, idx = hrsx_rows(lw, payload, L)
     naive_out = naive_rows(pilots, payload)
     hard = hard_decide(np.concatenate([pilots[:, -7:], payload], axis=1))
-    hd_out = hd_rows(hard)
+    hd_out = hd(hard)
     for i, word in enumerate(words):
         post = seed_posterior(word.pilots)
         np.testing.assert_allclose(lw[i], post, rtol=1e-12, atol=1e-12)
@@ -378,7 +376,7 @@ def test_row_kernels_match_brute_force_oracles():
     rng = np.random.default_rng(32)
     L, M = 16, 300
     pilots, payload, _ = noisy_block(rng, 30, L, M)
-    lw = seed_log_weights(pilots)
+    lw = seed_posterior(pilots)
     for i in range(len(pilots)):
         np.testing.assert_allclose(np.exp(lw[i]), brute_posterior(pilots[i], L),
                                    rtol=1e-9, atol=1e-300)
@@ -397,17 +395,17 @@ def test_row_kernels_match_brute_force_oracles():
         np.testing.assert_allclose(out[i], brute_srsx(payload[i], np.exp(lw[i]), L),
                                    rtol=1e-9, atol=1e-12)
     # hrsx rows pick the brute-force ML seed
-    _, idx = hrsx_rows(seed_log_weights(pilots), payload, L)
+    _, idx = hrsx_rows(seed_posterior(pilots), payload, L)
     assert [int(i) + 1 for i in idx] == [brute_ml_seed(p, L) for p in pilots]
 
 
 def test_row_kernels_validate_shapes():
-    with pytest.raises(ValueError):
-        seed_log_weights(np.zeros(16))  # one word, not a block
-    with pytest.raises(ValueError):
-        seed_log_weights(np.zeros((3, 6)))  # fewer pilots than the register has bits
-    with pytest.raises(ValueError):
-        hd_rows(np.zeros((2, 6), dtype=np.uint8))
+    # one word or a block of words, each of at least 7 entries, or refused by name
+    for call, name, dtype in ((seed_posterior, "pilot_llrs", np.float64),
+                              (hd, "word_hard", np.uint8)):
+        for shape in ((3, 1, 16), (2, 3, 16), (3, 6), (2, 6), (6,), ()):
+            with pytest.raises(ValueError, match=rf"^need {name} of shape \(L,\) or \(n, L\)"):
+                call(np.zeros(shape, dtype=dtype))
 
 
 # ---------------------------------------------- out= kernels against oracles
@@ -458,7 +456,7 @@ def oracle_log_weights(rng, kind, n, L):
                 else:
                     v = int(rng.integers(1, 128))
                     pilots = flip_by_mask(np.full(L, LLR_MAX), pilot_bits(v, L))
-                    lw[i] = seed_log_weights(pilots[None])[0]
+                    lw[i] = seed_posterior(pilots[None])[0]
             return lw
     if kind == "edges":
         return np.vstack([edge_log_weights(rng, int(rng.integers(3))) for _ in range(n)])
@@ -599,7 +597,7 @@ def test_srsx_equals_the_oracle_where_every_hard_q_is_1(strided):
     rng = np.random.default_rng(45)
     L, M, n = 16, 700, 3
     pilots = [flip_by_mask(np.full(L, LLR_MAX), pilot_bits(v, L)) for v in (5, 77, 120)]
-    lw = seed_log_weights(np.array(pilots))
+    lw = seed_posterior(np.array(pilots))
     q = mask_zero_by_phase(np.exp(lw))
     assert (q > 0.0).all() and (q == 1.0).any() and (q < 1.0).any()
     payload = oracle_payload(rng, n, M)
@@ -664,9 +662,9 @@ def test_a_word_mixed_in_two_pieces_equals_the_word_mixed_whole(L, snr_db, srsx_
                           snr_db_to_sigma2(snr_db))
     pilots, payload = llrs[:, :L], llrs[:, L:]
     if q_of == "srsx":
-        q = mask_zero_by_phase(np.exp(seed_log_weights(pilots)))
+        q = mask_zero_by_phase(np.exp(seed_posterior(pilots)))
         assert mix_path(q) == srsx_path
-        assert same_bytes(mix_rows(q, payload, L), srsx_rows(seed_log_weights(pilots), payload, L))
+        assert same_bytes(mix_rows(q, payload, L), srsx_rows(seed_posterior(pilots), payload, L))
     else:
         q = _ZERO_PROB[seeds]
         assert mix_path(q) == "flips"
@@ -723,7 +721,7 @@ def test_receivers_of_a_checked_word_equal_the_checked_block_path(L, owning):
             word = SoftWord(pilots=raw, payload=payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lw = seed_log_weights(raw[None])
+            lw = seed_posterior(raw[None])
             pay = np.clip(payload, -LLR_MAX, LLR_MAX)[None]
             assert same_bytes(srsx(word), srsx_rows(lw, pay, L)[0])
             got, seed_bits = hrsx(word)
@@ -740,3 +738,39 @@ def test_seed_posterior_refuses_nan(pos):
     pilots[pos] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         seed_posterior(pilots)
+
+
+# ----------------------------------------- one word or a block of words
+@pytest.mark.parametrize("L", [7, 16, 127, 200])
+def test_a_blocks_rows_are_its_words(L):
+    """Row i of seed_posterior and hd on a block is the function on word i.
+
+    The posteriors are compared byte for byte on pilots whose correlation
+    with the codebook sums exactly: quarter-integer LLRs, with infinities
+    that clamp to +-LLR_MAX.  numpy multiplies one word as a vector and a
+    block as a matrix, and BLAS may sum the two in different orders, so
+    drawn LLRs, infinities included, are compared to 1e-12; every other
+    step (the check, the clamp, the phase sums, the normalization) is the
+    same row by row."""
+    rng = np.random.default_rng(L)
+    n = 5
+    exact = rng.integers(-80, 81, (n, L)) / 4.0
+    noisy = noisy_block(rng, n, L, 0)[0]
+    for pilots in (exact, noisy):
+        pilots[0, :3] = np.inf, -np.inf, np.inf
+        pilots[3, -2:] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = seed_posterior(pilots)
+        assert block.shape == (n, N_SEEDS) and np.isfinite(block).all()
+        for i in range(n):
+            if pilots is exact:
+                assert same_bytes(block[i], seed_posterior(pilots[i])), i
+            else:
+                np.testing.assert_allclose(block[i], seed_posterior(pilots[i]),
+                                           rtol=1e-12, atol=1e-12)
+    bits = rng.integers(0, 2, (n, 7 + 3 * L), dtype=np.uint8)
+    out = hd(bits)
+    assert out.shape == (n, 3 * L)
+    for i in range(n):
+        assert same_bytes(out[i], hd(bits[i])), i

@@ -231,13 +231,13 @@ def test_a_draw_error_in_the_next_points_first_block_surfaces(monkeypatch, mode)
     monkeypatch.setattr(sweeps, "_point_rng", lambda spec, gi: StandInRng(
         point_rng(spec, gi), *((2, drawing.set) if gi == 1 else ())))
     held = []
-    seed_log_weights = sweeps.seed_log_weights
+    seed_posterior = sweeps.seed_posterior
 
     def holding(pilots):  # called once per block, in the caller
         held.append(drawing.wait(10) if len(held) + 1 == per_point else drawing.is_set())
-        return seed_log_weights(pilots)
+        return seed_posterior(pilots)
 
-    monkeypatch.setattr(sweeps, "seed_log_weights", holding)
+    monkeypatch.setattr(sweeps, "seed_posterior", holding)
     before = set(threading.enumerate())
     with pytest.raises(DrawError, match="draw 2"):
         run_sweep(spec)
@@ -277,16 +277,16 @@ def test_a_draw_error_in_a_block_never_taken_is_dropped(monkeypatch):
 def test_an_error_in_the_callers_loop_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(sweeps, "BLOCK_FLOATS", 2 * 2 * (16 + 48 + 127))
     calls = 0
-    seed_log_weights = sweeps.seed_log_weights
+    seed_posterior = sweeps.seed_posterior
 
     def failing(pilots):
         nonlocal calls
         calls += 1
         if calls == 2:
             raise ArithmeticError("in the loop body")
-        return seed_log_weights(pilots)
+        return seed_posterior(pilots)
 
-    monkeypatch.setattr(sweeps, "seed_log_weights", failing)
+    monkeypatch.setattr(sweeps, "seed_posterior", failing)
     before = set(threading.enumerate())
     for mode in ("payload_ber", "seed_ber"):
         calls = 0

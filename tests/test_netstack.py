@@ -537,11 +537,34 @@ def test_run_network_point_equals_the_oracle_at_other_pilot_lengths(pilots):
 
 
 def test_run_network_point_rejects_negative_packets():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     with pytest.raises(ValueError, match="n_packets"):
-        run_network_point(-1, 10, [ChannelParams(snr_db=8.0)], L, np.random.default_rng(0))
+        run_network_point(-1, 10, [ChannelParams(snr_db=8.0)], L, rng)
+    assert rng.bit_generator.state == before  # refused before any draw
     outcomes, stats = run_network_point(0, 10, [ChannelParams(snr_db=8.0)] * 2, L,
                                         np.random.default_rng(0))
     assert len(outcomes) == 0 and outcomes.detected.shape == (0, 2) and stats.delivered == 0
+
+
+@pytest.mark.parametrize("n_packets, payload_bytes, L_, refusal", [
+    (2.5, 10, L, "^n_packets: must be an integer, got 2.5$"),
+    (True, 10, L, "^n_packets: must be an integer, got True$"),
+    (3, 2000, L, r"^payload_bytes: must be in \[0, 1500\], got 2000$"),
+    (3, -1, L, r"^payload_bytes: must be in \[0, 1500\], got -1$"),
+    (3, 10.0, L, "^payload_bytes: must be an integer, got 10.0$"),
+    (3, 10, 16.0, "^L must be an integer, got 16.0$"),
+    (3, 10, np.float64(16.0), "^L must be an integer, got "),
+    (3, 10, 3, "^L must be at least 7, got 3$"),
+], ids=["n_packets-2.5", "n_packets-True", "payload_bytes-2000", "payload_bytes--1",
+        "payload_bytes-10.0", "L-16.0", "L-float64", "L-3"])
+def test_run_network_point_refuses_a_bad_size_by_name_before_any_draw(
+        n_packets, payload_bytes, L_, refusal):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=refusal):
+        run_network_point(n_packets, payload_bytes, [ChannelParams(snr_db=8.0)] * 2, L_, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_dispatcher_and_run_network_point_need_a_stream():

@@ -5,6 +5,7 @@ tracer, kept independent from the vectorized implementation so the two
 can cross-check each other.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssic.channel import ChannelParams, StreamObservation, soft_copy, transmit
-from ssic.descramble import hd, hd_rows, seed_log_weights, seed_posterior
+from ssic.descramble import hd, seed_posterior
 from ssic.netstack import Aggregator, AggregatorConfig
 from ssic.scrambler import (
     LFSR_LEN,
@@ -226,9 +227,14 @@ def test_mask_matrix_full_rank():
 
 
 def test_mask_matrix_rejects_short_pilots_every_time():
+    mask_matrix(np.int64(16))  # a cached integer L does not answer for 16.0
     for _ in range(2):  # the cache keeps no raise
         with pytest.raises(ValueError, match="L must be at least 7, got 6"):
             mask_matrix(6)
+        for L in (16.0, np.float64(16.0), True):  # an integer value is not enough
+            refusal = re.escape(f"L must be an integer, got {L!r}")
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
+                mask_matrix(L)
 
 
 def test_mask_matrix_is_readonly_and_cached():
@@ -291,7 +297,7 @@ BIT_TAKERS = {
     "soft_copy-payload": ("payload_bits", lambda v, rng: soft_copy(_SEED, _with_entry(_WORD, v),
                                                                    16, 5.0, rng)),
     "hd": ("word_hard", lambda v, rng: hd(_with_entry(_WORD, v))),
-    "hd_rows": ("word_hard", lambda v, rng: hd_rows(_with_entry(np.zeros((3, 20)), v))),
+    "hd-block": ("word_hard", lambda v, rng: hd(_with_entry(np.zeros((3, 20)), v))),
     "VcFrame": ("header_coded", lambda v, rng: VcFrame(1, _with_entry(encode_header(1, 2), v),
                                                        b"ab")),
     "frame_from_bits": ("bits", lambda v, rng: frame_from_bits(
@@ -323,7 +329,7 @@ LLR_TAKERS = {
     "SoftWord-payload": ("payload", np.linspace(-5.0, 5.0, 20),
                          lambda x: SoftWord(_PILOTS, x).payload),
     "seed_posterior": ("pilot_llrs", _PILOTS, seed_posterior),
-    "seed_log_weights": ("pilots", np.stack([_PILOTS, -_PILOTS]), seed_log_weights),
+    "seed_posterior-block": ("pilot_llrs", np.stack([_PILOTS, -_PILOTS]), seed_posterior),
     "decode_header_soft": ("llrs", _HEADER, decode_header_soft),
 }
 

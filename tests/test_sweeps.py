@@ -495,9 +495,9 @@ def test_a_hard_only_seed_sweep_weighs_no_seeds(monkeypatch):
     MAP seed, so a seed_ber sweep of those two never weighs the 127 seeds.
     Its rows are the golden sweep's hd rows, once for each of the two."""
     calls = []
-    seed_log_weights = sweeps.seed_log_weights
-    monkeypatch.setattr(sweeps, "seed_log_weights",
-                        lambda pilots: calls.append(len(pilots)) or seed_log_weights(pilots))
+    seed_posterior = sweeps.seed_posterior
+    monkeypatch.setattr(sweeps, "seed_posterior",
+                        lambda pilots: calls.append(len(pilots)) or seed_posterior(pilots))
     spec = SweepSpec(mode="seed_ber", snr_grid=[0.0, 4.0], L=16, trials=400,
                      variants=("hd", "naive"), rng_seed=99)
     header, *rows = GOLDEN_SEED_BER_CSV.splitlines(keepends=True)
