@@ -155,13 +155,13 @@ def soft_copy(seed: np.ndarray, payload_bits: np.ndarray, L: int, snr_db: float,
 
     The one-word case of scrambled_llrs, drawing its own noise: no
     detection loss, no bursts, no CRC short-circuit.  The word is handed
-    over to SoftWord.owning, which checks it in place.
+    over to SoftWord, which checks it in place.
     """
     check_pilot_len(L)  # refused before the draw, as transmit does
     s, payload = _checked_seed(seed), checked_bits(payload_bits, "payload_bits")
     z = rng.standard_normal(L + payload.size)
     llrs = scrambled_llrs(seed_to_int(s), payload, L, z, snr_db_to_sigma2(snr_db))
-    return SoftWord.owning(llrs, L)
+    return SoftWord(llrs, L)
 
 
 def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: ChannelParams,
@@ -185,7 +185,7 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
     2 sqrt(sigma^2) form gives each LLR the sign of w + 1 - 2b, so the
     screen is exact.  Such a frame is clean, and neither the scrambled word
     nor an LLR is formed.  The draws are the same either way.  A soft
-    frame's word is handed over to SoftWord.owning without a copy.
+    frame's word is handed over to SoftWord without a copy.
     """
     check_pilot_len(L)
     seed, payload = _checked_seed(seed), checked_bits(payload_bits, "payload_bits")
@@ -218,6 +218,6 @@ def transmit(seed: np.ndarray, payload_bits: np.ndarray, L: int, params: Channel
         if hard.tobytes() != sent.tobytes() and (
                 hard[:LFSR_LEN].tobytes() == sent[:LFSR_LEN].tobytes()
                 or not (hd(hard) == payload).all()):
-            # only this call holds llrs: owning clamps and checks it in place
-            return StreamObservation(stream_id, soft=SoftWord.owning(llrs, L))
+            # only this call holds llrs: SoftWord clamps and checks it in place
+            return StreamObservation(stream_id, soft=SoftWord(llrs, L))
     return StreamObservation(stream_id, hard_bits=payload.copy())

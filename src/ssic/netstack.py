@@ -48,7 +48,7 @@ import numpy as np
 from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
 from .combine import ssic_combine
 from .descramble import hrsx, naive_sd, srsx
-from .scrambler import check_pilot_len, checked_bits, is_int
+from .scrambler import check_pilot_len, checked_bits, is_int, is_real
 from .softbits import SoftWord, hard_decide
 from .vcframe import (MTU_PAYLOAD, FrameKey, VcFrame, decode_header_soft, encapsulate,
                       frame_to_bits, header_from_bits, is_frame_length, payload_from_bits,
@@ -293,6 +293,20 @@ def run_metrics(outcomes: PacketOutcomes) -> dict[str, RunMetrics]:
     return out
 
 
+def check_point_sizes(payload_bytes, L, arrival_jitter) -> None:
+    """Raises a ValueError naming the first of a netsim point's sizes that
+    breaks its rule: payload_bytes an integer in [0, MTU_PAYLOAD], L a pilot
+    count (check_pilot_len), arrival_jitter a finite number >= 0.  Each rule
+    checks its value's type itself, so it may be given any value."""
+    if not is_int(payload_bytes):
+        raise ValueError(f"payload_bytes: must be an integer, got {payload_bytes!r}")
+    if not 0 <= payload_bytes <= MTU_PAYLOAD:
+        raise ValueError(f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {payload_bytes}")
+    check_pilot_len(L)
+    if not (is_real(arrival_jitter) and 0.0 <= arrival_jitter < np.inf):
+        raise ValueError(f"arrival_jitter: must be finite and >= 0, got {arrival_jitter}")
+
+
 def run_network_point(n_packets: int, payload_bytes: int,
                       stream_params: Sequence[ChannelParams], L: int,
                       rng: np.random.Generator, variant: str = "srsx", window_size: int = 1024,
@@ -314,16 +328,11 @@ def run_network_point(n_packets: int, payload_bytes: int,
     """
     n_streams = len(stream_params)
     # the sizes are refused by name before the first draw
-    for name, value in (("n_packets", n_packets), ("payload_bytes", payload_bytes)):
-        if not is_int(value):
-            raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if not is_int(n_packets):
+        raise ValueError(f"n_packets: must be an integer, got {n_packets!r}")
     if n_packets < 0:
         raise ValueError(f"n_packets: must be >= 0, got {n_packets}")
-    if not 0 <= payload_bytes <= MTU_PAYLOAD:
-        raise ValueError(f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {payload_bytes}")
-    check_pilot_len(L)
-    if not 0.0 <= arrival_jitter < np.inf:
-        raise ValueError(f"arrival_jitter: must be finite and >= 0, got {arrival_jitter}")
+    check_point_sizes(payload_bytes, L, arrival_jitter)
     dispatcher = Dispatcher(RUN_VCI, [0x020000000000 + k for k in range(n_streams)])
     detected, hard = np.zeros((2, n_packets, n_streams), dtype=bool)
     delivered = np.zeros(n_packets, dtype=bool)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 
 import numpy as np
 
@@ -44,6 +45,13 @@ def is_int(v) -> bool:
     """v is an integer, Python's or numpy's, and not a bool: the one rule for
     a count, a size or an index given as a number."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    """v is a number, an integer (is_int) or a float, and not a bool; an
+    integer beyond a double's range would overflow where the value is used."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and not (is_int(v) and abs(v) > sys.float_info.max))
 
 
 def check_pilot_len(L) -> None:

@@ -6,19 +6,17 @@ at about 1 - 2e-9 and keeps products of likelihoods away from under/overflow.
 checked_llrs is the one input rule of every LLR taker: clamp, and refuse
 NaN by name (combine.ssic_combine clamps the sum of the copies, not each one,
 and refuses a sum holding NaN).
-It is applied once, where a word is made: SoftWord checks its blocks, and
-SoftWord.owning checks a whole word it takes over in place, which is how
-channel.transmit and soft_copy hand over the LLR word only they hold.  The
-functions that take a SoftWord trust it and check its pilots no further.
+It is applied once, where a word is made: SoftWord checks a whole word it
+takes over in place, which is how channel.transmit and soft_copy hand over
+the LLR word only they hold.  The functions that take a SoftWord trust it
+and check its pilots no further.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .scrambler import LFSR_LEN
+from .scrambler import check_pilot_len
 
 LLR_MAX = 20.0
 
@@ -47,37 +45,22 @@ def hard_decide(llrs) -> np.ndarray:
     return np.less(llrs, 0).view(np.uint8)
 
 
-@dataclass
 class SoftWord:
-    """One received word: pilot LLRs followed by payload LLRs.
+    """One received word: L pilot LLRs followed by payload LLRs.
 
-    Both blocks are checked on construction (checked_llrs) and copied;
-    owning checks a whole word in place and keeps views of it.  The pilot
-    block needs at least 7 entries: the register cannot be pinned from fewer.
+    The word is taken over rather than copied: it is clamped in place and
+    refused if it holds NaN (checked_llrs), and pilots and payload are its
+    views.  For a float64 word that only the caller holds; any other is
+    converted to a new one.  L is a pilot count (check_pilot_len) of at most
+    the word's length.
     """
 
-    pilots: np.ndarray
-    payload: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.pilots = checked_llrs(self.pilots, "pilots")
-        self.payload = checked_llrs(self.payload, "payload")
-        if self.pilots.size < LFSR_LEN:
-            raise ValueError(f"need at least {LFSR_LEN} pilot values, got {self.pilots.size}")
-
-    @classmethod
-    def owning(cls, word: np.ndarray, L: int) -> "SoftWord":
-        """The SoftWord of a whole word, its first L LLRs the pilots, taken
-        over rather than copied: word is clamped in place, checked as the
-        constructor checks its blocks, and pilots and payload are its views.
-        For a float64 word that only the caller holds."""
-        if not LFSR_LEN <= L <= np.size(word):
-            raise ValueError(f"need at least {LFSR_LEN} pilot values and at most the "
-                             f"word's {np.size(word)}, got {L}")
+    def __init__(self, word: np.ndarray, L: int):
+        check_pilot_len(L)
+        if L > np.size(word):
+            raise ValueError(f"L must be at most the word's length {np.size(word)}, got {L}")
         w = checked_llrs(word, "word", in_place=True)
-        soft = cls.__new__(cls)  # skips __post_init__: its copies are what owning saves
-        soft.pilots, soft.payload = w[:L], w[L:]
-        return soft
+        self.pilots, self.payload = w[:L], w[L:]
 
     @property
     def L(self) -> int:

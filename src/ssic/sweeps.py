@@ -37,8 +37,6 @@ import csv
 import io
 import json
 import math
-import numbers
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -48,10 +46,11 @@ import numpy as np
 from .channel import ChannelParams, scrambled_llrs, snr_db_to_sigma2
 from .combine import combine_streams
 from .descramble import N_SEEDS, hd, hrsx_rows, naive_rows, seed_posterior, srsx_rows
-from .netstack import SOFT_VARIANTS, AggregatorConfig, run_metrics, run_network_point
-from .scrambler import LFSR_LEN, is_int, register_outputs
+from .netstack import (SOFT_VARIANTS, AggregatorConfig, check_point_sizes, run_metrics,
+                       run_network_point)
+from .scrambler import LFSR_LEN, is_int, is_real, register_outputs
 from .softbits import hard_decide
-from .vcframe import FRAME_OVERHEAD_BITS, MTU_PAYLOAD
+from .vcframe import FRAME_OVERHEAD_BITS
 
 # Per-word entry points that the block path below does not call (it calls
 # seed_posterior), importable here under the names ssicbench/spans.py traces.
@@ -82,21 +81,15 @@ NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
 BLOCK_FLOATS = 1 << 17
 
 
-def _is_real(v) -> bool:
-    # an int beyond a double's range would overflow where the value is used
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and not (is_int(v) and abs(v) > sys.float_info.max))
-
-
 # SweepSpec annotation (a string, under the __future__ import) -> what a
 # value of that field must be, checked before its range: JSON configs may
 # hold any type
 _FIELD_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "int": ("an integer", is_int),
-    "float": ("a number", _is_real),
+    "float": ("a number", is_real),
     "list[float]": ("a list of numbers",
-                    lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v))),
+                    lambda v: isinstance(v, (list, tuple)) and all(map(is_real, v))),
     "tuple[str, ...]": ("a list of strings",
                         lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v)),
 }
@@ -141,6 +134,9 @@ class SweepSpec:
             self.variants = tuple(self.variants)
         if self.mode not in MODES:
             raise ValueError(f"mode: expected one of {MODES}, got {self.mode!r}")
+        # a netsim point's size rules are run_network_point's own; they check
+        # their values' types themselves, so they pass before the others
+        check_point_sizes(self.payload_bytes, self.L, self.arrival_jitter)
         for f in fields(self):
             want, ok = _FIELD_TYPES[f.type.removesuffix(" | None")]
             value = getattr(self, f.name)
@@ -161,15 +157,10 @@ class SweepSpec:
         # (_block_trials), so one trial must fit in it, and a netsim packet,
         # one word per stream, is held to the same bound; a netsim word is a
         # frame, so its M also counts FRAME_OVERHEAD_BITS.
-        if self.L < LFSR_LEN:
-            raise ValueError(f"L: must be >= {LFSR_LEN}, got {self.L}")
         if self.n_streams < 1:
             raise ValueError(f"n_streams: must be >= 1, got {self.n_streams}")
         if self.mode == "seed_ber" and self.n_streams != 1:
             raise ValueError(f"n_streams: seed_ber measures one stream, got {self.n_streams}")
-        if self.payload_bytes < 0 or self.payload_bytes > MTU_PAYLOAD:
-            raise ValueError(
-                f"payload_bytes: must be in [0, {MTU_PAYLOAD}], got {self.payload_bytes}")
         if self.mode != "seed_ber" and self.payload_bytes < 1:
             raise ValueError(f"payload_bytes: {self.mode} needs at least 1 byte")
         frame = FRAME_OVERHEAD_BITS if self.mode == "netsim" else 0
@@ -218,9 +209,6 @@ class SweepSpec:
                     raise ValueError(f"snr_grid: {snr_db} dB with stream_snr_offsets "
                                      f"entry {off} dB: {e}") from None
         AggregatorConfig(window_size=self.window_size)
-        if not 0.0 <= self.arrival_jitter < np.inf:
-            raise ValueError(
-                f"arrival_jitter: must be finite and >= 0, got {self.arrival_jitter}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed: must be >= 0, got {self.rng_seed}")
 

@@ -4,9 +4,10 @@ Each is the plain form of something the package computes another way: one
 register step at a time, a sign flip by an explicit mask, the AWGN link
 drawing its own noise for a bit sequence, the noise bound of transmit's
 clean screen as a search over doubles, and the header CRC from its
-polynomial, one header block decoded alone, and a network point that
-keeps a record and the payload of every packet and stamps each stream's
-address into one unpacked frame.
+polynomial, one header block decoded alone, a soft word built from its
+pilot and payload blocks, and a network point that keeps a record and the
+payload of every packet and stamps each stream's address into one unpacked
+frame.
 They live here, apart from the code they check.
 """
 
@@ -21,6 +22,7 @@ from ssic.channel import (ChannelParams, StreamObservation, fresh_seed, snr_db_t
 from ssic.netstack import (VCS_MOD, Aggregator, AggregatorConfig, AggregatorStats, Dispatcher,
                            FrameKey, RunMetrics)
 from ssic.scrambler import LFSR_LEN
+from ssic.softbits import SoftWord
 from ssic.vcframe import BCH_K, BCH_N, STREAM_ADDR_BITS, _addr_bits, _decode_blocks, frame_to_bits
 
 
@@ -67,6 +69,14 @@ def flip_by_mask(llrs: np.ndarray, mask_bits: np.ndarray) -> np.ndarray:
     if l.shape != z.shape:
         raise ValueError(f"length mismatch: {l.shape} vs {z.shape}")
     return l * (1.0 - 2.0 * z.astype(np.float64))
+
+
+def soft_word(pilots, payload) -> SoftWord:
+    """The SoftWord of pilot LLRs followed by payload LLRs: the two blocks
+    are concatenated into a new word, which SoftWord takes over, so neither
+    block is changed."""
+    pilots = np.asarray(pilots, dtype=np.float64)
+    return SoftWord(np.concatenate([pilots, np.asarray(payload, dtype=np.float64)]), pilots.size)
 
 
 def bpsk_awgn_llrs(bits: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:

@@ -61,7 +61,7 @@ def soft_word(bits: np.ndarray, sid: int, never: bool) -> SoftWord:
         mag[FRAME_OVERHEAD_BITS + sid] = -1.0
     mask = register_outputs(1 + 29 * sid, L + bits.size)
     llrs = np.concatenate([np.full(L, LLR_MAX), signs * mag]) * (1.0 - 2.0 * mask)
-    return SoftWord(pilots=llrs[:L], payload=llrs[L:])
+    return SoftWord(llrs, L)
 
 
 def arrival(kind: str, key: FrameKey, sid: int) -> StreamObservation:

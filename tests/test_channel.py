@@ -20,7 +20,7 @@ from ssic.descramble import hd
 from ssic.scrambler import register_outputs, scramble, seed_from_int, seed_to_int
 from ssic.softbits import LLR_MAX, SoftWord, hard_decide
 
-from oracles import bpsk_awgn_llrs, clean_noise_bound
+from oracles import bpsk_awgn_llrs, clean_noise_bound, soft_word
 
 
 def test_sigma2_golden_points():
@@ -66,7 +66,7 @@ def test_channel_params_validation():
 
 
 def test_observation_invariants():
-    bits, word = np.zeros(8, dtype=np.uint8), SoftWord(pilots=np.ones(16), payload=np.ones(8))
+    bits, word = np.zeros(8, dtype=np.uint8), soft_word(np.ones(16), np.ones(8))
     with pytest.raises(ValueError):
         StreamObservation(stream_id=0, hard_bits=bits, soft=word)
     missed = StreamObservation(stream_id=0)
@@ -417,10 +417,11 @@ def _word_by_the_draws(seed, payload, L, params, rng):
 @pytest.mark.parametrize("L", [7, 16, 127])
 @pytest.mark.parametrize("burst", [False, True], ids=["no_burst", "burst"])
 def test_transmit_hands_over_the_word_softword_would_copy(L, burst):
-    """A soft frame's word, taken over in place by SoftWord.owning, has the
-    bytes of SoftWord(pilots=llrs[:L], payload=llrs[L:]) of the same draws;
-    it shares no memory with the payload bits or with another observation,
-    and owning refuses what the constructor refuses."""
+    """A soft frame's word, taken over in place by SoftWord, has the bytes
+    of the word built from the pilot and payload blocks of the same draws
+    (soft_word); it shares no memory with the payload bits or with another
+    observation, and SoftWord refuses a NaN and a bad L however its word is
+    built."""
     extra = dict(burst_prob=1.0, burst_llr_atten=0.25, burst_len_mean=200.0) if burst else {}
     payload = np.random.default_rng(L).integers(0, 2, 4000, dtype=np.uint8)
     for snr_db in (0.0, 4.0, 8.0):
@@ -434,7 +435,7 @@ def test_transmit_hands_over_the_word_softword_would_copy(L, burst):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if obs.soft is None:
                 continue
-            want = SoftWord(pilots=llrs[:L], payload=llrs[L:])
+            want = soft_word(llrs[:L], llrs[L:])
             assert obs.soft.L == L
             assert obs.soft.pilots.tobytes() == want.pilots.tobytes()
             assert obs.soft.payload.tobytes() == want.payload.tobytes()
@@ -451,7 +452,7 @@ def test_transmit_hands_over_the_word_softword_would_copy(L, burst):
     got = soft_copy(seed_from_int(5), payload, L, 2.0, rng)
     llrs = scrambled_llrs(5, payload, L, ref_rng.standard_normal(L + payload.size),
                           snr_db_to_sigma2(2.0))
-    want = SoftWord(pilots=llrs[:L], payload=llrs[L:])
+    want = soft_word(llrs[:L], llrs[L:])
     assert got.pilots.tobytes() == want.pilots.tobytes()
     assert got.payload.tobytes() == want.payload.tobytes()
 
@@ -459,19 +460,19 @@ def test_transmit_hands_over_the_word_softword_would_copy(L, burst):
     word = np.zeros(L + 8)
     word[L // 2] = np.nan
     with pytest.raises(ValueError, match="^word must hold no NaN$"):
-        SoftWord.owning(word, L)
-    with pytest.raises(ValueError, match="pilots must hold no NaN"):
-        SoftWord(pilots=word[:L], payload=word[L:])
+        SoftWord(word, L)
+    with pytest.raises(ValueError, match="^word must hold no NaN$"):
+        soft_word(word[:L], word[L:])
     for short in (0, 6):
-        with pytest.raises(ValueError, match="need at least 7 pilot values"):
-            SoftWord.owning(np.zeros(L + 8), short)
-        with pytest.raises(ValueError, match="need at least 7 pilot values"):
-            SoftWord(pilots=np.zeros(short), payload=np.zeros(8))
-    with pytest.raises(ValueError, match="need at least 7 pilot values"):
-        SoftWord.owning(np.zeros(L), L + 1)  # more pilots than the word has
+        with pytest.raises(ValueError, match=f"^L must be at least 7, got {short}$"):
+            SoftWord(np.zeros(L + 8), short)
+        with pytest.raises(ValueError, match=f"^L must be at least 7, got {short}$"):
+            soft_word(np.zeros(short), np.zeros(8))
+    with pytest.raises(ValueError, match=f"^L must be at most the word's length {L}, got {L + 1}$"):
+        SoftWord(np.zeros(L), L + 1)  # more pilots than the word has
     inf = np.full(L + 3, np.inf)
     inf[-1] = -np.inf
-    w = SoftWord.owning(inf, L)  # infinities clamp, in place
+    w = SoftWord(inf, L)  # infinities clamp, in place
     assert w.pilots.tolist() == [LLR_MAX] * L and w.payload.tolist() == [LLR_MAX] * 2 + [-LLR_MAX]
     assert np.shares_memory(w.payload, inf)
 

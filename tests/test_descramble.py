@@ -32,7 +32,7 @@ from ssic.descramble import (
 from ssic.scrambler import lfsr_run, mask_matrix, register_outputs, scramble, seed_from_int
 from ssic.softbits import LLR_MAX, SoftWord, hard_decide
 
-from oracles import flip_by_mask
+from oracles import flip_by_mask, soft_word
 
 
 def pilot_bits(seed_int: int, L: int) -> np.ndarray:
@@ -74,7 +74,7 @@ def noisy_word(rng, seed_int, L, M, snr_db=2.0):
     sigma2 = 1.0 / (2.0 * 10 ** (snr_db / 10.0))
     y = (1.0 - 2.0 * sent) + rng.normal(0.0, np.sqrt(sigma2), L + M)
     llrs = 2.0 * y / sigma2
-    return SoftWord(pilots=llrs[:L], payload=llrs[L:]), payload
+    return soft_word(llrs[:L], llrs[L:]), payload
 
 
 def test_posterior_matches_probability_domain_brute_force():
@@ -153,7 +153,7 @@ def test_seed_posterior_delta_uniform_and_ties():
     u = seed_posterior(np.zeros(16))
     assert (u == u[0]).all()
     np.testing.assert_allclose(np.exp(u), 1.0 / 127)
-    _, seed_bits = hrsx(SoftWord(np.zeros(16), payload))
+    _, seed_bits = hrsx(soft_word(np.zeros(16), payload))
     assert np.array_equal(seed_bits, seed_from_int(1))
 
 
@@ -716,9 +716,9 @@ def test_receivers_of_a_checked_word_equal_the_checked_block_path(L, owning):
         payload = rng.normal(0, 8.0, M)
         payload[:2] = np.inf, -np.inf
         if owning:
-            word = SoftWord.owning(np.concatenate([raw, payload]), L)
+            word = SoftWord(np.concatenate([raw, payload]), L)
         else:
-            word = SoftWord(pilots=raw, payload=payload)
+            word = soft_word(raw, payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lw = seed_posterior(raw[None])

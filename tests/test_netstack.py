@@ -28,7 +28,7 @@ from ssic.netstack import (
     vcs_delta,
 )
 from ssic.scrambler import scramble, seed_from_int
-from ssic.softbits import LLR_MAX, SoftWord, hard_decide
+from ssic.softbits import LLR_MAX, hard_decide
 from ssic.vcframe import decode_header_hard, encapsulate, frame_to_bits
 
 L = 16
@@ -53,7 +53,7 @@ def soft_obs(key: FrameKey, packet: bytes, sid: int,
         # sign-flip payload-section positions, stated relative to the payload
         for pos in corrupt:
             llrs[L + 496 + pos] *= -1.0
-    word = SoftWord(pilots=llrs[:L], payload=llrs[L:])
+    word = oracles.soft_word(llrs[:L], llrs[L:])
     return StreamObservation(stream_id=sid, soft=word)
 
 
@@ -244,8 +244,8 @@ def test_malformed_soft_payload_length_dropped(monkeypatch):
     assert agg.push(bad) is None
     assert agg.stats.header_invalid_drops == 1
     # a copy is descrambled at its own pilot count, so 15 pilots reach the length rule
-    short = StreamObservation(stream_id=0, soft=SoftWord(pilots=bad.soft.pilots[1:],
-                                                         payload=bad.soft.payload))
+    short = StreamObservation(stream_id=0, soft=oracles.soft_word(bad.soft.pilots[1:],
+                                                                  bad.soft.payload))
     assert agg.push(short) is None
     assert agg.stats.header_invalid_drops == 2
 
@@ -273,7 +273,7 @@ def soft_obs_descrambling_to(key: FrameKey, sid: int,
     llrs = signs * MAG
     mask_signs = signs[L + 496:] * (1.0 - 2.0 * wire[496:])  # 1 - 2 * mask bit
     llrs[L + 496:] = payload_llrs * mask_signs
-    return StreamObservation(stream_id=sid, soft=SoftWord(pilots=llrs[:L], payload=llrs[L:]))
+    return StreamObservation(stream_id=sid, soft=oracles.soft_word(llrs[:L], llrs[L:]))
 
 
 @pytest.mark.parametrize("variant", ["naive", "hrsx", "srsx"])
@@ -321,7 +321,7 @@ def test_combined_decisions_equal_ssic_combine(variant):
 def test_garbage_header_dropped():
     agg = make_agg({K1: P1})
     rng = np.random.default_rng(0)
-    word = SoftWord(pilots=rng.normal(0, 3, L), payload=rng.normal(0, 3, 496 + 40))
+    word = oracles.soft_word(rng.normal(0, 3, L), rng.normal(0, 3, 496 + 40))
     obs = StreamObservation(stream_id=0, soft=word)
     assert agg.push(obs) is None
     assert agg.stats.header_invalid_drops == 1
@@ -401,7 +401,7 @@ def test_copies_with_different_pilot_lengths_combine(variant):
         tx = scramble(seed_from_int(seed_int),
                       np.concatenate([np.zeros(n_pilots, dtype=np.uint8), wire]))
         llrs = (1.0 - 2.0 * tx) * MAG
-        word = SoftWord(pilots=llrs[:n_pilots], payload=llrs[n_pilots:])
+        word = oracles.soft_word(llrs[:n_pilots], llrs[n_pilots:])
         obs.append(StreamObservation(stream_id=sid, soft=word))
     assert agg.push(obs[0]) is None
     assert agg.push(obs[1]) == (K1, P1)

@@ -28,11 +28,11 @@ from ssic.scrambler import (
     seed_from_int,
     seed_to_int,
 )
-from ssic.softbits import LLR_MAX, SoftWord
+from ssic.softbits import LLR_MAX
 from ssic.vcframe import (VcFrame, decode_header_soft, encapsulate, encode_header,
                           frame_from_bits, frame_to_bits)
 
-from oracles import lfsr_step
+from oracles import lfsr_step, soft_word
 
 
 class RegisterTracer:
@@ -325,9 +325,9 @@ _HEADER = 3.0 - 6.0 * encode_header(7, 9)
 # every entry point that takes LLRs, with the name it refuses NaN under, its
 # input, and the call; each clamps an infinity as it clamps any LLR
 LLR_TAKERS = {
-    "SoftWord-pilots": ("pilots", _PILOTS, lambda x: SoftWord(x, [1.0, -2.0]).pilots),
-    "SoftWord-payload": ("payload", np.linspace(-5.0, 5.0, 20),
-                         lambda x: SoftWord(_PILOTS, x).payload),
+    "SoftWord-pilots": ("word", _PILOTS, lambda x: soft_word(x, [1.0, -2.0]).pilots),
+    "SoftWord-payload": ("word", np.linspace(-5.0, 5.0, 20),
+                         lambda x: soft_word(_PILOTS, x).payload),
     "seed_posterior": ("pilot_llrs", _PILOTS, seed_posterior),
     "seed_posterior-block": ("pilot_llrs", np.stack([_PILOTS, -_PILOTS]), seed_posterior),
     "decode_header_soft": ("llrs", _HEADER, decode_header_soft),

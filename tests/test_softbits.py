@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from ssic.softbits import LLR_MAX, SoftWord, checked_llrs, hard_decide
 
-from oracles import flip_by_mask
+from oracles import flip_by_mask, soft_word
 
 finite_llrs = hnp.arrays(
     np.float64,
@@ -47,26 +47,26 @@ def test_flip_by_mask_rejects_length_mismatch():
 
 
 def test_softword_clamps_and_validates():
-    w = SoftWord(pilots=np.full(9, 99.0), payload=np.array([-50.0, 2.0]))
+    w = soft_word(np.full(9, 99.0), np.array([-50.0, 2.0]))
     assert np.all(w.pilots == LLR_MAX)
     assert w.payload.tolist() == [-LLR_MAX, 2.0]
     assert w.L == 9 and w.M == 2
     with pytest.raises(ValueError):
-        SoftWord(pilots=np.zeros(6))
+        soft_word(np.zeros(6), [])
     with pytest.raises(ValueError):
-        SoftWord(pilots=np.zeros((2, 7)))
+        SoftWord(np.zeros((2, 7)), 7)
 
 
-def test_softword_payload_defaults_empty():
-    w = SoftWord(pilots=np.zeros(7))
+def test_softword_of_pilots_alone_has_an_empty_payload():
+    w = SoftWord(np.zeros(7), 7)
     assert w.M == 0
 
 
 def test_softword_refuses_nan():
     llrs = np.array([3.0, -3.0, 5.0])
-    with pytest.raises(ValueError, match="pilots must hold no NaN"):
-        SoftWord(np.full(16, np.nan), llrs)
-    with pytest.raises(ValueError, match="payload must hold no NaN"):
-        SoftWord(np.zeros(16), np.array([1.0, np.nan, -np.inf]))
-    w = SoftWord(np.full(16, np.inf), np.array([-np.inf, np.inf, 0.0]))  # infinities clamp
+    with pytest.raises(ValueError, match="word must hold no NaN"):
+        soft_word(np.full(16, np.nan), llrs)
+    with pytest.raises(ValueError, match="word must hold no NaN"):
+        soft_word(np.zeros(16), np.array([1.0, np.nan, -np.inf]))
+    w = soft_word(np.full(16, np.inf), np.array([-np.inf, np.inf, 0.0]))  # infinities clamp
     assert w.pilots.tolist() == [LLR_MAX] * 16 and w.payload.tolist() == [-LLR_MAX, LLR_MAX, 0.0]

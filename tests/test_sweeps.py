@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ssic import sweeps
+from ssic import descramble, netstack, sweeps
+from ssic.channel import ChannelParams
 from ssic.cli import main
 from ssic.sweeps import (
     NETSIM_COLUMNS,
@@ -261,6 +262,41 @@ def test_validate_names_the_field(kwargs, field):
 def test_a_refused_spec_is_never_made(kwargs, field):
     with pytest.raises(ValueError, match=field):
         SweepSpec(**kwargs)
+
+
+# a netsim point's sizes, each refused by one rule (netstack.check_point_sizes)
+# that a netsim spec and run_network_point share: the message, field name
+# first, is the same from both
+BAD_POINT_SIZES = [
+    ("payload_bytes", 2000, r"^payload_bytes: must be in \[0, 1500\], got 2000$"),
+    ("payload_bytes", -1, r"^payload_bytes: must be in \[0, 1500\], got -1$"),
+    ("payload_bytes", 10.0, "^payload_bytes: must be an integer, got 10.0$"),
+    ("L", 3, "^L must be at least 7, got 3$"),
+    ("L", 16.0, "^L must be an integer, got 16.0$"),
+    ("L", True, "^L must be an integer, got True$"),
+    ("arrival_jitter", -1, "^arrival_jitter: must be finite and >= 0, got -1$"),
+    ("arrival_jitter", float("nan"), "^arrival_jitter: must be finite and >= 0, got nan$"),
+    ("arrival_jitter", float("inf"), "^arrival_jitter: must be finite and >= 0, got inf$"),
+    # a bool, and an integer past a double, which used to overflow in a run
+    ("arrival_jitter", True, "^arrival_jitter: must be finite and >= 0, got True$"),
+    ("arrival_jitter", 10**400, "^arrival_jitter: must be finite and >= 0, got 1000"),
+]
+
+
+@pytest.mark.parametrize("name, value, refusal", BAD_POINT_SIZES,
+                         ids=[f"{name}-{value!r:.8}" for name, value, _ in BAD_POINT_SIZES])
+def test_a_bad_point_size_is_refused_alike_by_a_netsim_spec_and_run_network_point(
+        name, value, refusal):
+    sizes = {"payload_bytes": 10, "L": 16, "arrival_jitter": 0.5, name: value}
+    with pytest.raises(ValueError, match=refusal) as by_spec:
+        SweepSpec(mode="netsim", snr_grid=[8.0], n_streams=2, **sizes)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=refusal) as by_point:
+        netstack.run_network_point(3, sizes["payload_bytes"], [ChannelParams(snr_db=8.0)] * 2,
+                                   sizes["L"], rng, arrival_jitter=sizes["arrival_jitter"])
+    assert str(by_point.value) == str(by_spec.value)
+    assert rng.bit_generator.state == before  # refused before any draw
 
 
 def test_a_changed_field_is_checked_by_replace():
@@ -647,6 +683,39 @@ def test_golden_netsim_arrival_order(monkeypatch, jitter):
                      burst_llr_atten=0.3, arrival_jitter=jitter, rng_seed=43)
     assert rows_to_csv(NETSIM_COLUMNS, run_netsim(spec)) == GOLDEN_NETSIM_ORDER_CSV[jitter]
     assert points == GOLDEN_NETSIM_ORDER_POINTS[jitter]
+
+
+def test_golden_csvs_survive_a_one_ulp_nudge_of_posteriors_and_sums(monkeypatch):
+    """The CSVs count sign decisions, so they hold when every seed
+    log-posterior and every combined LLR moves by 1 ulp, each entry in a
+    random direction: what a different BLAS kernel or summation order may do
+    to them.  _log_weights is the core behind both posterior paths, the
+    sweeps' seed_posterior and the aggregator's hrsx and srsx; the sums are
+    the sweeps' combine_streams and the aggregator's ssic_combine.  The
+    golden tests then pass as they are, the aggregator counters included."""
+    nudge = np.random.default_rng(7)  # apart from the chain's generators
+    calls = dict.fromkeys(["_log_weights", "combine_streams", "ssic_combine"], 0)
+
+    def nudged(module, name):
+        f = getattr(module, name)
+
+        def g(*args, **kwargs):
+            x = f(*args, **kwargs)
+            x[...] = np.nextafter(x, np.where(nudge.random(x.shape) < 0.5, -np.inf, np.inf))
+            calls[name] += 1
+            return x
+        monkeypatch.setattr(module, name, g)
+
+    nudged(descramble, "_log_weights")
+    nudged(sweeps, "combine_streams")
+    nudged(netstack, "ssic_combine")
+    test_golden_csv_bytes()
+    test_golden_payload_csv_bytes()
+    test_golden_netsim_csv_bytes()
+    for jitter in (0.0, 3.0):
+        test_golden_netsim_arrival_order(monkeypatch, jitter)
+    assert all(calls.values()), calls
+
 
 @pytest.mark.parametrize("spec", [
     dict(mode="payload_ber", n_streams=1, variants=("hd", "naive", "hrsx", "srsx")),
