@@ -72,19 +72,19 @@ def vcs_delta(a: int, b: int) -> int:
 
 
 class Dispatcher:
-    """Owns the serial counter; wraps mod 2^16.
+    """Owns the serial counter, which starts at 0 and wraps mod 2^16.
 
     send encapsulates each packet once per stream: the K frames carry the
     same header and payload and differ only in stream_addr.  They share one
     read-only header encoding, which encode_header keeps for the last key.
     """
 
-    def __init__(self, vci: int, stream_addrs: Sequence[int], first_vcs: int = 0):
+    def __init__(self, vci: int, stream_addrs: Sequence[int]):
         if not stream_addrs:
             raise ValueError("need at least one stream")
         self.vci = vci
         self.stream_addrs = list(stream_addrs)
-        self.next_vcs = first_vcs % VCS_MOD
+        self.next_vcs = 0
 
     def send(self, packet: bytes) -> tuple[FrameKey, list[tuple[int, VcFrame]]]:
         """The packet's key and one (stream index, frame) per stream."""

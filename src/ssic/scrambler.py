@@ -19,7 +19,6 @@ tables are read-only module constants, built at import (_read_only).
 
 from __future__ import annotations
 
-import functools
 import numbers
 import sys
 
@@ -171,11 +170,9 @@ def scramble(seed: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return register_outputs(seed_to_int(s), x.size) ^ x
 
 
-@functools.lru_cache(maxsize=32, typed=True)
 def mask_matrix(L: int) -> np.ndarray:
     """(L, 7) GF(2) matrix A with scramble(seed, zeros(L)) == A @ seed mod 2:
-    the pilots, an all-zero L-bit prefix, as combinations of the seed bits.
-    The cache is typed, so a float L equal to a cached integer is refused."""
+    the pilots, an all-zero L-bit prefix, as combinations of the seed bits."""
     check_pilot_len(L)
     # column j: the outputs of unit state 1 << j, by linearity
     return _read_only(register_outputs(_BIT_WEIGHTS, L).T)

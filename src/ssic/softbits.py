@@ -24,15 +24,15 @@ LLR_MAX = 20.0
 def checked_llrs(x, name: str, ndim: int = 1, in_place: bool = False) -> np.ndarray:
     """x as a new float64 array clamped to +-LLR_MAX (infinities included);
     raises a ValueError naming it unless x has ndim (1 or 2) dimensions and
-    holds no NaN, which clip and max both propagate: one max finds it.
-    With in_place, a float64 x is clamped where it lies and returned itself."""
+    holds no NaN, which max propagates: one max finds it.
+    With in_place, a float64 x is clamped where it lies and returned itself;
+    both checks come first, so a refused x is left as it was."""
     y = np.asarray(x, dtype=np.float64)
-    y = np.clip(y, -LLR_MAX, LLR_MAX, out=y if in_place else None)
     if y.ndim != ndim:
         raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
     if np.isnan(y.max(initial=0.0)):
         raise ValueError(f"{name} must hold no NaN")
-    return y
+    return np.clip(y, -LLR_MAX, LLR_MAX, out=y if in_place else None)
 
 
 def bit_signs(bits) -> np.ndarray:

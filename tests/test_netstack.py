@@ -78,13 +78,16 @@ def test_vcs_newer_wraparound():
 
 
 def test_dispatch_and_dispatcher():
-    key, frames = Dispatcher(vci=4, stream_addrs=[10, 11, 12], first_vcs=99).send(P1)
+    d = Dispatcher(vci=4, stream_addrs=[10, 11, 12])
+    d.next_vcs = 99
+    key, frames = d.send(P1)
     assert key == FrameKey(4, 99)
     assert [k for k, _ in frames] == [0, 1, 2]
     assert all(f.payload == P1 for _, f in frames)
     assert [f.stream_addr for _, f in frames] == [10, 11, 12]
 
-    d = Dispatcher(vci=4, stream_addrs=[10, 11], first_vcs=65535)
+    d = Dispatcher(vci=4, stream_addrs=[10, 11])
+    d.next_vcs = 65535
     key0, frames0 = d.send(P1)
     key1, _ = d.send(P2)
     assert key0 == FrameKey(4, 65535)
@@ -102,7 +105,8 @@ def test_send_encodes_one_header_per_packet(monkeypatch):
     monkeypatch.setattr(vcframe, "_header_crc",
                         lambda vci, vcs: crcs.append((vci, vcs)) or header_crc(vci, vcs))
     vcframe.encode_header.cache_clear()
-    d = Dispatcher(vci=9, stream_addrs=[10, 11], first_vcs=65534)
+    d = Dispatcher(vci=9, stream_addrs=[10, 11])
+    d.next_vcs = 65534
     sent = [d.send(bytes([i]) * 40) for i in range(4)]
     assert crcs == [(9, 65534), (9, 65535), (9, 0), (9, 1)]
     for key, frames in sent:
@@ -116,7 +120,9 @@ def test_send_encodes_one_header_per_packet(monkeypatch):
 
 def test_dispatched_frames_differ_only_in_the_address():
     addrs = [0, 0x020000000001, (1 << 48) - 1]
-    _, sent = Dispatcher(vci=0xFFFF, stream_addrs=addrs, first_vcs=0x8000).send(P3)
+    d = Dispatcher(vci=0xFFFF, stream_addrs=addrs)
+    d.next_vcs = 0x8000
+    _, sent = d.send(P3)
     frames = [f for _, f in sent]
     bits = [frame_to_bits(f) for f in frames]
     alone = frame_to_bits(encapsulate(P3, 0xFFFF, 0x8000, addrs[0]))
@@ -133,7 +139,9 @@ def test_stamped_addresses_equal_each_streams_frame_bits(first):
     stream's address into a copy: the bits must be those of that stream's
     frame, which run_network_point unpacks on its own."""
     addrs = [first, 0, 0x020000000001, (1 << 48) - 1]
-    _, sent = Dispatcher(vci=3, stream_addrs=addrs, first_vcs=9).send(b"\x00\xa5" * 700)
+    d = Dispatcher(vci=3, stream_addrs=addrs)
+    d.next_vcs = 9
+    _, sent = d.send(b"\x00\xa5" * 700)
     frames = [f for _, f in sent]
     wire = frame_to_bits(frames[0])
     for f in frames:

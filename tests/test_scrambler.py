@@ -227,8 +227,8 @@ def test_mask_matrix_full_rank():
 
 
 def test_mask_matrix_rejects_short_pilots_every_time():
-    mask_matrix(np.int64(16))  # a cached integer L does not answer for 16.0
-    for _ in range(2):  # the cache keeps no raise
+    mask_matrix(np.int64(16))  # an integer L asked first does not answer for 16.0
+    for _ in range(2):  # a second call refuses as the first did
         with pytest.raises(ValueError, match="L must be at least 7, got 6"):
             mask_matrix(6)
         for L in (16.0, np.float64(16.0), True):  # an integer value is not enough
@@ -240,7 +240,7 @@ def test_mask_matrix_rejects_short_pilots_every_time():
 def test_mask_matrix_is_readonly_and_cached():
     a = mask_matrix(16)
     assert not a.flags.writeable
-    assert mask_matrix(16) is a
+    assert np.array_equal(mask_matrix(16), a)
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 4)])

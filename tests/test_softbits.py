@@ -70,3 +70,18 @@ def test_softword_refuses_nan():
         soft_word(np.zeros(16), np.array([1.0, np.nan, -np.inf]))
     w = soft_word(np.full(16, np.inf), np.array([-np.inf, np.inf, 0.0]))  # infinities clamp
     assert w.pilots.tolist() == [LLR_MAX] * 16 and w.payload.tolist() == [-LLR_MAX, LLR_MAX, 0.0]
+
+
+
+@pytest.mark.parametrize("word, refusal", [
+    (np.full((2, 8), 99.0), "word must be one-dimensional"),
+    (np.array([99.0, -99.0, np.inf, 99.0, np.nan, -99.0, -np.inf, 99.0, -99.0]),
+     "word must hold no NaN"),
+], ids=["two-dimensional", "nan"])
+def test_a_refused_word_is_left_as_it_was(word, refusal):
+    """SoftWord takes its word over in place, but only once the word passes:
+    a word it refuses keeps every byte, infinities and large values included."""
+    before = word.tobytes()
+    with pytest.raises(ValueError, match=refusal):
+        SoftWord(word, 7)
+    assert word.tobytes() == before
