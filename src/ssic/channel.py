@@ -28,11 +28,11 @@ the size of their noise alone, before the word is scrambled (see transmit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scrambler import (LFSR_LEN, _checked_seed, check_pilot_len, checked_bits,
+from .scrambler import (LFSR_LEN, _checked_seed, check_pilot_len, checked_bits, is_real,
                         register_outputs, seed_from_int, seed_to_int)
 from .softbits import LLR_MAX, SoftWord, hard_decide
 from .descramble import hd
@@ -52,6 +52,7 @@ class ChannelParams:
 
     burst_llr_atten is the factor multiplying the in-window LLR mean;
     1.0 disables the burst entirely and the channel is memoryless AWGN.
+    Every field is a number (is_real), checked by name before its range.
     """
 
     snr_db: float
@@ -61,6 +62,9 @@ class ChannelParams:
     burst_llr_atten: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not is_real(getattr(self, f.name)):
+                raise ValueError(f"{f.name}: expected a number, got {getattr(self, f.name)!r}")
         try:  # Python floats raise where numpy's would warn
             sigma2 = snr_db_to_sigma2(float(self.snr_db))
         except (OverflowError, ZeroDivisionError):

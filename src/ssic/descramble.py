@@ -82,7 +82,8 @@ def seed_posterior(pilot_llrs: np.ndarray) -> np.ndarray:
     The pilots are checked as SoftWord's are (checked_llrs), so an infinite
     pilot cannot make a row NaN; _log_weights is the unchecked core.
     """
-    y = checked_llrs(pilot_llrs, "pilot_llrs", _word_or_block(pilot_llrs, "pilot_llrs"))
+    _word_or_block(pilot_llrs, "pilot_llrs")
+    y = checked_llrs(pilot_llrs, "pilot_llrs")
     return _log_weights(y) if y.ndim == 2 else _log_weights(y[None])[0]
 
 

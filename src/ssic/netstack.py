@@ -51,8 +51,7 @@ from .descramble import hrsx, naive_sd, srsx
 from .scrambler import check_pilot_len, checked_bits, is_int, is_real
 from .softbits import SoftWord, hard_decide
 from .vcframe import (MTU_PAYLOAD, FrameKey, VcFrame, decode_header_soft, encapsulate,
-                      frame_to_bits, header_from_bits, is_frame_length, payload_from_bits,
-                      split_frame)
+                      frame_to_bits, header_from_bits, is_frame_length, split_frame)
 
 # importable here under the name ssicbench/spans.py traces, though push does not call it
 from .vcframe import frame_from_bits  # noqa: F401
@@ -74,9 +73,9 @@ def vcs_delta(a: int, b: int) -> int:
 class Dispatcher:
     """Owns the serial counter, which starts at 0 and wraps mod 2^16.
 
-    send encapsulates each packet once per stream: the K frames carry the
-    same header and payload and differ only in stream_addr.  They share one
-    read-only header encoding, which encode_header keeps for the last key.
+    send encapsulates each packet once and makes the other K - 1 frames from
+    that frame, so the K frames share its payload and read-only header
+    encoding and differ only in stream_addr.
     """
 
     def __init__(self, vci: int, stream_addrs: Sequence[int]):
@@ -89,7 +88,9 @@ class Dispatcher:
     def send(self, packet: bytes) -> tuple[FrameKey, list[tuple[int, VcFrame]]]:
         """The packet's key and one (stream index, frame) per stream."""
         key = FrameKey(self.vci, self.next_vcs)
-        frames = [(k, encapsulate(packet, *key, addr)) for k, addr in enumerate(self.stream_addrs)]
+        first = encapsulate(packet, *key, self.stream_addrs[0])
+        frames = [(k, VcFrame(addr, first.header_coded, first.payload) if k else first)
+                  for k, addr in enumerate(self.stream_addrs)]
         self.next_vcs = (self.next_vcs + 1) % VCS_MOD
         return key, frames
 
@@ -217,7 +218,7 @@ class Aggregator:
             self.stats.duplicate_drops += 1
             return None
         if obs.crc_pass:
-            return self._deliver(key, payload_from_bits(bits), combined=False)
+            return self._deliver(key, np.packbits(split_frame(bits)[1]).tobytes(), combined=False)
 
         copies = {sid: l for sid, l in self.pending.get(key, {}).items()
                   if l.size == payload_llrs.size and sid != obs.stream_id}

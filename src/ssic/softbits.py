@@ -21,15 +21,13 @@ from .scrambler import check_pilot_len
 LLR_MAX = 20.0
 
 
-def checked_llrs(x, name: str, ndim: int = 1, in_place: bool = False) -> np.ndarray:
+def checked_llrs(x, name: str, in_place: bool = False) -> np.ndarray:
     """x as a new float64 array clamped to +-LLR_MAX (infinities included);
-    raises a ValueError naming it unless x has ndim (1 or 2) dimensions and
-    holds no NaN, which max propagates: one max finds it.
+    raises a ValueError naming it if x holds a NaN, which max propagates:
+    one max finds it.  Each caller checks x's shape by its own rule.
     With in_place, a float64 x is clamped where it lies and returned itself;
-    both checks come first, so a refused x is left as it was."""
+    the check comes first, so a refused x is left as it was."""
     y = np.asarray(x, dtype=np.float64)
-    if y.ndim != ndim:
-        raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional")
     if np.isnan(y.max(initial=0.0)):
         raise ValueError(f"{name} must hold no NaN")
     return np.clip(y, -LLR_MAX, LLR_MAX, out=y if in_place else None)
@@ -51,14 +49,16 @@ class SoftWord:
     The word is taken over rather than copied: it is clamped in place and
     refused if it holds NaN (checked_llrs), and pilots and payload are its
     views.  For a float64 word that only the caller holds; any other is
-    converted to a new one.  L is a pilot count (check_pilot_len) of at most
-    the word's length.
+    converted to a new one.  The word, one-dimensional, and L, a pilot count
+    (check_pilot_len) of at most its length, are checked before it is touched.
     """
 
     def __init__(self, word: np.ndarray, L: int):
         check_pilot_len(L)
         if L > np.size(word):
             raise ValueError(f"L must be at most the word's length {np.size(word)}, got {L}")
+        if np.ndim(word) != 1:
+            raise ValueError("word must be one-dimensional")
         w = checked_llrs(word, "word", in_place=True)
         self.pilots, self.payload = w[:L], w[L:]
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scrambler import _read_only, _recurrence, checked_bits
+from .scrambler import _read_only, _recurrence, checked_bits, is_int
 from .softbits import bit_signs, checked_llrs
 
 BCH_N = 63
@@ -98,18 +98,25 @@ def _header_crc(vci: int, vcs: int) -> int:
 _CHUNK_SHIFTS = range(HEADER_FIELD_BITS - BCH_K, -1, -BCH_K)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+def _field(name: str, v, bits: int) -> int:
+    """v as a Python int, so a numpy integer's shifts cannot wrap; raises a
+    ValueError naming v unless it is an integer (is_int) in [0, 2^bits)."""
+    if not is_int(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if not 0 <= v < 1 << bits:
+        raise ValueError(f"{name} out of range: {v}")
+    return int(v)
+
+
 def encode_header(vci: int, vcs: int) -> np.ndarray:
-    """(vci, vcs) -> 441 coded header bits, read-only.  CRC is computed here.
+    """(vci, vcs) -> 441 coded header bits, a new read-only array.  CRC is
+    computed here.
 
     The header block is the integer vci.vcs.crc.0 (49 bits, MSB first); each
-    of its 7-bit chunks picks its codeword from the table.  The last key's
-    bits are kept, so the K frames of one packet (encapsulate once per
-    stream) share one encoding.
+    of its 7-bit chunks picks its codeword from the table.  vci and vcs are
+    16-bit integers (a bool is refused).
     """
-    for name, v in (("vci", vci), ("vcs", vcs)):
-        if not 0 <= v <= 0xFFFF:
-            raise ValueError(f"{name} out of range: {v}")
+    vci, vcs = _field("vci", vci, 16), _field("vcs", vcs, 16)
     block = (vci << 33) | (vcs << 17) | (_header_crc(vci, vcs) << 1)
     return _read_only(CODEWORDS[[(block >> s) & 0x7F for s in _CHUNK_SHIFTS]].ravel())
 
@@ -127,7 +134,7 @@ def decode_header_soft(llrs: np.ndarray) -> FrameKey | None:
     """441 header LLRs -> key, or None when the recovered CRC mismatches.
 
     The LLRs are checked as SoftWord's are (checked_llrs), so one infinite
-    LLR cannot outvote a block.
+    LLR cannot outvote a block, and must have shape (441,).
     """
     y = checked_llrs(llrs, "llrs")
     if y.shape != (HEADER_CODED_BITS,):
@@ -161,8 +168,7 @@ class VcFrame:
     payload: bytes
 
     def __post_init__(self):
-        if not 0 <= self.stream_addr < (1 << STREAM_ADDR_BITS):
-            raise ValueError(f"stream_addr out of range: {self.stream_addr}")
+        self.stream_addr = _field("stream_addr", self.stream_addr, STREAM_ADDR_BITS)
         self.header_coded = checked_bits(self.header_coded, "header_coded")
         if self.header_coded.shape != (HEADER_CODED_BITS,):
             raise ValueError(f"header_coded must be {HEADER_CODED_BITS} bits")
@@ -212,11 +218,6 @@ def header_from_bits(bits: np.ndarray) -> FrameKey | None:
     None when it does not decode or no frame has bits' shape."""
     parts = split_frame(bits)
     return None if parts is None else decode_header_hard(parts[0])
-
-
-def payload_from_bits(bits: np.ndarray) -> bytes:
-    """The packet bytes of wire bits that have a frame's shape."""
-    return np.packbits(split_frame(bits)[1]).tobytes()
 
 
 def frame_from_bits(bits: np.ndarray) -> VcFrame:

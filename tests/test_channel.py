@@ -1,4 +1,5 @@
 import copy
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,19 @@ def test_channel_params_validation():
     # sigma^2 / burst_llr_atten, the in-window noise variance, overflows
     with pytest.raises(ValueError, match="burst_llr_atten"):
         ChannelParams(snr_db=0.0, burst_prob=1.0, burst_llr_atten=1e-320)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("snr_db", "8"), ("snr_db", True), ("snr_db", None), ("detection_loss_prob", True),
+    ("burst_prob", "0.5"), ("burst_len_mean", "64"),
+    pytest.param("burst_len_mean", 10**400, id="burst_len_mean-10**400"), ("burst_llr_atten", None),
+])
+def test_channel_params_refuse_a_non_number_by_name(field, value):
+    """Every field is a number (scrambler.is_real), checked when the link is
+    made, so transmit never meets one after its generator has drawn."""
+    want = f"^{field}: expected a number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=want):
+        ChannelParams(**{"snr_db": 8.0, field: value})
 
 
 def test_observation_invariants():

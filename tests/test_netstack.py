@@ -104,7 +104,6 @@ def test_send_encodes_one_header_per_packet(monkeypatch):
     header_crc = vcframe._header_crc
     monkeypatch.setattr(vcframe, "_header_crc",
                         lambda vci, vcs: crcs.append((vci, vcs)) or header_crc(vci, vcs))
-    vcframe.encode_header.cache_clear()
     d = Dispatcher(vci=9, stream_addrs=[10, 11])
     d.next_vcs = 65534
     sent = [d.send(bytes([i]) * 40) for i in range(4)]
@@ -113,9 +112,22 @@ def test_send_encodes_one_header_per_packet(monkeypatch):
         (_, f0), (_, f1) = frames
         assert f0.header_coded is f1.header_coded and not f0.header_coded.flags.writeable
         for _, f in frames:
-            want = vcframe.encode_header.__wrapped__(*key)
+            want = vcframe.encode_header(*key)
             assert f.header_coded.tobytes() == want.tobytes()
             assert decode_header_hard(f.header_coded) == key
+
+
+@pytest.mark.parametrize("vci, addrs, name", [
+    (2.0, [0], "vci"), (True, [0, 1], "vci"),
+    (1, [2.5], "stream_addr"), (1, [0, 2.5], "stream_addr"), (1, [0, False], "stream_addr"),
+])
+def test_send_refuses_a_non_integer_vci_or_address_by_name(vci, addrs, name):
+    """The first stream's frame and the ones made from it check their fields
+    alike, and a refused packet takes no serial."""
+    d = Dispatcher(vci, addrs)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        d.send(b"a")
+    assert d.next_vcs == 0
 
 
 def test_dispatched_frames_differ_only_in_the_address():

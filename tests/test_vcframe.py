@@ -5,6 +5,7 @@ the table-driven CRC in oracles.py is the independent implementation.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,33 @@ def test_frame_validation():
         frame_from_bits(np.zeros(500, dtype=np.uint8))  # payload not byte-sized
     with pytest.raises(ValueError):
         frame_of_bytes(b"\x00" * 61)  # under overhead
+
+
+NOT_INTEGERS = [1.5, 2.0, np.float64(3.0), True, np.True_, "4", None]
+
+
+@pytest.mark.parametrize("v", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("name, make", [
+    ("vci", lambda v: encode_header(v, 2)),
+    ("vcs", lambda v: encode_header(1, v)),
+    ("stream_addr", lambda v: VcFrame(v, encode_header(1, 2), b"")),
+    ("stream_addr", lambda v: encapsulate(b"a", 1, 2, v)),
+], ids=["vci", "vcs", "VcFrame", "encapsulate"])
+def test_header_and_address_fields_refuse_a_non_integer_by_name(name, make, v):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(v))}$"):
+        make(v)
+
+
+def test_numpy_integer_fields_are_read_as_their_values():
+    """A uint16 vci is not shifted within 16 bits, and a uint64 address
+    unpacks as a Python int's does."""
+    coded = encode_header(np.uint16(0xABCD), np.uint16(7))
+    assert np.array_equal(coded, encode_header(0xABCD, 7))
+    assert decode_header_hard(coded) == FrameKey(0xABCD, 7)
+    addr = (1 << STREAM_ADDR_BITS) - 2
+    f = VcFrame(np.uint64(addr), coded, b"x")
+    assert type(f.stream_addr) is int and f.stream_addr == addr
+    assert np.array_equal(frame_to_bits(f), frame_to_bits(VcFrame(addr, coded, b"x")))
 
 
 def test_frame_header_none_on_bit_rot():
