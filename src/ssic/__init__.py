@@ -14,7 +14,7 @@ imported from its module.
 from .scrambler import lfsr_run, mask_matrix, scramble, seed_from_int
 from .softbits import LLR_MAX, SoftWord
 from .descramble import hd, hrsx, naive_sd, seed_posterior, srsx, z_sequence_table
-from .combine import combine_streams
+from .combine import ssic_combine
 from .vcframe import (FrameKey, VcFrame, decode_header_hard, decode_header_soft,
                       encapsulate, frame_to_bits)
 from .channel import ChannelParams, fresh_seed, transmit
@@ -25,7 +25,7 @@ __all__ = [
     "scramble", "lfsr_run", "seed_from_int", "mask_matrix",
     "LLR_MAX", "SoftWord",
     "seed_posterior", "z_sequence_table", "hd", "naive_sd", "hrsx", "srsx",
-    "combine_streams",
+    "ssic_combine",
     "FrameKey", "VcFrame", "encapsulate", "frame_to_bits", "decode_header_soft",
     "decode_header_hard",
     "ChannelParams", "fresh_seed", "transmit",

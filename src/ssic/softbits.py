@@ -4,8 +4,8 @@ An LLR l for a bit b is log(P(b=0)/P(b=1)); positive means "probably 0".
 All stored LLRs are clamped to +-LLR_MAX, which bounds per-bit confidence
 at about 1 - 2e-9 and keeps products of likelihoods away from under/overflow.
 checked_llrs is the one input rule of every LLR taker: clamp, and refuse
-NaN by name (combine.ssic_combine clamps the sum of the copies, not each one,
-and refuses a sum holding NaN).
+NaN by name (combine.ssic_combine clamps the sum of the copies, a packet's or
+a block's, not each copy, and refuses a sum holding NaN).
 It is applied once, where a word is made: SoftWord checks a whole word it
 takes over in place, which is how channel.transmit and soft_copy hand over
 the LLR word only they hold.  The functions that take a SoftWord trust it

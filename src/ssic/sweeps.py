@@ -17,7 +17,7 @@ after a grid point's last is the next point's first, drawn from that
 point's own rng; the thread calls nothing but the points' rngs, which
 nothing else touches meanwhile.  The rest runs in the caller, once per
 block: the channel LLRs, one seed-posterior product for all words, the mask
-mix, and the stream sum, added in stream order as ssic_combine adds.  So
+mix, and the stream sum, one ssic_combine of the block's K copies.  So
 neither the block size nor the overlap changes the CSV.
 
 Two row schemas:
@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelParams, scrambled_llrs, snr_db_to_sigma2
-from .combine import combine_streams
+from .combine import ssic_combine
 from .descramble import N_SEEDS, hd, hrsx_rows, naive_rows, seed_posterior, srsx_rows
 from .netstack import (SOFT_VARIANTS, AggregatorConfig, check_point_sizes, run_metrics,
                        run_network_point)
@@ -55,7 +55,6 @@ from .vcframe import FRAME_OVERHEAD_BITS
 # Per-word entry points that the block path below does not call (it calls
 # seed_posterior), importable here under the names ssicbench/spans.py traces.
 from .channel import soft_copy  # noqa: F401
-from .combine import ssic_combine  # noqa: F401
 from .descramble import hrsx, naive_sd, srsx  # noqa: F401
 
 MODES = ("seed_ber", "payload_ber", "packet_per", "netsim")
@@ -74,10 +73,11 @@ NETSIM_COLUMNS = ["run_id", "mode", "sent", "plr", "per", "fr"]
 # and one result() back; 2**17 holds 14, and a packet_per chunk takes about
 # a fifth less CPU.  At 2**18 a block array is about 1.9 MB against a 2 MB
 # L2, and a packet_per chunk took half as much CPU again as at 2**15 and
-# ran no faster.  A sweep allocates, once for all its grid points, two
-# slots, the descrambled rows, srsx's scratch when it runs and the stream
-# total: 4.9 MB at packet_per's shape, which tests/test_sweeps.py bounds so
-# that peak RSS stays within a few MB of the smaller blocks'.
+# ran no faster.  A sweep allocates two slots, the descrambled rows and
+# srsx's scratch (when it runs) once for all its grid points, and
+# ssic_combine a stream total per block: 4.9 MB at packet_per's shape, which
+# tests/test_sweeps.py bounds so that peak RSS stays within a few MB of the
+# smaller blocks'.
 BLOCK_FLOATS = 1 << 17
 
 
@@ -343,11 +343,11 @@ def _seed_ber_errors(spec: SweepSpec, blocks) -> list[dict[str, int]]:
 def _payload_errors(spec: SweepSpec, blocks) -> tuple[list[dict[str, int]], list[dict[str, int]]]:
     """Bit and packet error counts per grid point and variant, on shared noise.
 
-    The descrambled rows, srsx's (2, B*K, M) scratch when srsx runs and
-    the stream total are allocated once per sweep and written by every
-    block of trials (a short last block uses their leading rows): L, K, M
-    and trials are the spec's, so every grid point has the same shapes, and
-    the loop allocates nothing of a block's size.
+    The descrambled rows and srsx's (2, B*K, M) scratch when srsx runs are
+    allocated once per sweep and written by every block of trials (a short
+    last block uses their leading rows): L, K, M and trials are the spec's,
+    so every grid point has the same shapes.  ssic_combine makes each
+    variant's (b, M) stream total, a new array per block.
     """
     L, K = spec.L, spec.n_streams
     M = spec.payload_bytes * 8
@@ -355,7 +355,7 @@ def _payload_errors(spec: SweepSpec, blocks) -> tuple[list[dict[str, int]], list
     pkt_err = [dict.fromkeys(spec.variants, 0) for _ in spec.snr_grid]
     need_post = any(v in ("hrsx", "srsx") for v in spec.variants)
     B = _block_trials(spec.trials, K, L, M)
-    descrambled, total = np.empty((B * K, M)), np.empty((B, M))
+    descrambled = np.empty((B * K, M))
     scratch = np.empty((2, B * K, M)) if "srsx" in spec.variants else None
     for gi, payload, _, llrs in blocks:
         b = payload.shape[0]
@@ -373,8 +373,8 @@ def _payload_errors(spec: SweepSpec, blocks) -> tuple[list[dict[str, int]], list
                     hrsx_rows(lw, words, L, out=out)
                 else:
                     srsx_rows(lw, words, L, out=out, scratch=scratch[:, :b * K])
-                bits = hard_decide(combine_streams(out.reshape(b, K, M).swapaxes(0, 1),
-                                                   out=total[:b]))
+                bits = hard_decide(ssic_combine(dict(enumerate(
+                    out.reshape(b, K, M).swapaxes(0, 1)))))
             wrong = (bits != payload).sum(axis=1)
             bit_err[gi][v] += int(wrong.sum())
             pkt_err[gi][v] += int((wrong > 0).sum())

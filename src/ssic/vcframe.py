@@ -161,7 +161,8 @@ def decode_header_hard(bits: np.ndarray) -> FrameKey | None:
 
 @dataclass
 class VcFrame:
-    """One stream's copy of a packet, ready for scrambling and transmission."""
+    """One stream's copy of a packet, ready for scrambling and transmission.
+    The payload is bytes, at most MTU_PAYLOAD of them."""
 
     stream_addr: int
     header_coded: np.ndarray
@@ -172,14 +173,23 @@ class VcFrame:
         self.header_coded = checked_bits(self.header_coded, "header_coded")
         if self.header_coded.shape != (HEADER_CODED_BITS,):
             raise ValueError(f"header_coded must be {HEADER_CODED_BITS} bits")
+        if not isinstance(self.payload, bytes):
+            raise ValueError(f"payload must be bytes, got {type(self.payload).__name__}")
         if len(self.payload) > MTU_PAYLOAD:
             raise ValueError(f"payload exceeds MTU: {len(self.payload)} > {MTU_PAYLOAD}")
 
 
 def encapsulate(packet: bytes, vci: int, vcs: int, stream_addr: int) -> VcFrame:
     """Wrap a packet for one stream.  Frames for the same (packet, vci, vcs)
-    differ only in stream_addr."""
-    return VcFrame(stream_addr, encode_header(vci, vcs), bytes(packet))
+    differ only in stream_addr.  The packet is bytes-like with one-byte items
+    (bytes, bytearray, a uint8 array), and its bytes are sent."""
+    try:
+        view = memoryview(packet)
+    except TypeError:
+        view = None
+    if view is None or view.itemsize != 1:
+        raise ValueError(f"packet must be bytes-like with byte items, got {type(packet).__name__}")
+    return VcFrame(stream_addr, encode_header(vci, vcs), view.tobytes())
 
 
 _PAD = _read_only(np.zeros(FRAME_PAD_BITS, dtype=np.uint8))

@@ -8,7 +8,8 @@ own claim: a bit decided from LLR l is right with probability expit(|l|),
 and the seed posterior's MAP seed is right with probability its mass.  The
 same claim is held for a burst window's LLRs (awgn_llrs at the per-bit
 noise variance transmit builds) and for the sum of two streams' srsx
-copies of one payload (combine_streams), the input SSIC decides from.
+copies of one payload (ssic_combine of their blocks), the input SSIC decides
+from.
 
 A word's bits share one seed, so their errors are not independent.  The
 statistic is therefore clustered by word: with S_w the sum over word w of
@@ -26,7 +27,7 @@ import pytest
 from scipy.special import expit
 
 from ssic.channel import awgn_llrs, scrambled_llrs, snr_db_to_sigma2
-from ssic.combine import combine_streams
+from ssic.combine import ssic_combine
 from ssic.descramble import hrsx_rows, seed_posterior, srsx_rows
 from ssic.softbits import LLR_MAX, hard_decide
 
@@ -111,7 +112,7 @@ def test_the_burst_windows_matched_llrs_are_calibrated():
 def test_the_sum_of_two_srsx_copies_is_calibrated(snr_db):
     """Two streams carry one payload under their own seeds and noise; given a
     bit, srsx reads each copy's pilots and that bit's LLR alone, so the two
-    are independent and their sum (combine_streams) is the bit's LLR."""
+    are independent and their sum (ssic_combine) is the bit's LLR."""
     rng = np.random.default_rng(COMBINE_SEEDS[snr_db])
     bits = rng.integers(0, 2, (WORDS, M), dtype=np.uint8)
     copies = []
@@ -120,5 +121,5 @@ def test_the_sum_of_two_srsx_copies_is_calibrated(snr_db):
         z = rng.standard_normal((WORDS, L + M))
         llrs = scrambled_llrs(seed_ints, bits, L, z, np.full(WORDS, snr_db_to_sigma2(snr_db)))
         copies.append(srsx_rows(seed_posterior(llrs[:, :L]), llrs[:, L:], L))
-    z = bits_z(combine_streams(copies), bits)
+    z = bits_z(ssic_combine(dict(enumerate(copies))), bits)
     assert abs(z) < BOUND, z

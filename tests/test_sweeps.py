@@ -611,10 +611,11 @@ def test_sweep_allocates_its_block_buffers_once():
 
 
 def _block_bytes(B: int, K: int, L: int, M: int, srsx: bool) -> int:
-    """What a payload sweep allocates for blocks of B trials x K streams:
-    two slots of payload bits (uint8), seeds (intp) and noise (float64), then
-    the descrambled rows, srsx's two scratch blocks when srsx runs and the
-    stream total, all float64."""
+    """What a payload sweep holds for blocks of B trials x K streams: two
+    slots of payload bits (uint8), seeds (intp) and noise (float64), then
+    the descrambled rows and srsx's two scratch blocks when srsx runs, all
+    float64, made once per sweep, and the float64 stream total that
+    ssic_combine makes anew per block."""
     slot = B * M + B * K * 8 + B * K * (L + M) * 8
     return 2 * slot + B * K * M * 8 + srsx * 2 * B * K * M * 8 + B * M * 8
 
@@ -691,23 +692,25 @@ def test_golden_csvs_survive_a_one_ulp_nudge_of_posteriors_and_sums(monkeypatch)
     random direction: what a different BLAS kernel or summation order may do
     to them.  _log_weights is the core behind both posterior paths, the
     sweeps' seed_posterior and the aggregator's hrsx and srsx; the sums are
-    the sweeps' combine_streams and the aggregator's ssic_combine.  The
-    golden tests then pass as they are, the aggregator counters included."""
+    ssic_combine as the sweeps call it on a block and as the aggregator calls
+    it on a packet, counted apart.  The golden tests then pass as they are,
+    the aggregator counters included."""
     nudge = np.random.default_rng(7)  # apart from the chain's generators
-    calls = dict.fromkeys(["_log_weights", "combine_streams", "ssic_combine"], 0)
+    calls = {}
 
     def nudged(module, name):
-        f = getattr(module, name)
+        f, key = getattr(module, name), f"{module.__name__}.{name}"
+        calls[key] = 0
 
         def g(*args, **kwargs):
             x = f(*args, **kwargs)
             x[...] = np.nextafter(x, np.where(nudge.random(x.shape) < 0.5, -np.inf, np.inf))
-            calls[name] += 1
+            calls[key] += 1
             return x
         monkeypatch.setattr(module, name, g)
 
     nudged(descramble, "_log_weights")
-    nudged(sweeps, "combine_streams")
+    nudged(sweeps, "ssic_combine")
     nudged(netstack, "ssic_combine")
     test_golden_csv_bytes()
     test_golden_payload_csv_bytes()

@@ -412,6 +412,38 @@ def test_frame_validation():
         frame_of_bytes(b"\x00" * 61)  # under overhead
 
 
+@pytest.mark.parametrize("packet", [b"ab", bytearray(b"ab"), np.frombuffer(b"ab", np.uint8),
+                                    memoryview(b"xaby")[1:3]], ids=repr)
+def test_bytes_like_packets_encapsulate_to_their_bytes(packet):
+    f = encapsulate(packet, 1, 2, 0)
+    assert type(f.payload) is bytes and f.payload == b"ab"
+    assert np.array_equal(frame_to_bits(f), frame_to_bits(encapsulate(b"ab", 1, 2, 0)))
+
+
+@pytest.mark.parametrize("packet", [5, "ab", [97, 98], None, np.arange(3),
+                                    np.array([97.0, 98.0])], ids=repr)
+def test_encapsulate_refuses_a_packet_that_is_not_bytes_like_with_byte_items(packet):
+    # 5 was sent as bytes(5), five zero bytes; an int64 array as its 8-byte items
+    with pytest.raises(ValueError, match="^packet must be bytes-like with byte items, got "):
+        encapsulate(packet, 1, 2, 0)
+
+
+@pytest.mark.parametrize("payload", [np.arange(3), np.zeros(2, np.uint8), "ab", [97, 98],
+                                     bytearray(b"ab"), None], ids=repr)
+def test_vcframe_refuses_a_payload_that_is_not_bytes(payload):
+    # np.arange(3) passed with len 3 and unpacked into a 688-bit frame
+    name = type(payload).__name__
+    with pytest.raises(ValueError, match=f"^payload must be bytes, got {name}$"):
+        VcFrame(0, encode_header(1, 2), payload)
+
+
+def test_a_packet_over_the_mtu_is_refused_whatever_its_type():
+    for packet in (b"x" * (MTU_PAYLOAD + 1), bytearray(MTU_PAYLOAD + 1),
+                   np.zeros(MTU_PAYLOAD + 1, np.uint8)):
+        with pytest.raises(ValueError, match=f"^payload exceeds MTU: {MTU_PAYLOAD + 1} > "):
+            encapsulate(packet, 0, 0, 0)
+
+
 NOT_INTEGERS = [1.5, 2.0, np.float64(3.0), True, np.True_, "4", None]
 
 
