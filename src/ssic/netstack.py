@@ -27,13 +27,14 @@ the 16-bit serial wraps, and a copy arriving that far behind is not held.
 A key forgotten by the dedup window can in principle be re-delivered much
 later; the metrics count such duplicates rather than treating them as
 errors.  Payload verification is an idealized CRC: the simulation harness
-supplies a predicate that compares against ground truth and never
-false-accepts.
+supplies a predicate that compares a 128-bit digest of the candidate against
+the sent payload's, so it false-accepts only on a 128-bit digest collision.
 
 run_network_point streams each copy to the aggregator as soon as no copy
-still to be sent can arrive before it, and holds a payload only while a key
-can still name its packet, so beyond the copies in flight a run keeps only
-bool outcome columns (PacketOutcomes), 2 * streams + 1 bytes per packet.
+still to be sent can arrive before it, and holds a payload's 16-byte digest
+only while a key can still name its packet, so beyond the copies in flight
+and that ring a run keeps only bool outcome columns (PacketOutcomes),
+2 * streams + 1 bytes per packet.
 """
 
 from __future__ import annotations
@@ -323,9 +324,10 @@ def run_network_point(n_packets: int, payload_bytes: int,
     O(streams * ceil(arrival_jitter)) copies at a time, the aggregator
     holds pending copies of at most window_size keys, none of them
     window_size or more serials behind its newest delivery (see Aggregator),
-    and a ring holds the payloads of the last VCS_MOD // 2 +
-    ceil(arrival_jitter) + 1 packets.  Only the outcome columns grow with
-    n_packets; they are returned with the aggregator counters.
+    and a ring holds the 16-byte BLAKE2b digests of the payloads of the last
+    VCS_MOD // 2 + ceil(arrival_jitter) + 1 packets.  Only the outcome
+    columns grow with n_packets; they are returned with the aggregator
+    counters.
     """
     n_streams = len(stream_params)
     # the sizes are refused by name before the first draw
@@ -344,7 +346,14 @@ def run_network_point(n_packets: int, payload_bytes: int,
     # unsent packets match none.  A copy of packet a arrives at t <= fl(a +
     # arrival_jitter) <= a + ceil(arrival_jitter), and push_until(sent) pushes
     # it only if a = sent - 1 or t >= sent - 1: a key names one of the last
-    # VCS_MOD // 2 + ceil(arrival_jitter) + 1 packets; ring[j % len(ring)] holds packet j's.
+    # VCS_MOD // 2 + ceil(arrival_jitter) + 1 packets; ring[j % len(ring)] holds the
+    # digest of packet j's payload.
+    # imported here, not at the top: hashlib loads OpenSSL's _hashlib, which importing ssic skips
+    import hashlib
+
+    def digest(payload: bytes) -> bytes:
+        return hashlib.blake2b(payload, digest_size=16).digest()
+
     ring = [b""] * min(n_packets, VCS_MOD // 2 + int(np.ceil(arrival_jitter)) + 1)
     arriving = sent = 0
 
@@ -354,7 +363,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
 
     def payload_check(key: FrameKey, payload: bytes) -> bool:
         j = packet_of(key)
-        return j is not None and ring[j % len(ring)] == payload
+        return j is not None and ring[j % len(ring)] == digest(payload)
 
     agg = Aggregator(AggregatorConfig(variant=variant, window_size=window_size),
                      payload_check=payload_check)
@@ -374,7 +383,7 @@ def run_network_point(n_packets: int, payload_bytes: int,
         push_until(i)
         packet = rng.integers(0, 256, payload_bytes, dtype=np.uint8).tobytes()
         _, frames = dispatcher.send(packet)
-        ring[i % len(ring)] = packet
+        ring[i % len(ring)] = digest(packet)
         sent = i + 1
         # each stream's frame is unpacked on its own
         for k, frame in frames:

@@ -504,6 +504,7 @@ ORACLE_RUNS = [
     (700, 1, 6.0, 0.0, False, 0.5, 256),
     (700, 2, 5.0, 0.05, True, 3.0, 256),
     (700, 1, 7.0, 0.02, False, 0.0, 256),
+    (700, 0, 5.0, 0.0, False, 0.5, 256),
 ]
 
 
@@ -618,7 +619,7 @@ def test_run_network_point_memory_is_bounded():
 
 
 def test_run_network_point_memory_is_flat_in_packets(monkeypatch):
-    # payloads live in a ring of VCS_MOD // 2 + ceil(arrival_jitter) + 1
+    # payload digests live in a ring of VCS_MOD // 2 + ceil(arrival_jitter) + 1
     # packets and outcomes in bool columns, so 4x the packets add only their
     # column rows (3 B each here), where a payload and a record per packet
     # added about 1.7 kB
@@ -636,3 +637,22 @@ def test_run_network_point_memory_is_flat_in_packets(monkeypatch):
     peak(50)  # warm-up: the lazily built tables are not part of a run's peak
     small, large = peak(400), peak(1600)
     assert large - small < 2**20, f"peak {small / 2**20:.2f} -> {large / 2**20:.2f} MB"
+
+
+def test_run_network_point_memory_does_not_grow_with_payloads():
+    # no copy is detected, so only the ring and the outcome columns grow; the
+    # ring holds a 16-byte digest per packet, not its 1,500-byte payload, at
+    # the real serial space, where 1,500 more payloads would add about 2.2 MiB
+    params = [ChannelParams(snr_db=10.0, detection_loss_prob=1.0)] * 2
+
+    def peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            run_network_point(n, 1500, params, L, np.random.default_rng(5))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # warm-up: the lazily built tables are not part of a run's peak
+    small, large = peak(500), peak(2000)
+    assert large - small < 512 * 2**10, f"peak {small / 2**10:.0f} -> {large / 2**10:.0f} KiB"
