@@ -3,20 +3,17 @@
 The sender duplicates each packet across all streams (same VCI/VCS/payload,
 per-stream address), and each stream's frame is unpacked to wire bits on its
 own.  Streams need not share a pilot length: every soft copy is descrambled at
-its own word's L.  The receiver-side aggregator processes one frame arrival at
-a time:
+its own word's L.  The receiver-side aggregator takes one frame arrival at
+a time, and Aggregator.push reads it, then offers it:
 
-  1. a clean (CRC-pass) frame's key (vcframe.FrameKey) is read from its bits
-     before the payload is unpacked; a soft frame is descrambled seed-blind
-     (srsx by default) and its key recovered by soft block decoding;
-  2. from there both take one path: a copy whose header decodes to no key
-     is dropped, and so is a copy of an already-delivered packet;
-  3. a clean copy is delivered; a soft copy joins any pending copies of the
-     same packet, and when at least two copies exist they are combined,
-     one per stream (ssic_combine), and the result is delivered if it
-     verifies, otherwise the copy is stored;
-  4. delivery records the key in the bounded dedup window and purges the
-     pending list for that key.
+  1. read: a clean (CRC-pass) copy's key (vcframe.FrameKey) is read from
+     its bits, then its payload packed into bytes; a soft copy is
+     descrambled seed-blind (srsx by default) and its key soft-decoded;
+  2. offer: a copy with no key or an already-delivered key is dropped;
+     bytes are delivered; soft LLRs are combined (ssic_combine) with the
+     key's pending copies from other streams, and the result is delivered
+     if it verifies, else the copy is stored.  Delivery records the key in
+     the bounded dedup window and drops its pending copies.
 
 Delivered and pending keys are held for at most window_size serials: each
 lives in a FIFO of window_size keys, and a key is also forgotten once it is
@@ -50,7 +47,7 @@ from .channel import ChannelParams, StreamObservation, fresh_seed, transmit
 from .combine import ssic_combine
 from .descramble import hrsx, naive_sd, srsx
 from .scrambler import check_pilot_len, checked_bits, is_int, is_real
-from .softbits import SoftWord, hard_decide
+from .softbits import hard_decide
 from .vcframe import (MTU_PAYLOAD, FrameKey, VcFrame, decode_header_soft, encapsulate,
                       frame_to_bits, header_from_bits, is_frame_length, split_frame)
 
@@ -139,14 +136,6 @@ class Aggregator:
         self.newest: dict[int, int] = {}  # newest delivered serial per VCI
         self.stats = AggregatorStats()
 
-    def _descramble(self, word: SoftWord) -> np.ndarray:
-        """The word's descrambled LLRs, a new array."""
-        if self.config.variant == "srsx":
-            return srsx(word)
-        if self.config.variant == "hrsx":
-            return hrsx(word)[0]
-        return naive_sd(word)
-
     def _stale(self, key: FrameKey) -> bool:
         """True when key is window_size or more serials behind its VCI's newest delivery."""
         newest = self.newest.get(key.vci)
@@ -195,54 +184,65 @@ class Aggregator:
         return key, payload
 
     def push(self, obs: StreamObservation) -> tuple[FrameKey, bytes] | None:
-        """Process one frame arrival; returns (key, packet) on delivery.
+        """Process one frame arrival, read then offer; returns (key, packet) on delivery."""
+        key, copy = self.read(obs)
+        return self.offer(key, obs.stream_id, copy)
 
-        Clean and soft copies take one path once their key is read; a copy
-        whose shape no frame can have is dropped as header-invalid, and clean
-        bits other than 0 and 1 are refused (checked_bits).
-        """
+    def read(self, obs: StreamObservation) -> tuple[FrameKey | None, bytes | np.ndarray | None]:
+        """The front end: an arrival's key (None if none decodes) and its copy:
+        for a clean copy, whose bits must be 0s and 1s (checked_bits) and whose
+        key is read first, the payload's bytes; for a soft one, the variant's
+        descrambled payload LLRs.  A shape no frame has reads as (None, None)."""
         if not obs.detected:
             raise ValueError("undetected frames never reach the aggregator")
-
         if obs.crc_pass:
             bits = checked_bits(obs.hard_bits, "hard_bits", one_dim=False)
             key = header_from_bits(bits)
-        else:
-            key = None
-            if is_frame_length(obs.soft.M):
-                coded, payload_llrs = split_frame(self._descramble(obs.soft))
-                key = decode_header_soft(coded)
+            return key, None if key is None else np.packbits(split_frame(bits)[1]).tobytes()
+        if not is_frame_length(obs.soft.M):
+            return None, None
+        word, v = obs.soft, self.config.variant
+        llrs = srsx(word) if v == "srsx" else hrsx(word)[0] if v == "hrsx" else naive_sd(word)
+        coded, payload_llrs = split_frame(llrs)
+        return decode_header_soft(coded), payload_llrs
+
+    def offer(self, key: FrameKey | None, stream_id: int,
+              copy: bytes | np.ndarray | None) -> tuple[FrameKey, bytes] | None:
+        """The key protocol over one copy; returns (key, packet) on delivery.
+        A None key is header-invalid and a delivered key a duplicate; bytes
+        are delivered; LLRs combine with the key's pending copies of their
+        size from other streams, delivered if that verifies, else are stored
+        unless stale.  Any other copy of a key is refused by name."""
         if key is None:
             self.stats.header_invalid_drops += 1
             return None
+        if not (isinstance(copy, bytes) or isinstance(copy, np.ndarray) and copy.ndim == 1
+                and copy.dtype.kind == "f"):
+            raise ValueError(f"copy: must be bytes or a 1-D float array, got {copy!r:.60}")
         if key in self.delivered:
             self.stats.duplicate_drops += 1
             return None
-        if obs.crc_pass:
-            return self._deliver(key, np.packbits(split_frame(bits)[1]).tobytes(), combined=False)
-
+        if isinstance(copy, bytes):
+            return self._deliver(key, copy, combined=False)
         copies = {sid: l for sid, l in self.pending.get(key, {}).items()
-                  if l.size == payload_llrs.size and sid != obs.stream_id}
+                  if l.size == copy.size and sid != stream_id}
         if copies:
-            copies[obs.stream_id] = payload_llrs
+            copies[stream_id] = copy
             packet = np.packbits(hard_decide(ssic_combine(copies))).tobytes()
             if self.payload_check(key, packet):
                 return self._deliver(key, packet, combined=True)
             self.stats.combine_failures += 1
-        self._store(key, obs.stream_id, payload_llrs)
-        return None
-
-    def _store(self, key: FrameKey, stream_id: int, payload_llrs: np.ndarray) -> None:
         if self._stale(key):
             # arrived too late to meet another copy inside the window
             self.stats.pending_evictions += 1
-            return
+            return None
         if key not in self.pending:
             self.pending[key] = {}
             if len(self.pending) > self.config.window_size:
                 self._evict(next(iter(self.pending)))
-        self.pending[key][stream_id] = payload_llrs
+        self.pending[key][stream_id] = copy
         self.stats.soft_stored += 1
+        return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -258,8 +258,9 @@ def test_undetected_frames_are_rejected():
 
 def test_malformed_soft_payload_length_dropped(monkeypatch):
     agg = make_agg({K1: P1})
-    monkeypatch.setattr(agg, "_descramble",
-                        lambda word: pytest.fail("a malformed word was descrambled"))
+    for name in ("srsx", "hrsx", "naive_sd"):
+        monkeypatch.setattr(netstack, name,
+                            lambda word: pytest.fail("a malformed word was descrambled"))
     bad = soft_obs(K1, P1, 0, wire_bits=np.zeros(499, dtype=np.uint8))
     assert agg.push(bad) is None
     assert agg.stats.header_invalid_drops == 1
@@ -281,6 +282,36 @@ def test_malformed_clean_copy_dropped(n_bits):
     assert agg.push(obs) is None
     assert agg.stats.header_invalid_drops == 1 and agg.stats.delivered == 0
     assert agg.push(hard_obs(K1, P1, 1)) == (K1, P1)
+
+
+def test_offer_combines_a_copy_only_with_pending_copies_of_its_size():
+    """Copies of one key and different sizes never meet: a 128-LLR copy on
+    stream 1 after a 64-LLR one on stream 0 is stored beside it, and a third
+    copy on stream 2 combines with the 128-LLR copy alone."""
+    agg = make_agg({K1: b"\xff" * 16})
+    assert agg.offer(K1, 0, np.full(64, 2.0)) is None
+    assert agg.offer(K1, 1, np.full(128, -2.0)) is None
+    assert agg.stats.soft_stored == 2 and agg.stats.combine_failures == 0
+    # alone, +1 LLRs decide 0 bits; with stream 1's -2 they decide 1 bits
+    assert agg.offer(K1, 2, np.full(128, 1.0)) == (K1, b"\xff" * 16)
+    assert agg.stats.delivered_combined == 1 and agg.stats.combine_failures == 0
+
+
+@pytest.mark.parametrize("copy", ["abc", [2.0] * 40, np.full((5, 8), 2.0), None,
+                                  np.full(40, 2, dtype=np.int64)],
+                         ids=["str", "list", "2-D", "None", "int-array"])
+def test_offer_refuses_a_copy_that_is_not_bytes_or_one_float_row(copy):
+    """A keyed copy must be a payload's bytes or its (M,) float LLRs; any
+    other is refused by name before a counter moves or a copy is stored,
+    where a 2-D one would be summed as a block of packets."""
+    agg = make_agg({K1: P1})
+    assert agg.offer(K1, 1, np.full(8 * len(P1), 2.0)) is None
+    before = asdict(agg.stats)
+    with pytest.raises(ValueError, match="^copy: must be bytes or a 1-D float array, got "):
+        agg.offer(K1, 0, copy)
+    assert asdict(agg.stats) == before and list(agg.pending[K1]) == [1]
+    # without a key nothing is read from the copy: the front end's (None, None)
+    assert agg.offer(None, 0, None) is None and agg.stats.header_invalid_drops == 1
 
 
 def soft_obs_descrambling_to(key: FrameKey, sid: int,
@@ -557,6 +588,61 @@ def test_run_network_point_equals_the_oracle_at_other_pilot_lengths(pilots):
     assert got_stats.delivered_combined > 0
 
 
+def moving_soft_keys(how: str, mod: int, moved: list):
+    """decode_header_soft, but a key whose serial is a multiple of 3 comes out
+    moved, and is appended to moved: half the serial space back (the oldest
+    packet a key can name), one ahead (a packet not yet sent when the jitter
+    is 0), one back (a packet most often already delivered), or onto another
+    VCI.  Clean copies keep their keys: their headers are read, not decoded."""
+    decode = netstack.decode_header_soft
+
+    def wrong(coded):
+        key = decode(coded)
+        if key is None or key.vcs % 3:
+            return key
+        if how == "other_vci":
+            key = FrameKey(key.vci + 1, key.vcs)
+        else:
+            shift = {"half_back": -(mod // 2), "unsent": 1, "delivered": -1}[how]
+            key = FrameKey(key.vci, (key.vcs + shift) % mod)
+        moved.append(key)
+        return key
+    return wrong
+
+
+# (how keys move, payload bytes, arrival jitter, stream SNRs in dB); 300 packets each
+WRONG_KEY_RUNS = [
+    (how, nbytes, jitter, snrs)
+    for how, nbytes in [("half_back", 1), ("unsent", 0)]
+    for jitter in (0.0, 0.5, 3.0)
+    for snrs in [(5.0, 5.5), (12.0, 5.0, 5.5)]
+] + [("other_vci", 1, 0.5, (5.0, 5.5)), ("delivered", 1, 0.5, (12.0, 5.0, 5.5))]
+
+
+@pytest.mark.parametrize("how, nbytes, jitter, snrs", WRONG_KEY_RUNS)
+def test_run_network_point_equals_the_oracle_on_wrong_soft_keys(monkeypatch, how, nbytes,
+                                                                jitter, snrs):
+    """Soft headers that decode to a valid key of another packet, in a
+    256-serial space: both runs push through netstack.Aggregator and see the
+    same wrong keys, and the oracle, which keeps every payload, must agree
+    with the digest ring and packet_of.  A 1-byte payload makes a wrong ring
+    slot deliver what the oracle refuses; with 0-byte payloads every digest
+    matches, so only packet_of's range decides a key one ahead."""
+    mod, n, moved = 256, 300, []
+    monkeypatch.setattr(netstack, "VCS_MOD", mod)
+    monkeypatch.setattr(oracles, "VCS_MOD", mod)
+    monkeypatch.setattr(netstack, "decode_header_soft", moving_soft_keys(how, mod, moved))
+    params = [ChannelParams(snr_db=s) for s in snrs]
+    kwargs = dict(window_size=64, arrival_jitter=jitter)
+    rng_want, rng_got = np.random.default_rng(17), np.random.default_rng(17)
+    records, want_stats = oracles.run_network_point(n, nbytes, params, L, rng_want, **kwargs)
+    got, got_stats = run_network_point(n, nbytes, params, L, rng_got, **kwargs)
+    assert np.array_equal(got.ssic_delivered, [r.ssic_delivered for r in records])
+    assert asdict(got_stats) == asdict(want_stats)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    assert moved and moved[:len(moved) // 2] == moved[len(moved) // 2:]  # both runs, alike
+
+
 def test_run_network_point_rejects_negative_packets():
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
@@ -656,3 +742,4 @@ def test_run_network_point_memory_does_not_grow_with_payloads():
     peak(50)  # warm-up: the lazily built tables are not part of a run's peak
     small, large = peak(500), peak(2000)
     assert large - small < 512 * 2**10, f"peak {small / 2**10:.0f} -> {large / 2**10:.0f} KiB"
+
